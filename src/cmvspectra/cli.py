@@ -19,10 +19,11 @@ import numpy as np
 from .acceptance import run_criteria
 from .coeffs import PeriodicSeq
 from .construct import DensityConstraintError, GapOpeningError, ac_iterate, cantor_iterate
-from .floquet import BandStructure, band_structure, discriminant
+from .floquet import (AllGapsClosedError, BandDiagnosticError, BandStructure, band_structure,
+                      discriminant)
 from .gordon import CoefficientWindow, check_gordon
 from .odometer import SamplingFn, to_periodic
-from .specmeasure import density
+from .specmeasure import EdgeProximityError, density
 from .transfer import estimate_lipschitz, gamma
 
 TWO_PI = 2.0 * math.pi
@@ -60,7 +61,7 @@ def _load_input(path: str):
         raise InputError(f"input is not valid JSON: {exc}")
     try:
         if "table" in obj:
-            obj.setdefault("level", max(1, len(obj["table"]) - 1).bit_length())
+            obj.setdefault("level", (len(obj["table"]) - 1).bit_length())
             return SamplingFn.from_json(obj)
         if "values" in obj:
             obj.setdefault("period", len(obj["values"]))
@@ -104,6 +105,15 @@ def _parse_u(spec: str) -> dict[int, complex]:
         return out
     except (ValueError, TypeError, IndexError) as exc:
         raise InputError(f"invalid --u mapping: {exc}")
+
+
+def _grid(args, default: int) -> int:
+    """--grid, or the default when it is absent; an explicit value must be positive."""
+    if args.grid is None:
+        return default
+    if args.grid < 1:
+        raise InputError("--grid must be at least 1")
+    return args.grid
 
 
 def _fmt(x: float) -> str:
@@ -181,6 +191,7 @@ def _ensure_out(args) -> str:
 
 def cmd_bands(args) -> int:
     seq = _as_periodic(_load_input(args.input))
+    grid = _grid(args, 720)
     bs = band_structure(seq)
     out = _ensure_out(args)
     rows = ["band_index,theta_lo,theta_hi,mass,monotonicity"]
@@ -193,7 +204,6 @@ def cmd_bands(args) -> int:
         rows.append(f"{i},{_fmt(g.theta_lo % TWO_PI)},{_fmt(g.theta_hi % TWO_PI)},"
                     f"{_fmt(g.chord)}")
     _atomic_write(os.path.join(out, "gaps.csv"), "\n".join(rows) + "\n")
-    grid = args.grid or 720
     thetas = np.linspace(0, TWO_PI, grid, endpoint=False)
     rows = ["theta,delta"]
     for th in thetas:
@@ -214,9 +224,9 @@ def cmd_bands(args) -> int:
 
 def cmd_discriminant(args) -> int:
     seq = _as_periodic(_load_input(args.input))
+    grid = _grid(args, 720)
     disc = discriminant(seq)
     out = _ensure_out(args)
-    grid = args.grid or 720
     rows = ["theta,delta"]
     for th in np.linspace(0, TWO_PI, grid, endpoint=False):
         rows.append(f"{_fmt(th)},{_fmt(disc.eval_real(th))}")
@@ -236,7 +246,7 @@ def cmd_discriminant(args) -> int:
 def cmd_density(args) -> int:
     seq = _as_periodic(_load_input(args.input))
     u = _parse_u(args.u or '{"0": 1.0}')
-    d = density(seq, u, n=max(16, (args.grid or 64)))
+    d = density(seq, u, n=max(16, _grid(args, 64)))
     out = _ensure_out(args)
     samples = sorted(d.grid)
     rows = ["theta,g"]
@@ -259,7 +269,7 @@ def cmd_density(args) -> int:
 def cmd_gordon_check(args) -> int:
     obj = _load_input(args.input)
     seq = _as_periodic(obj)
-    depth = args.stages or 3
+    depth = 3 if args.stages is None else args.stages
     if depth < 1:
         raise InputError("--stages must be at least 1 for gordon-check")
     schedule = [(k, k * seq.period) for k in range(1, depth + 1)]
@@ -431,6 +441,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (BandDiagnosticError, AllGapsClosedError, EdgeProximityError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
-"""Finite windows of the extended CMV matrix and operator-norm perturbation checks.
+"""Finite windows of the extended CMV matrix and operator-norm perturbation bounds.
 
-The extended CMV matrix is the 5-diagonal unitary built from 2x4 blocks; rows
-are generated by the product of two block-diagonal unitary factors (even- and
-odd-indexed 2x2 blocks).  Windows are assembled through that factorization so
-unitarity is structural; the closed-form entry pattern is exposed separately
-(`cmv_entry`) and doubles as the folding rule for Floquet restrictions and as
-an independent oracle for the assembly.
+The extended CMV matrix factors as E = L M into block-diagonal unitaries whose
+2x2 blocks Theta(alpha_n) = [[conj(alpha_n), rho_n], [rho_n, -alpha_n]] sit at
+(n, n+1), n even for L and odd for M (Cantero-Moral-Velazquez, Linear Algebra
+Appl. 362 (2003); Simon, OPUC Part 1, Sect. 4.2).  Windows, the Floquet
+restrictions in `floquet` and the closed-form movement bound all derive from
+the vectorized blocks; `cmv_entry` is an independent oracle for the assembly.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffs import rho
-from .odometer import SamplingFn, lift, sup_distance, to_periodic
-from .coeffs import PeriodicSeq
+from .coeffs import PeriodicSeq, common_period, rho, validate_alpha
+from .odometer import SamplingFn, lift, to_periodic
 
 AlphaFn = Callable[[int], complex]
 
@@ -71,103 +70,73 @@ class CmvWindow:
         return self.source[n - (self.offset - 2)]
 
 
-def _theta_block(a: complex) -> np.ndarray:
-    r = rho(a)
-    return np.array([[a.conjugate(), r], [r, -a]], dtype=complex)
+def theta_blocks(values) -> np.ndarray:
+    """Theta(a) = [[conj(a), rho], [rho, -a]] for each coefficient, stacked to shape (n, 2, 2)."""
+    a = np.asarray(values, dtype=complex)
+    ac = a.conj()
+    r = np.sqrt(1.0 - (a * ac).real)
+    return np.array([[ac, r], [r, -a]]).transpose(2, 0, 1)
+
+
+def band_rows(values) -> np.ndarray:
+    """Band storage of rows m0 .. m0+n-1 of E = L M from alpha(m0-1) .. alpha(m0+n); m0, n even.
+
+    Entry c of row m is E[m, m - m % 2 - 1 + c] for c = 0..3, the four columns
+    a CMV row can reach.  Rows (m, m+1), m even, are Theta(alpha_m) times rows
+    m and m+1 of M, which are row 1 of Theta(alpha_{m-1}) and row 0 of
+    Theta(alpha_{m+1}).
+    """
+    T = theta_blocks(values)
+    lead = T[1:-1:2]
+    pairs = np.concatenate(
+        (lead[:, :, 0, None] * T[:-2:2, None, 1, :], lead[:, :, 1, None] * T[2::2, None, 0, :]),
+        axis=2,
+    )
+    return pairs.reshape(-1, 4)
+
+
+def band_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the band storage of n rows, row-major; columns run from -1 to n."""
+    m = np.arange(n)
+    cols = (m - m % 2 - 1)[:, None] + np.arange(4)
+    return np.repeat(m, 4), cols.ravel()
 
 
 def assemble_window(alpha: AlphaFn, offset: int, dim: int) -> CmvWindow:
-    """Window of the extended CMV matrix via the product of the two block factors."""
+    """Window of the extended CMV matrix, scattered from the band storage of its rows."""
     if dim < 4:
         raise ValueError("window dimension must be at least 4")
     if offset % 2 != 0:
         raise ValueError("offset must be even to align with the 2x4 block grid")
-    lo = offset - 2
-    hi = offset + dim + 2  # exclusive
-    size = hi - lo
-    L = np.zeros((size, size), dtype=complex)
-    M = np.zeros((size, size), dtype=complex)
-    for n in range(lo, hi - 1):
-        i = n - lo
-        block = _theta_block(alpha(n))
-        if n % 2 == 0:
-            L[i : i + 2, i : i + 2] = block
-        else:
-            M[i : i + 2, i : i + 2] = block
-    E = L @ M
-    w = E[2 : 2 + dim, 2 : 2 + dim]
-    source = tuple(complex(alpha(n)) for n in range(offset - 2, offset + dim + 2))
-    return CmvWindow(offset, w, source)
+    n = dim + dim % 2
+    source = [validate_alpha(alpha(k)) for k in range(offset - 2, offset + n + 2)]
+    rows, cols = band_columns(n)
+    E = np.zeros((n, n + 2), dtype=complex)
+    E[rows, cols + 1] = band_rows(source[1:-1]).ravel()
+    return CmvWindow(offset, E[:dim, 1 : dim + 1].copy(), tuple(source[: dim + 4]))
 
 
-def apply(window: CmvWindow, u) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (window.dim,):
-        raise ValueError(f"vector length {u.shape} does not match window dim {window.dim}")
-    return window.matrix @ u
+def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq) -> float:
+    """Upper bound on the operator norm of E_f - E_g for periodic sequences.
 
-
-def _lift_pair(sf: PeriodicSeq, sg: PeriodicSeq) -> tuple[PeriodicSeq, PeriodicSeq]:
-    """Re-express two periodic sequences with a common (lcm) period."""
-    import math as _math
-
-    q = _math.lcm(sf.period, sg.period)
-    lifted = []
-    for s in (sf, sg):
-        vals = tuple(s.value_at(n) for n in range(q))
-        lifted.append(PeriodicSeq(vals, s.r))
-    return lifted[0], lifted[1]
-
-
-def _floquet_difference_parts(sf: PeriodicSeq, sg: PeriodicSeq):
-    """Split the folded difference E_q^f(T) - E_q^g(T) as C + e^{iT} P + e^{-iT} Q."""
-    sf, sg = _lift_pair(sf, sg)
-    q = sf.period
-    C = np.zeros((q, q), dtype=complex)
-    P = np.zeros((q, q), dtype=complex)
-    Q = np.zeros((q, q), dtype=complex)
-    for m in range(q):
-        for col in range(m - 2, m + 3):
-            v = cmv_entry(sf.value_at, m, col) - cmv_entry(sg.value_at, m, col)
-            if v == 0:
-                continue
-            n = col % q
-            l = (col - n) // q
-            if l == 0:
-                C[m, n] += v
-            elif l == 1:
-                P[m, n] += v
-            elif l == -1:
-                Q[m, n] += v
-            else:  # pragma: no cover - bandwidth 2 never wraps twice for q >= 2
-                raise AssertionError("unexpected wrap depth")
-    return C, P, Q
-
-
-def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq, grid: int = 256) -> float:
-    """Certified upper estimate of the operator norm of E_f - E_g for periodic sequences.
-
-    The difference of the two periodic operators is banded and periodic, so its
-    norm is the sup over the Floquet phase of the folded q x q difference.  The
-    sup is taken on a grid and padded with the Lipschitz constant of the phase
-    dependence, giving a genuine upper bound.
+    From E = L M with unitary factors, ||L_f M_f - L_g M_g|| <= ||L_f - L_g||
+    + ||M_f - M_g||, and each block-diagonal difference has the norm of its
+    largest block: the bound is the maximum over even n plus the maximum over
+    odd n of ||Theta(f_n) - Theta(g_n)||.  That difference is
+    [[conj(d), e], [e, -d]] with e = rho(f_n) - rho(g_n) real, a multiple of a
+    unitary, so its norm is that of its first row, sqrt(|d|^2 + e^2).  Both
+    sequences are lifted to their common period first.
     """
-    C, P, Q = _floquet_difference_parts(sf, sg)
-    if not (np.any(C) or np.any(P) or np.any(Q)):
-        return 0.0
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    best = 0.0
-    for t in thetas:
-        d = C + np.exp(1j * t) * P + np.exp(-1j * t) * Q
-        best = max(best, float(np.linalg.norm(d, 2)))
-    lip = float(np.linalg.norm(P, 2) + np.linalg.norm(Q, 2))
-    return best + lip * (np.pi / grid)
+    sf, sg = common_period(sf, sg)
+    d = theta_blocks(sf.values) - theta_blocks(sg.values)
+    norms = np.linalg.norm(d[:, 0, :], axis=1)
+    return float(norms[0::2].max() + norms[1::2].max())
 
 
-def diff_norm_bound(f: SamplingFn, g: SamplingFn, grid: int = 256) -> float:
-    """Upper estimate of the operator norm of E_f - E_g for sampling functions."""
+def diff_norm_bound(f: SamplingFn, g: SamplingFn) -> float:
+    """Upper bound on the operator norm of E_f - E_g for sampling functions."""
     k = max(max(f.level, g.level), 1)
-    return diff_norm_bound_seq(to_periodic(lift(f, k)), to_periodic(lift(g, k)), grid=grid)
+    return diff_norm_bound_seq(to_periodic(lift(f, k)), to_periodic(lift(g, k)))
 
 
 @dataclass(frozen=True)
@@ -200,16 +169,11 @@ def spectrum_movement_check(f: PeriodicSeq, g: PeriodicSeq, grid: int = 2000) ->
     bs_g = band_structure(g)
 
     def dist_to_bands(theta: float) -> float:
+        if any(b.contains(theta) for b in bs_g.bands):
+            return 0.0
         z = np.exp(1j * theta)
-        best = np.inf
-        for band in bs_g.bands:
-            lo, hi = band.theta_lo, band.theta_hi
-            width = (hi - lo) % (2 * np.pi)
-            rel = (theta - lo) % (2 * np.pi)
-            if rel <= width:
-                return 0.0
-            best = min(best, abs(z - np.exp(1j * lo)), abs(z - np.exp(1j * hi)))
-        return best
+        return min(min(abs(z - np.exp(1j * b.theta_lo)), abs(z - np.exp(1j * b.theta_hi)))
+                   for b in bs_g.bands)
 
     worst = 0.0
     for band in bs_f.bands:

@@ -12,13 +12,15 @@ term drops out.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._quad import integrate_graded
-from .cmv import cmv_entry
+from .cmv import band_columns, band_rows
 from .coeffs import PeriodicSeq
 
 TWO_PI = 2.0 * math.pi
@@ -42,18 +44,32 @@ class FloquetMatrix:
     entries: np.ndarray
 
 
+# depends only on q; rebuilding it on every call adds about half to the cost of a small-q fold
+@functools.lru_cache(maxsize=64)
+def _fold_index(q: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = band_columns(q)
+    return rows, cols % q
+
+
 def floquet_matrix(seq: PeriodicSeq, theta: float) -> FloquetMatrix:
-    """Fold the extended CMV rows 0..q-1, weighting wrap entries by e^{+/- i theta}."""
-    q = seq.period
-    B = np.zeros((q, q), dtype=complex)
-    for m in range(q):
-        for col in range(m - 2, m + 3):
-            v = cmv_entry(seq.value_at, m, col)
-            if v == 0:
-                continue
-            n = col % q
-            wrap = (col - n) // q
-            B[m, n] += v * np.exp(1j * wrap * theta)
+    """Restriction of E = L M to vectors with u_{m+q} = e^{i theta} u_m.
+
+    Rows 0..q-1 come from their band storage.  Only the wrap block of M, on
+    rows and columns (q-1, q), reaches across the period: it weights column -1
+    of rows 0, 1 by e^{-i theta} and column q of rows q-2, q-1 by e^{i theta}
+    before the columns are folded mod q.
+    """
+    v = seq.values
+    q = len(v)
+    S = band_rows(v[-1:] + v + v[:1])
+    S[:2, 0] *= cmath.exp(-1j * theta)
+    S[-2:, 3] *= cmath.exp(1j * theta)
+    if q == 2:
+        # both wraps land in the one 2x2 block: columns -1, 1 and 0, 2 coincide
+        B = S[:, 1:3] + S[:, 3::-3]
+    else:
+        B = np.zeros((q, q), dtype=complex)
+        B[_fold_index(q)] = S.ravel()
     return FloquetMatrix(q, float(theta), B)
 
 
@@ -111,6 +127,10 @@ class Band:
     @property
     def width(self) -> float:
         return self.theta_hi - self.theta_lo
+
+    def contains(self, theta: float) -> bool:
+        """Whether the circle point e^{i theta} lies on the arc."""
+        return (theta - self.theta_lo) % TWO_PI <= (self.theta_hi - self.theta_lo) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -204,23 +224,34 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
                 raise BandDiagnosticError("gap midpoint classified inside the spectrum")
     if compute_masses:
         bands = [
-            Band(b.theta_lo, b.theta_hi, b.increasing, mass=_band_mass(disc, b))
+            Band(b.theta_lo, b.theta_hi, b.increasing, mass=band_mass(disc, b))
             for b in bands
         ]
     return BandStructure(q, tuple(bands), tuple(gaps), disc)
 
 
-def _band_mass(disc: Discriminant, band: Band, n: int = 96) -> float:
+#: roundoff floor for 1 - (Delta/2)^2; below this the computed value is noise
+_S_FLOOR = 1e-15
+
+
+def density_factor(disc: Discriminant, theta: float) -> float:
+    """|dpsi/dtheta| / (q pi), evaluated with a roundoff floor on 1 - (Delta/2)^2.
+
+    Within ~1e-8 of a band edge the cancellation in 1 - (Delta/2)^2 leaves pure
+    roundoff; clamping at the floor keeps the value finite there.  At tangency
+    edges (closed gaps) the derivative vanishes at the same rate, so the true
+    density is finite and the clamped value stays near it.
+    """
+    half = 0.5 * disc.eval_real(theta)
+    s = max(1.0 - half * half, _S_FLOOR)
+    return abs(disc.deriv_real(theta)) / (2.0 * math.sqrt(s) * disc.q * math.pi)
+
+
+def band_mass(disc: Discriminant, band: Band, n: int = 96) -> float:
     """Equilibrium mass of one band: integral of |dpsi/dtheta| / (q pi)."""
-    q = disc.q
-
-    def v(theta: float) -> float:
-        half = 0.5 * disc.eval_real(theta)
-        # roundoff floor: within ~1e-8 of an edge the cancellation leaves noise
-        s = max(1.0 - half * half, 1e-15)
-        return abs(disc.deriv_real(theta)) / (2.0 * math.sqrt(s) * q * math.pi)
-
-    return integrate_graded(v, band.theta_lo, band.theta_hi, n=n, m=2)
+    return integrate_graded(
+        lambda theta: density_factor(disc, theta), band.theta_lo, band.theta_hi, n=n, m=2
+    )
 
 
 def eigenangles(seq: PeriodicSeq, theta: float, bs: BandStructure | None = None) -> list[float]:

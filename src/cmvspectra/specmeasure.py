@@ -20,8 +20,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ._quad import grading_exponent, graded_nodes, integrate_graded
-from .coeffs import PeriodicSeq
-from .floquet import Band, BandStructure, Discriminant, band_structure, floquet_matrix
+from .coeffs import PeriodicSeq, common_period
+from .floquet import (Band, BandStructure, Discriminant, band_mass, band_structure,
+                      density_factor, floquet_matrix)
 
 AMPLITUDE_FACTOR = "sqrt(q/2)"
 
@@ -97,23 +98,6 @@ def floquet_solution(
     return FloquetSolution(complex(z), psi, phi_p, phi_m)
 
 
-#: roundoff floor for 1 - (Delta/2)^2; below this the computed value is noise
-_S_FLOOR = 1e-15
-
-
-def _density_factor(disc: Discriminant, theta: float) -> float:
-    """|dpsi/dtheta| / (q pi), evaluated with a roundoff floor on 1 - (Delta/2)^2.
-
-    Within ~1e-8 of a band edge the cancellation in 1 - (Delta/2)^2 leaves pure
-    roundoff; clamping at the floor keeps the value finite there.  At tangency
-    edges (closed gaps) the derivative vanishes at the same rate, so the true
-    density is finite and the clamped value stays near it.
-    """
-    half = 0.5 * disc.eval_real(theta)
-    s = max(1.0 - half * half, _S_FLOOR)
-    return abs(disc.deriv_real(theta)) / (2.0 * math.sqrt(s) * disc.q * math.pi)
-
-
 @dataclass(frozen=True)
 class EquilibriumDensity:
     """Density of the band equilibrium measure, V = |dpsi/dtheta| / (q pi)."""
@@ -123,11 +107,10 @@ class EquilibriumDensity:
     disc: Discriminant = field(repr=False)
 
     def __call__(self, theta: float) -> float:
-        return _density_factor(self.disc, theta)
+        return density_factor(self.disc, theta)
 
     def band_mass(self, i: int, n: int = 96) -> float:
-        b = self.bands[i]
-        return integrate_graded(self, b.theta_lo, b.theta_hi, n=n, m=2)
+        return band_mass(self.disc, self.bands[i], n)
 
 
 def equilibrium_density(seq: PeriodicSeq, bs: BandStructure | None = None) -> EquilibriumDensity:
@@ -184,15 +167,12 @@ class SpectralDensity:
 
     def __call__(self, theta: float) -> float:
         theta %= 2.0 * math.pi
-        for b in self.bands:
-            width = (b.theta_hi - b.theta_lo) % (2.0 * math.pi)
-            rel = (theta - b.theta_lo) % (2.0 * math.pi)
-            if rel <= width:
-                return self._eval_inside(theta)
+        if any(b.contains(theta) for b in self.bands):
+            return self._eval_inside(theta)
         return 0.0
 
     def _eval_inside(self, theta: float) -> float:
-        v = _density_factor(self.disc, theta)
+        v = density_factor(self.disc, theta)
         ap, am = _transform_amplitudes(self.seq, self.u, theta, self.disc)
         return (ap + am) * v
 
@@ -285,9 +265,7 @@ def density_distance(
     """
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
-    from .cmv import _lift_pair
-
-    sa, sb = _lift_pair(seq_a, seq_b)
+    sa, sb = common_period(seq_a, seq_b)
     bs_a = band_structure(sa, compute_masses=False)
     bs_b = band_structure(sb, compute_masses=False)
     g_a = SpectralDensity(sa, dict(u), bs_a.bands, bs_a.disc)
@@ -301,14 +279,6 @@ def density_distance(
     if not cuts:
         return 0.0
 
-    def inside(g: SpectralDensity, theta: float) -> bool:
-        for b in g.bands:
-            width = (b.theta_hi - b.theta_lo) % two_pi
-            rel = (theta - b.theta_lo) % two_pi
-            if rel <= width:
-                return True
-        return False
-
     m = grading_exponent(t)
     total = 0.0
     for i in range(len(cuts)):
@@ -319,8 +289,8 @@ def density_distance(
         if hi - lo < 1e-13:
             continue
         mid = 0.5 * (lo + hi)
-        in_a = inside(g_a, mid)
-        in_b = inside(g_b, mid)
+        in_a = any(b.contains(mid) for b in bs_a.bands)
+        in_b = any(b.contains(mid) for b in bs_b.bands)
         if not (in_a or in_b):
             continue
 

@@ -40,9 +40,6 @@ class TransferMatrix:
         m = self.entries
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(self.entries @ other.entries, self.z, self.triple)
-
 
 def _entries(a0: complex, a1: complex, a2: complex, z: complex) -> np.ndarray:
     r0, r1, r2 = rho(a0), rho(a1), rho(a2)

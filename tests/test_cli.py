@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from cmvspectra import cli
 from cmvspectra.cli import main
+from cmvspectra.floquet import AllGapsClosedError, BandDiagnosticError
+from cmvspectra.specmeasure import EdgeProximityError
 
 
 @pytest.fixture
@@ -128,3 +131,39 @@ def test_bad_u_mapping_exits_2(tmp_path, seq_file):
 
 def test_verify_unknown_filter_exits_2():
     assert main(["verify", "--filter", "no-such-criterion"]) == 2
+
+
+def test_grid_zero_exits_2_without_output(tmp_path, seq_file, capsys):
+    out = tmp_path / "out"
+    assert main(["bands", "--input", seq_file, "--out", str(out), "--grid", "0"]) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_gordon_check_stages_zero_exits_2(tmp_path, seq_file, capsys):
+    rc = main(["gordon-check", "--input", seq_file, "--out", str(tmp_path / "o"),
+               "--stages", "0"])
+    assert rc == 2
+    assert "--stages" in capsys.readouterr().err
+
+
+def test_length_one_table_is_level_zero(tmp_path):
+    p = tmp_path / "samp0.json"
+    p.write_text(json.dumps({"table": [[0.3, 0.0]], "r": 0.6}))
+    out = tmp_path / "out"
+    assert main(["bands", "--input", str(p), "--out", str(out), "--json"]) == 0
+    assert json.loads((out / "bands.json").read_text())["period"] == 2
+
+
+@pytest.mark.parametrize(
+    "error", [BandDiagnosticError, AllGapsClosedError, EdgeProximityError]
+)
+def test_library_errors_exit_1_with_one_line(tmp_path, seq_file, capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("diagnostic failed")
+
+    monkeypatch.setattr(cli, "band_structure", broken)
+    rc = main(["bands", "--input", seq_file, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "diagnostic failed" in err

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cmvspectra.cmv import (
-    apply,
     assemble_window,
     cmv_entry,
     diff_norm_bound,
@@ -71,14 +72,6 @@ def test_window_validation():
         assemble_window(alpha, 0, 2)  # too small
 
 
-def test_apply_checks_dimension():
-    w = assemble_window(_random_alpha(2), 0, 8)
-    with pytest.raises(ValueError):
-        apply(w, np.ones(5))
-    out = apply(w, np.eye(8)[0])
-    assert np.allclose(out, w.matrix[:, 0] * 0 + w.matrix @ np.eye(8)[0])
-
-
 def test_diff_norm_bound_zero_for_identical():
     f = make_periodic([0.1, -0.2, 0.3j, 0.05], 0.5)
     assert diff_norm_bound_seq(f, f) == 0.0
@@ -100,6 +93,50 @@ def test_diff_norm_bound_handles_different_periods():
     f = make_periodic([0.1, -0.2], 0.5)
     g = make_periodic([0.1, -0.2, 0.1, -0.19], 0.5)
     assert diff_norm_bound_seq(f, g) > 0
+
+
+def _random_seq(rng, q, scale=0.5):
+    vals = scale * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    return make_periodic(list(vals), 0.9)
+
+
+def _tiled(seq, period):
+    return make_periodic([seq.value_at(n) for n in range(period)], seq.r)
+
+
+def _perturbed(rng, seq, period, size):
+    """seq tiled to the given period, each value moved by size in a random direction."""
+    bump = size * np.exp(2j * np.pi * rng.uniform(0, 1, period))
+    return make_periodic([v + b for v, b in zip(_tiled(seq, period).values, bump)], seq.r)
+
+
+def _sampled_norm(entry_parts, sf, sg, grid=256):
+    """max over a phase grid of ||C + e^{iT} P + e^{-iT} Q|| for the folded E_f - E_g.
+
+    With no pad this is a lower bound on ||E_f - E_g||, the sup over all phases.
+    """
+    q = math.lcm(sf.period, sg.period)
+    C, P, Q = (a - b for a, b in zip(entry_parts(_tiled(sf, q)), entry_parts(_tiled(sg, q))))
+    return max(
+        np.linalg.norm(C + np.exp(1j * t) * P + np.exp(-1j * t) * Q, 2)
+        for t in np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 64])
+@pytest.mark.parametrize("size", [1e-2, 1e-4, 1e-7])
+def test_closed_form_bound_brackets_sampled_norm(entry_parts, q, size):
+    rng = np.random.default_rng([q, round(-math.log10(size))])
+    f = _random_seq(rng, q)
+    half = _random_seq(rng, max(q // 2, 2))
+    pairs = [
+        (f, _perturbed(rng, f, q, size)),  # equal periods
+        (half, _perturbed(rng, half, max(q, 4), size)),  # periods q/2 and q (2 and 4 at q=2)
+    ]
+    for sf, sg in pairs:
+        sampled = _sampled_norm(entry_parts, sf, sg)
+        bound = diff_norm_bound_seq(sf, sg)
+        assert sampled <= bound <= 2.0 * sampled
 
 
 @given(st.floats(1e-4, 1e-2))

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmvspectra.coeffs import PeriodicSeq, constant_seq, make_periodic, rho, validate_alpha
+from cmvspectra.coeffs import (
+    PeriodicSeq,
+    common_period,
+    constant_seq,
+    make_periodic,
+    rho,
+    validate_alpha,
+)
 
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
 
@@ -72,3 +79,12 @@ def test_constant_seq_default_radius():
     assert seq.value_at(0) == seq.value_at(1) == 0.5
     assert 0.5 < seq.r < 1.0
     assert constant_seq(0.0).r == 0.5
+
+
+def test_common_period_tiles_both_to_the_lcm():
+    f = make_periodic([0.1, 0.2j], 0.5)
+    g = make_periodic([0.3, 0.1, 0.0, 0.2, -0.1, 0.1], 0.5)
+    lf, lg = common_period(f, g)
+    assert lf.period == lg.period == 6
+    assert lg is g
+    assert all(lf.value_at(n) == f.value_at(n) for n in range(12))

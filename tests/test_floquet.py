@@ -25,6 +25,18 @@ def test_floquet_matrix_is_unitary():
         assert np.allclose(B @ B.conj().T, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 128])
+def test_floquet_matrix_matches_entry_fold(entry_parts, q):
+    # at q = 2 both wraps land in the one 2x2 block
+    rng = np.random.default_rng(q)
+    vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    seq = make_periodic(list(vals), 0.6)
+    C, P, Q = entry_parts(seq)
+    for theta in (0.0, math.pi / 2, math.pi, -0.7):
+        oracle = C + np.exp(1j * theta) * P + np.exp(-1j * theta) * Q
+        assert np.abs(floquet_matrix(seq, theta).entries - oracle).max() <= 1e-14
+
+
 def test_free_discriminant_is_two_cos():
     seq = make_periodic([0.0, 0.0], 0.5)
     disc = discriminant(seq)

@@ -235,7 +235,7 @@ def cmd_discriminant(args) -> int:
         report = {
             "period": disc.q,
             "laurent_coeffs": [[c.real, c.imag] for c in disc.laurent_coeffs],
-            "rho_product": disc.rho_product,
+            "rho_product": seq.rho_product(),
         }
         _atomic_write(os.path.join(out, "discriminant.json"),
                       json.dumps(report, indent=2) + "\n")
@@ -246,18 +246,16 @@ def cmd_discriminant(args) -> int:
 def cmd_density(args) -> int:
     seq = _as_periodic(_load_input(args.input))
     u = _parse_u(args.u or '{"0": 1.0}')
-    d = density(seq, u, n=max(16, _grid(args, 64)))
+    d = density(seq, u, n=_grid(args, 64))
     out = _ensure_out(args)
-    samples = sorted(d.grid)
+    thetas, vals = d.grid[np.lexsort((d.grid[:, 1], d.grid[:, 0]))].T
     rows = ["theta,g"]
-    for th, val in samples:
+    for th, val in zip(thetas, vals):
         rows.append(f"{_fmt(th % TWO_PI)},{_fmt(val)}")
     _atomic_write(os.path.join(out, "density.csv"), "\n".join(rows) + "\n")
-    xs = [s[0] % TWO_PI for s in samples]
+    xs = thetas % TWO_PI
     order = np.argsort(xs)
-    _atomic_write(os.path.join(out, "density.svg"),
-                  _polyline_svg(np.array(xs)[order],
-                                np.array([s[1] for s in samples])[order]))
+    _atomic_write(os.path.join(out, "density.svg"), _polyline_svg(xs[order], vals[order]))
     report = d.to_json()
     report["u"] = {str(k): [v.real, v.imag] for k, v in u.items()}
     _atomic_write(os.path.join(out, "density.json"), json.dumps(report, indent=2) + "\n")
@@ -380,24 +378,30 @@ def build_parser() -> argparse.ArgumentParser:
                                             "Verblunsky coefficients")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
+    shared = {
+        "--json": dict(action="store_true", help="also emit JSON output"),
+        "--seed": dict(type=int, help="random seed"),
+        "--grid": dict(type=int, help="grid size for sampled outputs"),
+    }
+
+    def common(sp, *flags, needs_input=True):
+        """--input (if needed), --out, and the shared flags this command reads."""
         if needs_input:
             sp.add_argument("--input", required=True, help="input sequence JSON file")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--json", action="store_true", help="also emit JSON output")
-        sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--grid", type=int, help="grid size for sampled outputs")
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("bands", help="band/gap tables, discriminant CSV, SVG diagram")
-    common(sp)
+    common(sp, "--json", "--grid")
     sp.set_defaults(fn=cmd_bands)
 
     sp = sub.add_parser("discriminant", help="sampled discriminant CSV")
-    common(sp)
+    common(sp, "--json", "--grid")
     sp.set_defaults(fn=cmd_discriminant)
 
     sp = sub.add_parser("density", help="spectral density of a finite-support vector")
-    common(sp)
+    common(sp, "--grid")
     sp.add_argument("--u", help='source vector, JSON mapping n -> value or [re, im]; '
                                 'or @file.json (default: {"0": 1})')
     sp.set_defaults(fn=cmd_density)
@@ -408,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gordon_check)
 
     sp = sub.add_parser("construct", help="run the cantor or ac construction")
-    common(sp)
+    common(sp, "--seed")
     sp.add_argument("--mode", choices=["cantor", "ac"], help="iteration type")
     sp.add_argument("--eps", type=float, help="construction budget parameter")
     sp.add_argument("--stages", type=int, help="number of stages K")
@@ -417,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_construct)
 
     sp = sub.add_parser("gamma", help="perturbation modulus gamma(k, q, r)")
-    common(sp, needs_input=False)
+    common(sp, "--json", needs_input=False)
     sp.add_argument("--k", type=int, help="scale index k (default 1)")
     sp.add_argument("--q", type=int, help="window length q (default 2)")
     sp.add_argument("--r", type=float, help="coefficient radius bound (default 0.5)")
     sp.set_defaults(fn=cmd_gamma)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    common(sp, needs_input=False)
+    common(sp, "--json", needs_input=False)
     sp.add_argument("--filter", help="only run criteria whose name contains this")
     sp.set_defaults(fn=cmd_verify)
 

@@ -5,9 +5,10 @@ vectors (u_{m+q} = e^{iT} u_m) is unitary; its eigenvalues are the circle
 points where the discriminant equals 2 cos(T).  Band edges are the
 eigenangles at phases 0 and pi, which a normal-matrix eigensolve delivers to
 near machine precision; this is what lets the construction iterations certify
-gaps far below any sampling grid's resolution.  The discriminant itself is
-recovered from the characteristic polynomial at phase pi/2, where the cosine
-term drops out.
+gaps far below any sampling grid's resolution.  The discriminant is the trace
+of the monodromy, the product A_{q-1} ... A_3 A_1 of the two-step transfer
+matrices over one period (Simon, OPUC Part 2, ch. 11); its Laurent
+coefficients come from multiplying out the matrices' coefficients in z.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from ._quad import integrate_graded
 from .cmv import band_columns, band_rows
 from .coeffs import PeriodicSeq
+from .transfer import step_coeffs
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,11 +81,18 @@ class Discriminant:
 
     q: int
     laurent_coeffs: np.ndarray  # index j corresponds to power j - q/2
-    rho_product: float
+    steps: np.ndarray = field(repr=False)  # transfer.step_coeffs of the period
+
+    @functools.cached_property
+    def _powers(self) -> np.ndarray:
+        return np.arange(self.q + 1) - self.q // 2
+
+    @functools.cached_property
+    def _deriv_coeffs(self) -> np.ndarray:
+        return 1j * self._powers * self.laurent_coeffs
 
     def eval(self, z: complex) -> complex:
-        h = self.q // 2
-        return sum(self.laurent_coeffs[j] * z ** (j - h) for j in range(self.q + 1))
+        return np.dot(self.laurent_coeffs, z ** self._powers)
 
     def eval_real(self, theta: float) -> float:
         return self.eval(np.exp(1j * theta)).real
@@ -93,26 +102,25 @@ class Discriminant:
 
     def deriv_real(self, theta: float) -> float:
         """d/dtheta of the (real) circle restriction."""
-        h = self.q // 2
-        z = np.exp(1j * theta)
-        val = sum(
-            self.laurent_coeffs[j] * 1j * (j - h) * z ** (j - h) for j in range(self.q + 1)
-        )
-        return val.real
+        return np.dot(self._deriv_coeffs, np.exp(1j * theta) ** self._powers).real
+
+    def transfers(self, z: complex) -> np.ndarray:
+        """The two-step transfer matrices A_1, A_3, ..., A_{q-1} at z, shape (q/2, 2, 2)."""
+        return self.steps[:, 0] / z + self.steps[:, 1] + self.steps[:, 2] * z
 
 
 def discriminant(seq: PeriodicSeq) -> Discriminant:
-    """Recover the discriminant from det(z - E_q(pi/2)) by interpolation at roots of unity."""
-    q = seq.period
-    E = floquet_matrix(seq, math.pi / 2.0).entries
-    npts = q + 1
-    omegas = np.exp(2j * np.pi * np.arange(npts) / npts)
-    vals = np.array([np.linalg.det(w * np.eye(q) - E) for w in omegas])
-    # inverse DFT: char poly coefficients c_0..c_q (degree q, monic)
-    js = np.arange(npts)
-    coeffs = np.array([(vals * omegas ** (-j)).sum() / npts for j in js])
-    rho_prod = seq.rho_product()
-    return Discriminant(q, coeffs / rho_prod, rho_prod)
+    """Trace of the monodromy, multiplied out as a Laurent polynomial in z."""
+    steps = step_coeffs(seq.values)
+    mono = np.eye(2, dtype=complex)[None]  # Laurent coefficients, lowest power first
+    for c in steps:
+        m = len(mono)
+        nxt = np.zeros((m + 2, 2, 2), dtype=complex)
+        nxt[:m] += c[0] @ mono
+        nxt[1:-1] += c[1] @ mono
+        nxt[2:] += c[2] @ mono
+        mono = nxt
+    return Discriminant(seq.period, mono[:, 0, 0] + mono[:, 1, 1], steps)
 
 
 @dataclass(frozen=True)
@@ -169,11 +177,6 @@ class BandStructure:
         return sum(1 for g in self.gaps if not g.closed)
 
 
-def _edge_angles(seq: PeriodicSeq, theta: float) -> np.ndarray:
-    vals = np.linalg.eigvals(floquet_matrix(seq, theta).entries)
-    return np.sort(np.angle(vals) % TWO_PI)
-
-
 def _polish_edge(disc: Discriminant, theta: float, target: float) -> float:
     """Newton polish of a transversal discriminant crossing; skipped near tangencies."""
     for _ in range(2):
@@ -191,8 +194,8 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
     """Bands and gaps from the eigenangles of the phase-0 and phase-pi restrictions."""
     q = seq.period
     disc = discriminant(seq)
-    plus = [(a % TWO_PI, +1) for a in _edge_angles(seq, 0.0)]
-    minus = [(a % TWO_PI, -1) for a in _edge_angles(seq, math.pi)]
+    plus = [(a, +1) for a in eigenangles(seq, 0.0)]
+    minus = [(a, -1) for a in eigenangles(seq, math.pi)]
     edges = sorted(plus + minus, key=lambda e: e[0])
     if len(edges) != 2 * q:
         raise BandDiagnosticError(f"expected {2 * q} band edges, found {len(edges)}")
@@ -254,39 +257,10 @@ def band_mass(disc: Discriminant, band: Band, n: int = 96) -> float:
     )
 
 
-def eigenangles(seq: PeriodicSeq, theta: float, bs: BandStructure | None = None) -> list[float]:
-    """The q spectrum points of E_q(theta), one per band, via in-band bisection."""
-    if bs is None:
-        bs = band_structure(seq, compute_masses=False)
-    disc = bs.disc
-    target = 2.0 * math.cos(theta)
-    out = []
-    for band in bs.bands:
-        lo, hi = band.theta_lo, band.theta_hi
-        f_lo = disc.eval_real(lo) - target
-        f_hi = disc.eval_real(hi) - target
-        if f_lo == 0.0 or abs(f_lo) < 1e-13:
-            out.append(lo % TWO_PI)
-            continue
-        if f_hi == 0.0 or abs(f_hi) < 1e-13:
-            out.append(hi % TWO_PI)
-            continue
-        if f_lo * f_hi > 0:
-            # target at or beyond an edge value; clamp to the nearer edge
-            out.append((lo if abs(f_lo) < abs(f_hi) else hi) % TWO_PI)
-            continue
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            f_mid = disc.eval_real(mid) - target
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        out.append((0.5 * (lo + hi)) % TWO_PI)
-    return sorted(out)
+def eigenangles(seq: PeriodicSeq, theta: float) -> np.ndarray:
+    """The q spectrum points of E_q(theta), one per band: its sorted eigenangles."""
+    vals = np.linalg.eigvals(floquet_matrix(seq, theta).entries)
+    return np.sort(np.angle(vals) % TWO_PI)
 
 
 def min_gap(bs: BandStructure) -> float:

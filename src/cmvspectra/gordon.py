@@ -19,7 +19,7 @@ import numpy as np
 
 from .coeffs import PeriodicSeq, validate_alpha
 from .odometer import SamplingFn, lift, make_sampling, sample_sequence, sup_distance, zero
-from .transfer import build_A_unimodular, gamma
+from .transfer import build_A_unimodular, four_block, gamma
 
 #: stage perturbations below this are absorbed by floating point and infeasible
 _FEASIBILITY_FLOOR = 1e-15
@@ -165,17 +165,7 @@ def growth_ratio(seq: PeriodicSeq, z, q_k: int, u0=(1.0, 0.0)) -> float:
             build_A_unimodular(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z).entries
             @ mono
         )
-    det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
-    inv = np.array([[mono[1, 1], -mono[0, 1]], [-mono[1, 0], mono[0, 0]]], dtype=complex) / det
-    y1 = mono @ u
-    y3 = inv @ u
-    best = max(
-        np.linalg.norm(y1),
-        np.linalg.norm(mono @ y1),
-        np.linalg.norm(y3),
-        np.linalg.norm(inv @ y3),
-    )
-    return float(best / nu)
+    return float(four_block(mono, u / nu))
 
 
 def _project_disk(v: complex, r: float) -> complex:

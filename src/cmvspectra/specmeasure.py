@@ -1,14 +1,17 @@
 """Spectral measures of periodic CMV operators.
 
-Builds the two Floquet solutions at a band-interior point, the equilibrium
-density V = |dpsi/dtheta| / (q pi), and the absolutely continuous density of
-the spectral measure of a finitely supported vector.  All band integrals use
-edge-graded quadrature since V blows up like dist^{-1/2} at band edges.
+Builds the two Floquet solutions at a spectrum point, the equilibrium density
+V = |dpsi/dtheta| / (q pi), and the absolutely continuous density of the
+spectral measure of a finitely supported vector.  The Floquet solutions are
+the eigenvectors of the 2x2 monodromy for e^{+/- i psi}, propagated over one
+period by the two-step transfer matrices.  All band integrals use edge-graded
+quadrature since V blows up like dist^{-1/2} at band edges.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
-sqrt(q/2) * sum_n conj(phi_n) u_n.  With this normalization the total mass of
-the density reproduces ||u||^2 (checked by the test suite); the declared
-factor is recorded in the density report metadata.
+sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
+this normalization the total mass of the density reproduces ||u||^2 (checked
+by the test suite); the declared factor is recorded in the density report
+metadata.
 """
 
 from __future__ import annotations
@@ -22,13 +25,15 @@ import numpy as np
 from ._quad import grading_exponent, graded_nodes, integrate_graded
 from .coeffs import PeriodicSeq, common_period
 from .floquet import (Band, BandStructure, Discriminant, band_mass, band_structure,
-                      density_factor, floquet_matrix)
+                      density_factor, discriminant)
+# unused here; perfbench/tests asserts that the span tracer patches this binding
+from .floquet import floquet_matrix  # noqa: F401
 
 AMPLITUDE_FACTOR = "sqrt(q/2)"
 
 
 class EdgeProximityError(RuntimeError):
-    """z is too close to a band edge for a well-conditioned Floquet solve."""
+    """The monodromy at z equals +/-I, so the two Floquet solutions are not determined."""
 
 
 def psi_of(z: complex, disc: Discriminant) -> float:
@@ -39,26 +44,9 @@ def psi_of(z: complex, disc: Discriminant) -> float:
     return math.acos(min(1.0, max(-1.0, 0.5 * val)))
 
 
-def _null_vector(A: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
-    """Unit-norm null vector: right singular vector of the smallest singular value.
-
-    Inside a band the shifted Floquet matrix has a one-dimensional null space;
-    near a band edge (or a closed-gap tangency) a second singular value
-    degenerates, which the gap check below reports as edge proximity.
-    """
-    _, s, vh = np.linalg.svd(np.asarray(A, dtype=complex))
-    if s[-1] > residual_tol:
-        raise EdgeProximityError(
-            f"null-vector residual {s[-1]:.2e} exceeds {residual_tol:.0e}"
-        )
-    if A.shape[0] > 1 and s[-2] < 10.0 * max(s[-1], 1e-15):
-        raise EdgeProximityError("near-degenerate null space; z too close to a band edge")
-    return vh[-1].conjugate()
-
-
 @dataclass(frozen=True)
 class FloquetSolution:
-    """Normalized fundamental pair at a band-interior spectrum point."""
+    """Normalized fundamental pair at a spectrum point."""
 
     z: complex
     psi: float
@@ -74,28 +62,43 @@ class FloquetSolution:
         return np.exp(1j * sign * l * self.psi) * phi[j]
 
 
-def floquet_solution(
-    seq: PeriodicSeq,
-    z: complex,
-    disc: Discriminant | None = None,
-    edge_margin: float = 1e-9,
-    residual_tol: float = 1e-9,
-) -> FloquetSolution:
-    """Solve for the two quasiperiodic solutions at z inside a band."""
-    if disc is None:
-        from .floquet import discriminant
+def _eigenvector(T: np.ndarray, lam: complex) -> tuple[complex, complex]:
+    """Eigenvector of the 2x2 matrix T for its eigenvalue lam.
 
-        disc = discriminant(seq)
-    val = disc.eval(z).real
-    if abs(val) > 2.0 - edge_margin:
+    (b, lam - a) and (lam - d, c) both solve (T - lam) v = 0; the longer one is
+    kept.  Both vanish only when T equals lam I, where every vector is an
+    eigenvector and the two Floquet solutions are not determined.
+    """
+    (a, b), (c, d) = T.tolist()
+    v = max((b, lam - a), (lam - d, c), key=lambda v: abs(v[0]) ** 2 + abs(v[1]) ** 2)
+    if v == (0, 0):
         raise EdgeProximityError(
-            "z is at or beyond a band edge; use the edge-aware quadrature path"
+            "the monodromy equals +/-I at z; the Floquet solutions are not determined"
         )
+    return v
+
+
+def floquet_solution(
+    seq: PeriodicSeq, z: complex, disc: Discriminant | None = None
+) -> FloquetSolution:
+    """The two quasiperiodic solutions at z on the spectrum, normalized over one period.
+
+    (u_1, u_2) is the eigenvector of the monodromy A_{q-1} ... A_1 for
+    e^{+/- i psi}; the partial products give u_1 .. u_q, and u_0 = u_q e^{-/+ i psi}.
+    """
+    if disc is None:
+        disc = discriminant(seq)
     psi = psi_of(z, disc)
-    q = seq.period
-    phi_p = _null_vector(floquet_matrix(seq, psi).entries - z * np.eye(q), residual_tol)
-    phi_m = _null_vector(floquet_matrix(seq, -psi).entries - z * np.eye(q), residual_tol)
-    return FloquetSolution(complex(z), psi, phi_p, phi_m)
+    partial = [np.eye(2, dtype=complex)]
+    for A in disc.transfers(z):
+        partial.append(A @ partial[-1])
+    mono = partial.pop()
+    lams = np.exp([1j * psi, -1j * psi])
+    V = np.array([_eigenvector(mono, lam) for lam in lams.tolist()]).T
+    phi = np.roll((np.array(partial) @ V).reshape(-1, 2), 1, axis=0)  # columns +, -
+    phi[0] /= lams
+    phi /= np.linalg.norm(phi, axis=0)
+    return FloquetSolution(complex(z), psi, phi[:, 0], phi[:, 1])
 
 
 @dataclass(frozen=True)
@@ -122,26 +125,8 @@ def equilibrium_density(seq: PeriodicSeq, bs: BandStructure | None = None) -> Eq
 def _transform_amplitudes(
     seq: PeriodicSeq, u: Mapping[int, complex], theta: float, disc: Discriminant
 ) -> tuple[float, float]:
-    """|Uu+|^2 and |Uu-|^2 at the spectrum point e^{i theta}.
-
-    Amplitudes are smooth up to the band edge, so if the node sits too close
-    for a stable null solve we evaluate them a hair further inside the band.
-    """
-    sol = None
-    for nudge in (0.0, 1e-7, -1e-7, 1e-5, -1e-5):
-        try:
-            sol = floquet_solution(
-                seq,
-                np.exp(1j * (theta + nudge)),
-                disc,
-                edge_margin=1e-13,
-                residual_tol=1e-6,
-            )
-            break
-        except EdgeProximityError:
-            continue
-    if sol is None:
-        raise EdgeProximityError(f"no stable Floquet solve near theta = {theta}")
+    """|Uu+|^2 and |Uu-|^2 at the spectrum point e^{i theta}."""
+    sol = floquet_solution(seq, np.exp(1j * theta), disc)
     q = seq.period
     scale = math.sqrt(q / 2.0)
     acc_p = 0.0 + 0.0j
@@ -160,7 +145,8 @@ class SpectralDensity:
     u: dict[int, complex]
     bands: tuple[Band, ...]
     disc: Discriminant = field(repr=False)
-    grid: tuple[tuple[float, float], ...] = ()
+    #: sampled (theta, g) pairs, one row each
+    grid: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), compare=False)
     total_mass: float = 0.0
     quad_tolerance: float = 0.0
     amplitude_factor: str = AMPLITUDE_FACTOR
@@ -206,7 +192,7 @@ def density(
         thetas, weights = graded_nodes(b.theta_lo, b.theta_hi, n=n, m=2)
         vals = np.array([sd._eval_inside(t) for t in thetas])
         mass += float(np.dot(vals, weights))
-        samples.extend(zip(thetas.tolist(), vals.tolist()))
+        samples.append(np.column_stack([thetas, vals]))
         t2, w2 = graded_nodes(b.theta_lo, b.theta_hi, n=max(8, n // 2), m=2)
         mass_coarse += float(
             np.dot(np.array([sd._eval_inside(t) for t in t2]), w2)
@@ -216,7 +202,7 @@ def density(
         u,
         bs.bands,
         disc,
-        grid=tuple(samples),
+        grid=np.concatenate(samples),
         total_mass=mass,
         quad_tolerance=abs(mass - mass_coarse),
     )

@@ -4,7 +4,9 @@ For odd n the pair (u_n, u_{n+1}) propagates to (u_{n+2}, u_{n+3}) through a
 2x2 matrix built from the coefficient triple (alpha_n, alpha_{n+1},
 alpha_{n+2}) and the unimodular spectral parameter z.  The matrix has
 determinant rho_n / rho_{n+2}; a rescaled variant with determinant 1 is also
-provided.  A computable Lipschitz modulus for the entries over a coefficient
+provided.  `step_coeffs` gives the Laurent coefficients in z of all the
+matrices of one period at once; the Floquet layer multiplies them into the
+monodromy.  A computable Lipschitz modulus for the entries over a coefficient
 polydisk supports the perturbation budgets used by the Gordon machinery.
 """
 
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeffs import PeriodicSeq, rho, validate_alpha
+from .coeffs import rho, validate_alpha
 
 _UNIMODULAR_TOL = 1e-12
 
@@ -75,23 +77,35 @@ def build_A_unimodular(alpha_n, alpha_n1, alpha_n2, z) -> TransferMatrix:
     return TransferMatrix(m, z, (a0, a1, a2))
 
 
-def product(seq: PeriodicSeq, z, n_start: int, steps: int) -> TransferMatrix:
-    """Ordered product A_{n_start + 2(steps-1)} ... A_{n_start+2} A_{n_start}."""
-    if n_start % 2 == 0:
-        raise ValueError("transfer products start at an odd index")
-    z = _check_z(z)
-    acc = np.eye(2, dtype=complex)
-    n = n_start
-    first_triple = None
-    for _ in range(steps):
-        a = _entries(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z)
-        if first_triple is None:
-            first_triple = (seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2))
-        acc = a @ acc
-        n += 2
-    if first_triple is None:
-        first_triple = (seq.value_at(n_start), seq.value_at(n_start + 1), seq.value_at(n_start + 2))
-    return TransferMatrix(acc, z, first_triple)
+def step_coeffs(values) -> np.ndarray:
+    """Laurent coefficients of A_1, A_3, ..., A_{q-1} over one period, shape (q/2, 3, 2, 2).
+
+    Entry [k, s] is the z^(s-1) coefficient of A_{2k+1}.  Because
+    |alpha|^2 + rho^2 = 1, the entries of `build_A` reduce to
+
+        A = [[rho0 / (rho1 z), -(alpha0 / z + alpha1) / rho1],
+             [-rho0 (conj(alpha2) / z + conj(alpha1)) / (rho1 rho2),
+              (conj(alpha2) alpha0 / z + conj(alpha2) alpha1 + conj(alpha1) alpha0 + z)
+               / (rho1 rho2)]]
+
+    for the triple (alpha0, alpha1, alpha2) = (alpha_n, alpha_{n+1}, alpha_{n+2}).
+    """
+    a = np.asarray(values, dtype=complex)
+    r = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
+    a0, a1, a2 = a[1::2], np.roll(a, -1)[1::2], np.roll(a, -2)[1::2]
+    r0, r1, r2 = r[1::2], np.roll(r, -1)[1::2], np.roll(r, -2)[1::2]
+    c1, c2 = a1.conj(), a2.conj()
+    r12 = r1 * r2
+    out = np.zeros((len(a0), 3, 2, 2), dtype=complex)
+    out[:, 0, 0, 0] = r0 / r1
+    out[:, 0, 0, 1] = -a0 / r1
+    out[:, 1, 0, 1] = -a1 / r1
+    out[:, 0, 1, 0] = -r0 * c2 / r12
+    out[:, 1, 1, 0] = -r0 * c1 / r12
+    out[:, 0, 1, 1] = c2 * a0 / r12
+    out[:, 1, 1, 1] = (c2 * a1 + c1 * a0) / r12
+    out[:, 2, 1, 1] = 1.0 / r12
+    return out
 
 
 def four_block(A: np.ndarray, x: np.ndarray) -> float:

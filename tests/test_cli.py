@@ -38,10 +38,13 @@ def test_bands_writes_tables_and_svg(tmp_path, seq_file, capsys):
 
 def test_discriminant_grid_size(tmp_path, seq_file):
     out = tmp_path / "out"
-    rc = main(["discriminant", "--input", seq_file, "--out", str(out), "--grid", "32"])
+    rc = main(["discriminant", "--input", seq_file, "--out", str(out), "--grid", "32", "--json"])
     assert rc == 0
     rows = (out / "discriminant.csv").read_text().strip().splitlines()
     assert len(rows) == 33  # header + grid
+    report = json.loads((out / "discriminant.json").read_text())
+    assert len(report["laurent_coeffs"]) == 3
+    assert report["rho_product"] == pytest.approx((1 - 0.3**2) ** 0.5 * (1 - 0.2**2) ** 0.5)
 
 
 def test_density_outputs_and_mass(tmp_path, seq_file):
@@ -167,3 +170,29 @@ def test_library_errors_exit_1_with_one_line(tmp_path, seq_file, capsys, monkeyp
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "diagnostic failed" in err
+
+
+def test_density_grid_below_sixteen_is_kept(tmp_path, seq_file):
+    out = tmp_path / "out"
+    assert main(["density", "--input", seq_file, "--out", str(out), "--grid", "5"]) == 0
+    rows = (out / "density.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 2 * 2 * 5  # header + 2 bands x 2 halves x 5 nodes
+    thetas = [float(r.split(",")[0]) for r in rows[1:]]
+    assert thetas == sorted(thetas)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gordon-check", "--json"],
+        ["gordon-check", "--seed", "1"],
+        ["bands", "--seed", "1"],
+        ["density", "--json"],
+        ["construct", "--grid", "8"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(tmp_path, seq_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--input", seq_file, "--out", str(tmp_path / "o")] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

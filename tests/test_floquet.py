@@ -45,6 +45,26 @@ def test_free_discriminant_is_two_cos():
         assert disc.imag_defect(theta) < 1e-12
 
 
+def _char_poly_laurent(seq):
+    """det(w - E_q(pi/2)) at q + 1 roots of unity, inverse DFT, over the rho product."""
+    q = seq.period
+    E = floquet_matrix(seq, math.pi / 2).entries
+    omegas = np.exp(2j * np.pi * np.arange(q + 1) / (q + 1))
+    vals = np.array([np.linalg.det(w * np.eye(q) - E) for w in omegas])
+    coeffs = np.array([(vals * omegas ** (-j)).mean() for j in range(q + 1)])
+    return coeffs / seq.rho_product()
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 64])
+def test_laurent_coeffs_match_char_poly_interpolation(q):
+    rng = np.random.default_rng(100 + q)
+    vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    seq = make_periodic(list(vals), 0.6)
+    got = discriminant(seq).laurent_coeffs
+    want = _char_poly_laurent(seq)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_free_spectrum_has_no_open_gap():
     bs = band_structure(make_periodic([0.0, 0.0, 0.0, 0.0], 0.5))
     assert bs.open_gap_count() == 0
@@ -101,7 +121,7 @@ def test_discriminant_exceeds_two_inside_open_gaps():
 def test_eigenangles_solve_the_discriminant_equation(theta):
     seq = make_periodic([0.2, -0.1, 0.15j, 0.05], 0.5)
     bs = band_structure(seq, compute_masses=False)
-    angles = eigenangles(seq, theta, bs)
+    angles = eigenangles(seq, theta)
     assert len(angles) == 4
     for a in angles:
         assert bs.disc.eval_real(a) == pytest.approx(2 * math.cos(theta), abs=1e-6)
@@ -114,8 +134,7 @@ def test_eigenangles_match_direct_eigensolve():
     mirror = np.sort(np.angle(np.linalg.eigvals(floquet_matrix(seq, -theta).entries)) % TWO_PI)
     union = np.sort(np.concatenate([direct, mirror]))
     computed = eigenangles(seq, theta)
-    # bisection angles solve Delta = 2cos(theta); the eigensolve at +/- theta
-    # produces the same circle points, so each computed angle appears in the union
+    # E_q(theta) and E_q(-theta) share the circle points where Delta = 2cos(theta)
     for a in computed:
         assert np.min(np.abs(np.exp(1j * a) - np.exp(1j * union))) < 1e-7
 

@@ -4,15 +4,39 @@ import numpy as np
 import pytest
 
 from cmvspectra.coeffs import constant_seq, make_periodic
-from cmvspectra.floquet import band_structure
+from cmvspectra.floquet import band_structure, floquet_matrix
 from cmvspectra.specmeasure import (
+    EdgeProximityError,
     density,
     density_distance,
     equilibrium_density,
+    floquet_solution,
     lt_integral,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 64])
+def test_floquet_solutions_solve_the_restrictions_up_to_band_edges(q):
+    rng = np.random.default_rng(200 + q)
+    vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    seq = make_periodic(list(vals), 0.6)
+    bs = band_structure(seq, compute_masses=False)
+    for b in bs.bands:
+        for theta in (b.theta_lo + 1e-12, 0.5 * (b.theta_lo + b.theta_hi), b.theta_hi - 1e-12):
+            z = np.exp(1j * theta)
+            sol = floquet_solution(seq, z, bs.disc)
+            for phi, phase in ((sol.phi_plus, sol.psi), (sol.phi_minus, -sol.psi)):
+                E = floquet_matrix(seq, phase).entries
+                assert np.linalg.norm(E @ phi - z * phi) <= 1e-10
+                assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_floquet_solution_rejects_identity_monodromy():
+    # alpha = 0 gives the monodromy diag(1/z, z), the identity at z = 1
+    with pytest.raises(EdgeProximityError):
+        floquet_solution(make_periodic([0.0, 0.0], 0.5), 1.0)
 
 
 def test_equilibrium_density_band_masses():

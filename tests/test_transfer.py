@@ -10,7 +10,7 @@ from cmvspectra.transfer import (
     estimate_lipschitz,
     four_block,
     gamma,
-    product,
+    step_coeffs,
 )
 
 disk = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
@@ -36,19 +36,19 @@ def test_rejects_non_unimodular_spectral_parameter():
         build_A(0.1, 0.2, 0.3, 1.1)
 
 
-def test_product_matches_manual_composition():
-    seq = make_periodic([0.1, -0.2, 0.3j, 0.05, 0.2, -0.1], 0.5)
-    z = np.exp(0.7j)
-    man = np.eye(2, dtype=complex)
-    for n in (1, 3, 5):
-        man = build_A(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z).entries @ man
-    assert np.allclose(product(seq, z, 1, 3).entries, man)
-
-
-def test_product_requires_odd_start():
-    seq = make_periodic([0.1, 0.2], 0.5)
-    with pytest.raises(ValueError):
-        product(seq, 1.0, 0, 2)
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_step_coeffs_match_build_A(q):
+    rng = np.random.default_rng(q)
+    vals = 0.9 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    seq = make_periodic(list(vals), 0.95)
+    steps = step_coeffs(seq.values)
+    assert steps.shape == (q // 2, 3, 2, 2)
+    for t in (0.0, 0.7, np.pi, 4.0):
+        z = np.exp(1j * t)
+        for k, c in enumerate(steps):
+            n = 2 * k + 1
+            A = build_A(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z).entries
+            assert np.abs(c[0] / z + c[1] + c[2] * z - A).max() <= 1e-14
 
 
 @st.composite

@@ -17,8 +17,8 @@ import tempfile
 import numpy as np
 
 from .acceptance import run_criteria
-from .coeffs import PeriodicSeq
-from .construct import DensityConstraintError, GapOpeningError, ac_iterate, cantor_iterate
+from .coeffs import PeriodicSeq, complex_from_json
+from .construct import GapOpeningError, ac_iterate, cantor_iterate
 from .floquet import (AllGapsClosedError, BandDiagnosticError, BandStructure, band_structure,
                       discriminant)
 from .gordon import CoefficientWindow, check_gordon
@@ -97,13 +97,11 @@ def _parse_u(spec: str) -> dict[int, complex]:
         except json.JSONDecodeError as exc:
             raise InputError(f"--u is not valid JSON: {exc}")
     try:
-        out = {}
-        for k, v in obj.items():
-            out[int(k)] = complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+        out = {int(k): complex_from_json(v) for k, v in obj.items()}
         if not out:
             raise ValueError("empty support")
         return out
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"invalid --u mapping: {exc}")
 
 
@@ -299,8 +297,8 @@ def cmd_construct(args) -> int:
             u = _parse_u(args.u or '{"0": 1.0}')
             t = args.t if args.t is not None else 1.5
             reports, final = ac_iterate(f, eps, K, u, t, seed=args.seed or 0)
-    except (GapOpeningError, DensityConstraintError) as exc:
-        trail = [r.to_json() for r in getattr(exc, "trail", [])]
+    except GapOpeningError as exc:
+        trail = [r.to_json() for r in exc.trail]
         _atomic_write(os.path.join(out, "trail.json"),
                       json.dumps({"error": str(exc), "stages": trail}, indent=2) + "\n")
         print(f"construction failed: {exc}", file=sys.stderr)
@@ -321,9 +319,9 @@ def cmd_construct(args) -> int:
             "" if r.density_drift is None else _fmt(r.density_drift),
         ]))
     _atomic_write(os.path.join(out, "stages.csv"), "\n".join(rows) + "\n")
-    # nested-band overlay across stages: recompute each stage spectrum by
-    # replaying the run is wasteful, so draw the final stage plus the input
-    structures = [band_structure(to_periodic(final), compute_masses=False)]
+    # nested-band overlay: replaying the run for every stage spectrum is
+    # wasteful, so draw the input (outer ring) and the final stage (inner ring)
+    structures = [band_structure(to_periodic(g), compute_masses=False) for g in (f, final)]
     _atomic_write(os.path.join(out, "nested_bands.svg"), _band_ring_svg(structures))
     print(f"wrote trail.json, stages.csv, nested_bands.svg to {out}")
     return 0

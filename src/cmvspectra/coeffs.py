@@ -22,6 +22,14 @@ def validate_alpha(value) -> complex:
     return v
 
 
+def complex_from_json(value) -> complex:
+    """A complex value as written in JSON: a number, or a [re, im] pair."""
+    if isinstance(value, (list, tuple)):
+        re, im = value
+        return complex(re, im)
+    return complex(value)
+
+
 def rho(alpha) -> float:
     """Companion radius sqrt(1 - |alpha|^2) of a coefficient in the open disk."""
     a = validate_alpha(alpha)
@@ -77,7 +85,7 @@ class PeriodicSeq:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodicSeq":
-        values = [complex(re, im) for re, im in obj["values"]]
+        values = [complex_from_json(v) for v in obj["values"]]
         if len(values) != obj["period"]:
             raise ValueError("period field disagrees with number of values")
         return make_periodic(values, obj["r"])

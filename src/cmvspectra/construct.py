@@ -23,15 +23,15 @@ budget ledger is auditable without re-running the construction.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import asdict, dataclass
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .cmv import diff_norm_bound_seq
+from .coeffs import PeriodicSeq
 from .floquet import BandStructure, band_structure, min_gap
-from .odometer import SamplingFn, lift, make_sampling, sup_distance, to_periodic
+from .odometer import SamplingFn, lift, perturb, sup_distance, to_periodic
 from .specmeasure import density_distance
 
 #: perturbation radii below this cannot move double-precision tables reliably
@@ -43,16 +43,25 @@ _HALVING_PERIOD = 12
 
 
 class GapOpeningError(RuntimeError):
-    """The randomized search failed to open every gap within the attempt cap."""
+    """No candidate within the attempt cap opened every gap and passed the stage gates.
 
-    def __init__(self, message: str, best: SamplingFn, closed_gaps: list):
+    best is the candidate with the fewest closed gaps (closed_gaps lists them);
+    trail holds the reports of the stages completed before the failure.
+    """
+
+    def __init__(self, message: str, best: SamplingFn, closed_gaps: list,
+                 trail: Sequence[StageReport] = ()):
         super().__init__(message)
         self.best = best
         self.closed_gaps = closed_gaps
+        self.trail = list(trail)
 
 
-class DensityConstraintError(RuntimeError):
-    """The shrink loop hit the floating-point floor before meeting the drift cap."""
+class DensityConstraintError(GapOpeningError):
+    """Candidates passed every other gate of a stage, but none met the density-drift cap.
+
+    best is the widest-gap one of them, and closed_gaps is empty.
+    """
 
 
 @dataclass(frozen=True)
@@ -72,83 +81,62 @@ class StageReport:
     density_drift: float | None = None  # integral |g_{k-1} - g_k|^t, ac mode only
 
     def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "period": self.period,
-            "s_norm": self.s_norm,
-            "budget_eps": self.budget_eps,
-            "budget_move": self.budget_move,
-            "movement": self.movement,
-            "min_gap_before": self.min_gap_before,
-            "min_gap_after": self.min_gap_after,
-            "open_gap_count": self.open_gap_count,
-            "band_measure": self.band_measure,
-            "density_drift": self.density_drift,
-        }
+        return asdict(self)
 
 
-def _all_gaps_open(bs: BandStructure) -> bool:
-    return bs.open_gap_count() == bs.q
-
-
-def _random_table_bump(
-    f: SamplingFn, radius: float, rng: np.random.Generator
-) -> SamplingFn:
-    mag = radius * np.sqrt(rng.uniform(0.0, 1.0, f.period))
-    phase = rng.uniform(0.0, 2.0 * math.pi, f.period)
-    table = []
-    for v, b in zip(f.table, mag * np.exp(1j * phase)):
-        w = v + b
-        a = abs(w)
-        table.append(w if a <= f.r else w * (f.r / a))
-    return make_sampling(tuple(table), f.r)
+class _Candidate(NamedTuple):
+    f: SamplingFn
+    seq: PeriodicSeq
+    bs: BandStructure
+    measured: tuple  # what the gate measured; () without a gate
 
 
 def _search_candidates(
     f: SamplingFn,
     radius_cap: float,
     rng: np.random.Generator,
-    valid: Callable[[SamplingFn, BandStructure], bool],
-    include_unperturbed: bool = True,
-    expensive_check: Callable[[SamplingFn, BandStructure], bool] | None = None,
-):
-    """Best valid perturbation of f (largest resulting minimal gap).
+    gate: Callable[[SamplingFn, PeriodicSeq], tuple | None] | None = None,
+) -> list[_Candidate]:
+    """Perturbations of f that open every gap and pass the gate, widest minimal gap first.
 
-    Draws _MAX_ATTEMPTS random candidates on a halving radius ladder and keeps
-    the valid one whose spectrum has the widest minimal gap; validity always
-    includes all-gaps-open.  If f itself is valid it wins outright (the
-    zero-perturbation case).  An optional expensive check runs only on the
-    surviving candidates in descending-score order (first pass wins).  Returns
-    (candidate, band structure) or raises GapOpeningError carrying the
-    least-closed candidate seen.
+    f itself is tried before any draw and, if it passes, is the only candidate
+    (the zero-perturbation case).  Otherwise _MAX_ATTEMPTS random candidates
+    are drawn on a halving radius ladder; ties in the minimal gap go to the
+    earlier draw.  The gate sees a candidate only once all its gaps are open,
+    and returns the values it measured, or None to reject it.  Raises
+    GapOpeningError carrying the least-closed candidate seen if none passes.
     """
-    passing = []  # (min_gap, order, cand, bs)
-    fallback = (f, band_structure(to_periodic(f), compute_masses=False))
-    fallback_closed = [g for g in fallback[1].gaps if g.closed]
-    if include_unperturbed and _all_gaps_open(fallback[1]) and valid(*fallback):
-        if expensive_check is None or expensive_check(*fallback):
-            return fallback
-    for attempt in range(_MAX_ATTEMPTS):
-        radius = radius_cap * 0.5 ** (attempt // _HALVING_PERIOD)
-        if radius < _RADIUS_FLOOR:
-            break
-        cand = _random_table_bump(f, radius, rng)
-        bs = band_structure(to_periodic(cand), compute_masses=False)
+    passing: list[_Candidate] = []
+    best, best_closed = None, None
+    for attempt in range(-1, _MAX_ATTEMPTS):  # attempt -1 is f itself
+        if attempt < 0:
+            cand = f
+        else:
+            radius = radius_cap * 0.5 ** (attempt // _HALVING_PERIOD)
+            if radius < _RADIUS_FLOOR:
+                break
+            cand = perturb(f, radius, rng)
+        seq = to_periodic(cand)
+        bs = band_structure(seq, compute_masses=False)
         closed = [g for g in bs.gaps if g.closed]
-        if len(closed) < len(fallback_closed):
-            fallback, fallback_closed = (cand, bs), closed
-        if not _all_gaps_open(bs) or not valid(cand, bs):
+        if best is None or len(closed) < len(best_closed):
+            best, best_closed = cand, closed
+        if closed:
             continue
-        passing.append((min_gap(bs), attempt, cand, bs))
-    for _, _, cand, bs in sorted(passing, key=lambda p: (-p[0], p[1])):
-        if expensive_check is None or expensive_check(cand, bs):
-            return cand, bs
-    raise GapOpeningError(
-        f"no perturbation within radius {radius_cap:.3e} opened every gap in "
-        f"{_MAX_ATTEMPTS} attempts ({len(fallback_closed)} still closed)",
-        best=fallback[0],
-        closed_gaps=fallback_closed,
-    )
+        measured = () if gate is None else gate(cand, seq)
+        if measured is None:
+            continue
+        passing.append(_Candidate(cand, seq, bs, measured))
+        if attempt < 0:
+            return passing
+    if not passing:
+        raise GapOpeningError(
+            f"no perturbation within radius {radius_cap:.3e} opened every gap within "
+            f"budget in {_MAX_ATTEMPTS} attempts ({len(best_closed)} still closed)",
+            best=best,
+            closed_gaps=best_closed,
+        )
+    return sorted(passing, key=lambda c: -min_gap(c.bs))
 
 
 def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
@@ -159,26 +147,7 @@ def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
     if eps <= 0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
-    cand, _ = _search_candidates(f, 0.5 * eps, rng, valid=lambda c, b: True)
-    return cand
-
-
-def _stage_zero(f: SamplingFn, eps: float, rng: np.random.Generator):
-    budget = (eps**2) / 72.0
-    cand, bs = _search_candidates(f, 0.5 * budget, rng, valid=lambda c, b: True)
-    report = StageReport(
-        stage=0,
-        period=max(cand.period, 2),
-        s_norm=sup_distance(f, cand),
-        budget_eps=budget,
-        budget_move=None,
-        movement=None,
-        min_gap_before=None,
-        min_gap_after=min_gap(bs),
-        open_gap_count=bs.open_gap_count(),
-        band_measure=bs.total_band_measure(),
-    )
-    return cand, bs, report
+    return _search_candidates(f, 0.5 * eps, rng)[0].f
 
 
 def _run_stages(
@@ -186,67 +155,72 @@ def _run_stages(
     eps: float,
     K: int,
     rng: np.random.Generator,
-    drift_check=None,
+    density: tuple[Mapping[int, complex], float] | None = None,
 ) -> tuple[list[StageReport], SamplingFn]:
+    """Stages 0..K; density = (u, t) adds the ac mode's density-drift cap."""
     reports: list[StageReport] = []
-    current, bs, report = _stage_zero(f, eps, rng)
-    reports.append(report)
-    b_running = min_gap(bs)
-    for k in range(1, K + 1):
-        b_k = min(b_running, min_gap(bs))
+    current, prev_seq, b_k = f, None, None
+    for k in range(K + 1):
         budget_eps = (eps / 2.0**k) ** 2 / 72.0
-        budget_move = (1.0 / 2.0**k) * b_k / 3.0
-        lifted = lift(current, current.level + 1)
-        prev_seq = to_periodic(current)
-        drifts: dict[int, float] = {}
+        if k == 0:
+            base, budget_move, radius = f, None, 0.5 * budget_eps
+        else:
+            base = lift(current, current.level + 1)
+            budget_move = (1.0 / 2.0**k) * b_k / 3.0
+            # the movement bound scales like a small multiple of the sup distance,
+            # so a radius a quarter of the movement budget keeps most candidates
+            # inside it; the halving ladder covers tighter cases
+            radius = min(0.8 * budget_eps, 0.25 * budget_move)
 
-        def valid(cand: SamplingFn, bs_cand: BandStructure) -> bool:
-            if sup_distance(lifted, cand) >= budget_eps:
-                return False
-            return diff_norm_bound_seq(prev_seq, to_periodic(cand)) < budget_move
+        def gate(cand: SamplingFn, seq: PeriodicSeq):
+            s_norm = sup_distance(base, cand)
+            if s_norm >= budget_eps:
+                return None
+            if prev_seq is None:
+                return s_norm, None
+            movement = diff_norm_bound_seq(prev_seq, seq)
+            return (s_norm, movement) if movement < budget_move else None
 
-        drift_gate = None
-        if drift_check is not None:
-
-            def drift_gate(cand: SamplingFn, bs_cand: BandStructure) -> bool:
-                drift = drift_check(prev_seq, to_periodic(cand))
-                drifts[id(cand)] = drift
-                return drift ** (1.0 / drift_check.t) <= 2.0**-k
-
-        # the movement bound scales like a small multiple of the sup distance,
-        # so a radius a quarter of the movement budget keeps most candidates
-        # inside it; the halving ladder covers tighter cases
-        radius = min(0.8 * budget_eps, 0.25 * budget_move)
         try:
-            cand, bs_new = _search_candidates(
-                lifted,
-                radius,
-                rng,
-                valid=valid,
-                include_unperturbed=False,
-                expensive_check=drift_gate,
-            )
+            passing = _search_candidates(base, radius, rng, gate)
         except GapOpeningError as exc:
-            exc.args = (f"stage {k}: {exc.args[0]}",)
-            exc.trail = reports  # type: ignore[attr-defined]
-            raise
+            raise GapOpeningError(
+                f"stage {k}: {exc}", exc.best, exc.closed_gaps, trail=reports
+            ) from None
+        cand, drift = passing[0], None
+        if density is not None and prev_seq is not None:
+            u, t = density
+            for cand in passing:
+                drift = density_distance(prev_seq, cand.seq, u, t)
+                if drift ** (1.0 / t) <= 2.0**-k:
+                    break
+            else:
+                raise DensityConstraintError(
+                    f"stage {k}: none of the {len(passing)} candidates within the sup-norm "
+                    f"and movement budgets met the density-drift cap 2^-{k}",
+                    best=passing[0].f,
+                    closed_gaps=[],
+                    trail=reports,
+                )
+        s_norm, movement = cand.measured
+        gap = min_gap(cand.bs)
         reports.append(
             StageReport(
                 stage=k,
-                period=cand.period,
-                s_norm=sup_distance(lifted, cand),
+                period=max(cand.f.period, 2),
+                s_norm=s_norm,
                 budget_eps=budget_eps,
                 budget_move=budget_move,
-                movement=diff_norm_bound_seq(prev_seq, to_periodic(cand)),
+                movement=movement,
                 min_gap_before=b_k,
-                min_gap_after=min_gap(bs_new),
-                open_gap_count=bs_new.open_gap_count(),
-                band_measure=bs_new.total_band_measure(),
-                density_drift=drifts.get(id(cand)),
+                min_gap_after=gap,
+                open_gap_count=cand.bs.open_gap_count(),
+                band_measure=cand.bs.total_band_measure(),
+                density_drift=drift,
             )
         )
-        current, bs = cand, bs_new
-        b_running = min(b_k, min_gap(bs_new))
+        current, prev_seq = cand.f, cand.seq
+        b_k = gap if b_k is None else min(b_k, gap)
     return reports, current
 
 
@@ -280,9 +254,10 @@ def ac_iterate(
     """cantor_iterate with the per-stage spectral-density drift cap 2^{-k}.
 
     The drift of stage k is density_distance(f_{k-1}, f_k, u, t); its 1/t
-    power must stay below 2^{-k}.  Candidates violating the cap are rejected
-    inside the stage search, which is feasible because the drift vanishes with
-    the perturbation size.
+    power must stay below 2^{-k}.  The cap is checked on the stage's gated
+    candidates in descending-gap order and the first that meets it wins, which
+    is feasible because the drift vanishes with the perturbation size; if none
+    meets it, DensityConstraintError carries the completed stages.
     """
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
@@ -294,14 +269,4 @@ def ac_iterate(
         raise ValueError("K must be nonnegative")
     u = {int(n): complex(v) for n, v in u.items()}
     rng = np.random.default_rng(seed)
-
-    def drift_check(seq_prev, seq_new):
-        return density_distance(seq_prev, seq_new, u, t)
-
-    drift_check.t = t  # type: ignore[attr-defined]
-    try:
-        return _run_stages(f, eps, K, rng, drift_check=drift_check)
-    except GapOpeningError as exc:
-        raise DensityConstraintError(
-            f"{exc.args[0]} (with the density-drift constraint active)"
-        ) from exc
+    return _run_stages(f, eps, K, rng, density=(u, t))

@@ -12,13 +12,12 @@ budgets of all coarser scales.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import PeriodicSeq, validate_alpha
-from .odometer import SamplingFn, lift, make_sampling, sample_sequence, sup_distance, zero
+from .coeffs import PeriodicSeq
+from .odometer import SamplingFn, lift, perturb, sample_sequence, sup_distance, zero
 from .transfer import build_A_unimodular, four_block, gamma
 
 #: stage perturbations below this are absorbed by floating point and infeasible
@@ -168,11 +167,6 @@ def growth_ratio(seq: PeriodicSeq, z, q_k: int, u0=(1.0, 0.0)) -> float:
     return float(four_block(mono, u / nu))
 
 
-def _project_disk(v: complex, r: float) -> complex:
-    a = abs(v)
-    return v if a <= r else v * (r / a)
-
-
 def construct_gordon_approximant(
     f: SamplingFn, eps: float, K: int, seed: int = 0
 ) -> tuple[SamplingFn, GordonCertificate]:
@@ -208,12 +202,7 @@ def construct_gordon_approximant(
                 f"floating-point floor; deepest achievable scale is {j - 1}",
                 deepest_k=j - 1,
             )
-        g = lift(g, N + j)
-        mag = delta * np.sqrt(rng.uniform(0.0, 1.0, g.period))
-        phase = rng.uniform(0.0, 2.0 * math.pi, g.period)
-        bumps = mag * np.exp(1j * phase)
-        table = tuple(_project_disk(v + b, r) for v, b in zip(g.table, bumps))
-        g = make_sampling(table, r)
+        g = perturb(lift(g, N + j), delta, rng)
     if K == 0:
         cert_schedule = [(1, 1 << (N + 1))]
     else:

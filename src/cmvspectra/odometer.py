@@ -9,9 +9,12 @@ is exact: tables are finite, no function approximation is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .coeffs import PeriodicSeq, validate_alpha
+import numpy as np
+
+from .coeffs import PeriodicSeq, complex_from_json, validate_alpha
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ class SamplingFn:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingFn":
-        table = tuple(complex(re, im) for re, im in obj["table"])
+        table = tuple(complex_from_json(v) for v in obj["table"])
         if len(table) != 1 << obj["level"]:
             raise ValueError("level field disagrees with table size")
         return cls(table, obj["r"])
@@ -107,6 +110,22 @@ class SamplingFn:
 
 def make_sampling(table, r: float) -> SamplingFn:
     return SamplingFn(tuple(validate_alpha(v) for v in table), float(r))
+
+
+def perturb(f: SamplingFn, radius: float, rng: np.random.Generator) -> SamplingFn:
+    """f plus a random bump, uniform in the disk of the given radius, on every coset.
+
+    The magnitudes are drawn first, then the phases; a value pushed outside
+    the disk |z| <= f.r is projected radially back onto its boundary.
+    """
+    mag = radius * np.sqrt(rng.uniform(0.0, 1.0, f.period))
+    phase = rng.uniform(0.0, 2.0 * math.pi, f.period)
+    table = []
+    for v, b in zip(f.table, mag * np.exp(1j * phase)):
+        w = v + b
+        a = abs(w)
+        table.append(w if a <= f.r else w * (f.r / a))
+    return make_sampling(table, f.r)
 
 
 def sample_sequence(f: SamplingFn, omega: OdometerPoint, n_min: int, n_max: int) -> list[complex]:

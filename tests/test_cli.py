@@ -87,6 +87,55 @@ def test_construct_ac_mode(tmp_path, samp_file):
     assert trail["stages"][1]["density_drift"] is not None
 
 
+def test_construct_ac_drift_failure_writes_completed_stages(tmp_path, samp_file, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr("cmvspectra.construct.density_distance", lambda *args: 1.0)
+    out = tmp_path / "out"
+    rc = main(["construct", "--input", samp_file, "--out", str(out), "--mode", "ac",
+               "--eps", "0.9", "--stages", "1", "--seed", "7"])
+    assert rc == 1
+    trail = json.loads((out / "trail.json").read_text())
+    assert [s["stage"] for s in trail["stages"]] == [0]
+    assert "density-drift cap" in trail["error"]
+    assert "construction failed" in capsys.readouterr().err
+
+
+def test_nested_bands_draws_input_and_final_stage(tmp_path, samp_file):
+    out = tmp_path / "out"
+    rc = main(["construct", "--input", samp_file, "--out", str(out),
+               "--eps", "0.9", "--stages", "1", "--seed", "7"])
+    assert rc == 0
+    assert (out / "nested_bands.svg").read_text().count("<circle") == 2
+
+
+def test_periodic_input_accepts_plain_reals(tmp_path):
+    p = tmp_path / "seq.json"
+    p.write_text(json.dumps({"values": [0.3, 0.2], "r": 0.6}))
+    out = tmp_path / "out"
+    assert main(["bands", "--input", str(p), "--out", str(out), "--json"]) == 0
+    assert json.loads((out / "bands.json").read_text())["period"] == 2
+
+
+def test_sampling_input_accepts_plain_reals(tmp_path):
+    p = tmp_path / "samp.json"
+    p.write_text(json.dumps({"table": [0.3, [0.3, 0.0]], "r": 0.6}))
+    out = tmp_path / "out"
+    rc = main(["construct", "--input", str(p), "--out", str(out), "--stages", "0",
+               "--seed", "7"])
+    assert rc == 0
+    trail = json.loads((out / "trail.json").read_text())
+    assert trail["final"]["level"] == 1
+
+
+def test_u_file_accepts_plain_reals_and_pairs(tmp_path, seq_file):
+    u = tmp_path / "u.json"
+    u.write_text(json.dumps({"0": 1.0, "1": [0.0, 0.5]}))
+    out = tmp_path / "out"
+    assert main(["density", "--input", seq_file, "--out", str(out), "--u", f"@{u}"]) == 0
+    report = json.loads((out / "density.json").read_text())
+    assert report["u"] == {"0": [1.0, 0.0], "1": [0.0, 0.5]}
+
+
 def test_gamma_json(capsys):
     rc = main(["gamma", "--k", "2", "--q", "8", "--r", "0.5", "--json"])
     assert rc == 0
@@ -130,6 +179,12 @@ def test_bad_u_mapping_exits_2(tmp_path, seq_file):
     rc = main(["density", "--input", seq_file, "--out", str(tmp_path / "o"),
                "--u", "{broken"])
     assert rc == 2
+
+
+def test_u_that_is_not_a_mapping_exits_2(tmp_path, seq_file, capsys):
+    rc = main(["density", "--input", seq_file, "--out", str(tmp_path / "o"), "--u", "[1.0]"])
+    assert rc == 2
+    assert "invalid --u mapping" in capsys.readouterr().err
 
 
 def test_verify_unknown_filter_exits_2():

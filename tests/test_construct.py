@@ -1,7 +1,18 @@
+import json
+import math
+from pathlib import Path
+
 import pytest
 
+from cmvspectra import construct
 from cmvspectra.cmv import diff_norm_bound_seq
-from cmvspectra.construct import ac_iterate, cantor_iterate, open_all_gaps
+from cmvspectra.construct import (
+    DensityConstraintError,
+    GapOpeningError,
+    ac_iterate,
+    cantor_iterate,
+    open_all_gaps,
+)
 from cmvspectra.floquet import band_structure
 from cmvspectra.odometer import make_sampling, sup_distance, to_periodic
 
@@ -52,16 +63,12 @@ def test_cantor_min_gap_stays_above_detection_threshold():
 
 
 def test_cantor_movement_matches_certified_bound():
-    import numpy as np
-
-    from cmvspectra.construct import _stage_zero
-
     f = make_sampling((0.3, 0.0), 0.6)
     reports, final = cantor_iterate(f, 0.9, K=1, seed=7)
     # replay stage 0 with the same seed to recover the intermediate sequence,
     # then recompute the certified stage-1 movement independently
-    cand, _, _ = _stage_zero(f, 0.9, np.random.default_rng(7))
-    expected = diff_norm_bound_seq(to_periodic(cand), to_periodic(final))
+    _, stage0 = cantor_iterate(f, 0.9, K=0, seed=7)
+    expected = diff_norm_bound_seq(to_periodic(stage0), to_periodic(final))
     assert reports[1].movement == pytest.approx(expected, rel=1e-9)
 
 
@@ -108,3 +115,57 @@ def test_stage_reports_serialize():
         obj = r.to_json()
         assert obj["stage"] == r.stage
         assert obj["period"] == r.period
+
+
+#: stage reports and final tables of the seed-7 acceptance runs, recorded
+#: before the candidate search was restructured
+LEDGERS = json.loads((Path(__file__).parent / "data" / "seed7_ledgers.json").read_text())
+
+
+@pytest.mark.parametrize("mode", ["cantor", "ac"])
+def test_seed7_ledger_is_unchanged(mode):
+    ledger = LEDGERS[mode]
+    p = ledger["params"]
+    f = make_sampling(p["table"], p["r"])
+    if mode == "cantor":
+        reports, final = cantor_iterate(f, p["eps"], p["K"], seed=p["seed"])
+    else:
+        reports, final = ac_iterate(f, p["eps"], p["K"], p["u"], p["t"], seed=p["seed"])
+    assert len(reports) == len(ledger["stages"])
+    for report, want in zip(reports, ledger["stages"]):
+        got = report.to_json()
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if value is None or key in ("stage", "period", "open_gap_count"):
+                assert got[key] == value, (report.stage, key)
+            else:
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0), (report.stage, key)
+    got = final.to_json()
+    assert got["level"] == ledger["final"]["level"]
+    assert got["r"] == ledger["final"]["r"]
+    flat = [x for v in got["table"] for x in v]
+    want = [x for v in ledger["final"]["table"] for x in v]
+    assert flat == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_ac_drift_cap_failure_keeps_completed_stages(monkeypatch):
+    monkeypatch.setattr(construct, "density_distance", lambda *args: 1.0)
+    f = make_sampling((0.3, 0.0), 0.6)
+    with pytest.raises(DensityConstraintError) as info:
+        ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)
+    assert isinstance(info.value, GapOpeningError)
+    assert str(info.value).startswith("stage 1:")
+    assert [r.stage for r in info.value.trail] == [0]
+
+
+def test_ac_gap_opening_failure_is_not_a_density_error(monkeypatch):
+    drifts = []
+    monkeypatch.setattr(construct, "diff_norm_bound_seq", lambda *args: math.inf)
+    monkeypatch.setattr(construct, "density_distance", lambda *args: drifts.append(1) or 0.0)
+    f = make_sampling((0.3, 0.0), 0.6)
+    with pytest.raises(GapOpeningError) as info:
+        ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)
+    assert type(info.value) is GapOpeningError
+    assert str(info.value).startswith("stage 1:")
+    assert [r.stage for r in info.value.trail] == [0]
+    assert drifts == []  # the drift cap never ran

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cmv import assemble_window, cmv_entry, diff_norm_bound_seq, spectrum_movement_check
+from .cmv import cmv_entry, diff_norm_bound_seq, spectrum_movement_check
 from .coeffs import PeriodicSeq, constant_seq, make_periodic, rho
 from .construct import ac_iterate, cantor_iterate
 from .floquet import band_structure, discriminant, floquet_matrix
@@ -64,6 +64,10 @@ def _random_seq(rng, q, scale=0.25, r=0.8) -> PeriodicSeq:
     return make_periodic(vals, r)
 
 
+def _det2(m: np.ndarray) -> complex:
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 def transfer_determinant() -> CriterionResult:
     """det A_n = rho_n / rho_{n+2} on random triples and circle points."""
     rng = np.random.default_rng(11)
@@ -71,7 +75,7 @@ def transfer_determinant() -> CriterionResult:
     worst = 0.0
     for i, (a0, a1, a2) in enumerate(_random_triples(rng, 1000)):
         z = zs[i % 100]
-        d = build_A(a0, a1, a2, z).det()
+        d = _det2(build_A(a0, a1, a2, z))
         worst = max(worst, abs(d - rho(a0) / rho(a2)))
     return CriterionResult("transfer-determinant", worst < 1e-12, worst, 1e-12)
 
@@ -83,7 +87,7 @@ def transfer_unimodular() -> CriterionResult:
     worst = 0.0
     for i, (a0, a1, a2) in enumerate(_random_triples(rng, 1000)):
         z = zs[i % 100]
-        d = build_A_unimodular(a0, a1, a2, z).det()
+        d = _det2(build_A_unimodular(a0, a1, a2, z))
         worst = max(worst, abs(d - 1.0))
     return CriterionResult("transfer-unimodular", worst < 1e-12, worst, 1e-12)
 
@@ -102,7 +106,7 @@ def recurrence_consistency() -> CriterionResult:
             u = {1: complex(rng.normal(), rng.normal()), 2: complex(rng.normal(), rng.normal())}
             n = 1
             while n + 3 <= 13:
-                A = build_A(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z).entries
+                A = build_A(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z)
                 vec = A @ np.array([u[n], u[n + 1]])
                 u[n + 2], u[n + 3] = vec[0], vec[1]
                 n += 2
@@ -126,7 +130,7 @@ def floquet_determinant() -> CriterionResult:
             theta = rng.uniform(0.05, math.pi - 0.05)
             if rng.uniform() < 0.5:
                 theta += math.pi
-            lhs = np.linalg.det(z * np.eye(q) - floquet_matrix(seq, theta).entries)
+            lhs = np.linalg.det(z * np.eye(q) - floquet_matrix(seq, theta))
             rhs = rp * z ** (q // 2) * (disc.eval(z) - 2.0 * math.cos(theta))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             worst = max(worst, abs(lhs - rhs) / scale)
@@ -185,7 +189,7 @@ def theta_union() -> CriterionResult:
     def hausdorff(n_grid: int) -> float:
         points = []
         for theta in np.linspace(0, TWO_PI, n_grid, endpoint=False):
-            points.append(np.linalg.eigvals(floquet_matrix(seq, theta).entries))
+            points.append(np.linalg.eigvals(floquet_matrix(seq, theta)))
         points = np.concatenate(points)
         angles = np.angle(points) % TWO_PI
         # direction 1: every union point lies in (or at) a band
@@ -224,7 +228,7 @@ def constant_gap() -> CriterionResult:
     # brute-force oracle: union of eigenangles over a dense Theta grid
     angles = []
     for theta in np.linspace(0, TWO_PI, 4000, endpoint=False):
-        angles.extend(np.angle(np.linalg.eigvals(floquet_matrix(seq, theta).entries)) % TWO_PI)
+        angles.extend(np.angle(np.linalg.eigvals(floquet_matrix(seq, theta))) % TWO_PI)
     angles = np.sort(np.array(angles))
     interior = angles[(angles > 0.02) & (angles < math.pi / 3 + 0.3)]
     oracle_edge = float(interior.min())
@@ -246,7 +250,7 @@ def resolvent_law() -> CriterionResult:
         seq = _random_seq(rng, q)
         for _ in range(34):
             theta = rng.uniform(0, TWO_PI)
-            E = floquet_matrix(seq, theta).entries
+            E = floquet_matrix(seq, theta)
             eig = np.linalg.eigvals(E)
             z = (1 + rng.uniform(0.05, 1.0)) * np.exp(1j * rng.uniform(0, TWO_PI))
             dist = float(np.min(np.abs(eig - z)))

@@ -9,7 +9,6 @@ requires an even period.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -65,9 +64,6 @@ class PeriodicSeq:
 
     def value_at(self, n: int) -> complex:
         return self.values[n % len(self.values)]
-
-    def rho_at(self, n: int) -> float:
-        return rho(self.value_at(n))
 
     def rho_product(self) -> float:
         """Product of rho_j over one period."""

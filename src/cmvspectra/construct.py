@@ -142,12 +142,14 @@ def _search_candidates(
 def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
     """Return f-hat with sup_distance(f, f-hat) < eps and every gap open.
 
-    If f already has all gaps open it is returned unchanged.
+    If f already has all gaps open it is returned unchanged.  A level-0 f is
+    lifted to level 1 first: a level-0 table induces a constant sequence, and
+    at period 2 that always has a closed gap.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
-    return _search_candidates(f, 0.5 * eps, rng)[0].f
+    return _search_candidates(lift(f, max(f.level, 1)), 0.5 * eps, rng)[0].f
 
 
 def _run_stages(
@@ -157,13 +159,16 @@ def _run_stages(
     rng: np.random.Generator,
     density: tuple[Mapping[int, complex], float] | None = None,
 ) -> tuple[list[StageReport], SamplingFn]:
-    """Stages 0..K; density = (u, t) adds the ac mode's density-drift cap."""
+    """Stages 0..K; density = (u, t) adds the ac mode's density-drift cap.
+
+    Stage 0 works at level max(f.level, 1), the level of the sequence f induces.
+    """
     reports: list[StageReport] = []
-    current, prev_seq, b_k = f, None, None
+    current, prev_seq, b_k = lift(f, max(f.level, 1)), None, None
     for k in range(K + 1):
         budget_eps = (eps / 2.0**k) ** 2 / 72.0
         if k == 0:
-            base, budget_move, radius = f, None, 0.5 * budget_eps
+            base, budget_move, radius = current, None, 0.5 * budget_eps
         else:
             base = lift(current, current.level + 1)
             budget_move = (1.0 / 2.0**k) * b_k / 3.0
@@ -207,7 +212,7 @@ def _run_stages(
         reports.append(
             StageReport(
                 stage=k,
-                period=max(cand.f.period, 2),
+                period=cand.f.period,
                 s_norm=s_norm,
                 budget_eps=budget_eps,
                 budget_move=budget_move,

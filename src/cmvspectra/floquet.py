@@ -5,10 +5,14 @@ vectors (u_{m+q} = e^{iT} u_m) is unitary; its eigenvalues are the circle
 points where the discriminant equals 2 cos(T).  Band edges are the
 eigenangles at phases 0 and pi, which a normal-matrix eigensolve delivers to
 near machine precision; this is what lets the construction iterations certify
-gaps far below any sampling grid's resolution.  The discriminant is the trace
-of the monodromy, the product A_{q-1} ... A_3 A_1 of the two-step transfer
-matrices over one period (Simon, OPUC Part 2, ch. 11); its Laurent
-coefficients come from multiplying out the matrices' coefficients in z.
+gaps far below any sampling grid's resolution.  The angles are used as
+returned: a Newton step on the discriminant would divide its roundoff by
+|Delta'|, which vanishes at exactly those narrow gaps.
+
+The discriminant is the trace of the monodromy, the product
+A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
+OPUC Part 2, ch. 11); its Laurent coefficients come from multiplying out the
+matrices' coefficients in z.
 """
 
 from __future__ import annotations
@@ -39,13 +43,6 @@ class AllGapsClosedError(RuntimeError):
     """min_gap was asked for but the spectrum has no open gap."""
 
 
-@dataclass(frozen=True)
-class FloquetMatrix:
-    q: int
-    theta: float
-    entries: np.ndarray
-
-
 # depends only on q; rebuilding it on every call adds about half to the cost of a small-q fold
 @functools.lru_cache(maxsize=64)
 def _fold_index(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +50,7 @@ def _fold_index(q: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols % q
 
 
-def floquet_matrix(seq: PeriodicSeq, theta: float) -> FloquetMatrix:
+def floquet_matrix(seq: PeriodicSeq, theta: float) -> np.ndarray:
     """Restriction of E = L M to vectors with u_{m+q} = e^{i theta} u_m.
 
     Rows 0..q-1 come from their band storage.  Only the wrap block of M, on
@@ -72,7 +69,7 @@ def floquet_matrix(seq: PeriodicSeq, theta: float) -> FloquetMatrix:
     else:
         B = np.zeros((q, q), dtype=complex)
         B[_fold_index(q)] = S.ravel()
-    return FloquetMatrix(q, float(theta), B)
+    return B
 
 
 @dataclass(frozen=True)
@@ -177,21 +174,14 @@ class BandStructure:
         return sum(1 for g in self.gaps if not g.closed)
 
 
-def _polish_edge(disc: Discriminant, theta: float, target: float) -> float:
-    """Newton polish of a transversal discriminant crossing; skipped near tangencies."""
-    for _ in range(2):
-        d = disc.deriv_real(theta)
-        if abs(d) < 1e-6:
-            return theta
-        step = (disc.eval_real(theta) - target) / d
-        if abs(step) > 1e-3:
-            return theta
-        theta -= step
-    return theta
-
-
 def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructure:
-    """Bands and gaps from the eigenangles of the phase-0 and phase-pi restrictions."""
+    """Bands and gaps from the eigenangles of the phase-0 and phase-pi restrictions.
+
+    The 2q sorted angles cut the circle into arcs: an arc between a phase-0
+    and a phase-pi angle is a band, one between two angles of the same phase
+    is a gap.  Each arc takes its endpoints straight from those angles, so
+    every band shares both endpoints with its neighbouring gaps.
+    """
     q = seq.period
     disc = discriminant(seq)
     plus = [(a, +1) for a in eigenangles(seq, 0.0)]
@@ -208,11 +198,7 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
         if i + 1 == 2 * q:
             a_hi += TWO_PI
         if t_lo != t_hi:
-            lo = _polish_edge(disc, a_lo, 2.0 * t_lo)
-            hi = _polish_edge(disc, a_hi, 2.0 * t_hi)
-            if hi < lo:  # polish must not reorder; fall back to raw angles
-                lo, hi = a_lo, a_hi
-            bands.append(Band(lo, hi, increasing=(t_lo < 0)))
+            bands.append(Band(a_lo, a_hi, increasing=(t_lo < 0)))
         else:
             gaps.append(Gap(a_lo, a_hi))
     if len(bands) != q or len(gaps) != q:
@@ -250,16 +236,21 @@ def density_factor(disc: Discriminant, theta: float) -> float:
     return abs(disc.deriv_real(theta)) / (2.0 * math.sqrt(s) * disc.q * math.pi)
 
 
-def band_mass(disc: Discriminant, band: Band, n: int = 96) -> float:
+#: quadrature nodes per band for band_mass
+_MASS_NODES = 96
+
+
+def band_mass(disc: Discriminant, band: Band) -> float:
     """Equilibrium mass of one band: integral of |dpsi/dtheta| / (q pi)."""
     return integrate_graded(
-        lambda theta: density_factor(disc, theta), band.theta_lo, band.theta_hi, n=n, m=2
+        lambda theta: density_factor(disc, theta), band.theta_lo, band.theta_hi,
+        n=_MASS_NODES, m=2,
     )
 
 
 def eigenangles(seq: PeriodicSeq, theta: float) -> np.ndarray:
     """The q spectrum points of E_q(theta), one per band: its sorted eigenangles."""
-    vals = np.linalg.eigvals(floquet_matrix(seq, theta).entries)
+    vals = np.linalg.eigvals(floquet_matrix(seq, theta))
     return np.sort(np.angle(vals) % TWO_PI)
 
 

@@ -53,9 +53,6 @@ class CoefficientWindow:
             raise WindowTooShortError(f"index {n} outside window [{self.n_min}, {self.n_max}]")
         return self.values[n - self.n_min]
 
-    def max_modulus(self) -> float:
-        return max(abs(v) for v in self.values)
-
     @classmethod
     def from_periodic(cls, seq: PeriodicSeq, n_min: int, n_max: int) -> "CoefficientWindow":
         return cls(n_min, tuple(seq.value_at(n) for n in range(n_min, n_max + 1)), seq.r)
@@ -161,7 +158,7 @@ def growth_ratio(seq: PeriodicSeq, z, q_k: int, u0=(1.0, 0.0)) -> float:
     mono = np.eye(2, dtype=complex)
     for n in range(1, q_k, 2):
         mono = (
-            build_A_unimodular(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z).entries
+            build_A_unimodular(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z)
             @ mono
         )
     return float(four_block(mono, u / nu))

@@ -137,9 +137,14 @@ def sample_sequence(f: SamplingFn, omega: OdometerPoint, n_min: int, n_max: int)
 
 
 def lift(f: SamplingFn, k_new: int) -> SamplingFn:
-    """Re-express f at a finer level; each coset splits with an unchanged image."""
+    """Re-express f at a finer level; each coset splits with an unchanged image.
+
+    At f's own level this is f itself.
+    """
     if k_new < f.level:
         raise ValueError(f"cannot lift level-{f.level} function down to level {k_new}")
+    if k_new == f.level:
+        return f
     size = 1 << k_new
     return SamplingFn(tuple(f.table[i % f.period] for i in range(size)), f.r)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._quad import grading_exponent, graded_nodes, integrate_graded
 from .coeffs import PeriodicSeq, common_period
-from .floquet import (Band, BandStructure, Discriminant, band_mass, band_structure,
+from .floquet import (Band, BandStructure, Discriminant, band_structure,
                       density_factor, discriminant)
 # unused here; perfbench/tests asserts that the span tracer patches this binding
 from .floquet import floquet_matrix  # noqa: F401
@@ -112,9 +112,6 @@ class EquilibriumDensity:
     def __call__(self, theta: float) -> float:
         return density_factor(self.disc, theta)
 
-    def band_mass(self, i: int, n: int = 96) -> float:
-        return band_mass(self.disc, self.bands[i], n)
-
 
 def equilibrium_density(seq: PeriodicSeq, bs: BandStructure | None = None) -> EquilibriumDensity:
     if bs is None:
@@ -149,7 +146,6 @@ class SpectralDensity:
     grid: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), compare=False)
     total_mass: float = 0.0
     quad_tolerance: float = 0.0
-    amplitude_factor: str = AMPLITUDE_FACTOR
 
     def __call__(self, theta: float) -> float:
         theta %= 2.0 * math.pi
@@ -166,7 +162,7 @@ class SpectralDensity:
         return {
             "mass": self.total_mass,
             "tolerance": self.quad_tolerance,
-            "amplitude_factor": self.amplitude_factor,
+            "amplitude_factor": AMPLITUDE_FACTOR,
             "bands": [[b.theta_lo, b.theta_hi] for b in self.bands],
         }
 
@@ -236,12 +232,15 @@ def lt_integral(
     return fine, abs(fine - coarse)
 
 
+#: quadrature nodes per interval for density_distance
+_DISTANCE_NODES = 48
+
+
 def density_distance(
     seq_a: PeriodicSeq,
     seq_b: PeriodicSeq,
     u: Mapping[int, complex],
     t: float,
-    n: int = 48,
 ) -> float:
     """Integral of |g_a - g_b|^t over the union of the two band sets.
 
@@ -285,5 +284,5 @@ def density_distance(
             vb = g_b._eval_inside(theta) if in_b else 0.0
             return abs(va - vb) ** t
 
-        total += integrate_graded(diff, lo, hi, n=n, m=m)
+        total += integrate_graded(diff, lo, hi, n=_DISTANCE_NODES, m=m)
     return total

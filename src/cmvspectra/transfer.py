@@ -12,7 +12,6 @@ polydisk supports the perturbation budgets used by the Gordon machinery.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,19 +29,6 @@ def _check_z(z) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 propagator together with the data it was built from."""
-
-    entries: np.ndarray
-    z: complex
-    triple: tuple[complex, complex, complex]
-
-    def det(self) -> complex:
-        m = self.entries
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
 def _entries(a0: complex, a1: complex, a2: complex, z: complex) -> np.ndarray:
     r0, r1, r2 = rho(a0), rho(a1), rho(a2)
     a11 = r2 * (a1.conjugate() * a1 * r0 + r1 * r1 * r0)
@@ -52,16 +38,16 @@ def _entries(a0: complex, a1: complex, a2: complex, z: complex) -> np.ndarray:
     return np.array([[a11, a12], [a21, a22]], dtype=complex) / (z * r1 * r2)
 
 
-def build_A(alpha_n, alpha_n1, alpha_n2, z) -> TransferMatrix:
+def build_A(alpha_n, alpha_n1, alpha_n2, z) -> np.ndarray:
     """Two-step transfer matrix with det = rho_n / rho_{n+2}."""
     z = _check_z(z)
     a0 = validate_alpha(alpha_n)
     a1 = validate_alpha(alpha_n1)
     a2 = validate_alpha(alpha_n2)
-    return TransferMatrix(_entries(a0, a1, a2, z), z, (a0, a1, a2))
+    return _entries(a0, a1, a2, z)
 
 
-def build_A_unimodular(alpha_n, alpha_n1, alpha_n2, z) -> TransferMatrix:
+def build_A_unimodular(alpha_n, alpha_n1, alpha_n2, z) -> np.ndarray:
     """Determinant-1 variant: top row scaled by rho_{n+2}, left column by 1/rho_n.
 
     Propagates (rho_n u_n, u_{n+1}) to (rho_{n+2} u_{n+2}, u_{n+3}).
@@ -70,11 +56,10 @@ def build_A_unimodular(alpha_n, alpha_n1, alpha_n2, z) -> TransferMatrix:
     a0 = validate_alpha(alpha_n)
     a1 = validate_alpha(alpha_n1)
     a2 = validate_alpha(alpha_n2)
-    m = _entries(a0, a1, a2, z).copy()
-    r0, r2 = rho(a0), rho(a2)
-    m[0, :] *= r2
-    m[:, 0] /= r0
-    return TransferMatrix(m, z, (a0, a1, a2))
+    m = _entries(a0, a1, a2, z)
+    m[0, :] *= rho(a2)
+    m[:, 0] /= rho(a0)
+    return m
 
 
 def step_coeffs(values) -> np.ndarray:

@@ -213,6 +213,17 @@ def test_length_one_table_is_level_zero(tmp_path):
     assert json.loads((out / "bands.json").read_text())["period"] == 2
 
 
+def test_construct_accepts_a_level_zero_table(tmp_path):
+    p = tmp_path / "samp0.json"
+    p.write_text(json.dumps({"table": [0.3], "r": 0.6}))
+    out = tmp_path / "out"
+    rc = main(["construct", "--input", str(p), "--out", str(out),
+               "--eps", "0.9", "--stages", "1", "--seed", "7"])
+    assert rc == 0
+    trail = json.loads((out / "trail.json").read_text())
+    assert [s["period"] for s in trail["stages"]] == [2, 4]
+
+
 @pytest.mark.parametrize(
     "error", [BandDiagnosticError, AllGapsClosedError, EdgeProximityError]
 )

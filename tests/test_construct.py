@@ -36,6 +36,23 @@ def test_open_all_gaps_rejects_bad_eps():
         open_all_gaps(make_sampling((0.3, 0.0), 0.6), 0.0)
 
 
+def test_level_zero_table_is_lifted_before_stage_zero():
+    # a level-0 table induces a constant sequence, whose period-2 gap at z = -1
+    # stays closed under every level-0 perturbation
+    f0 = make_sampling((0.3,), 0.6)
+    f1 = make_sampling((0.3, 0.3), 0.6)
+    g = open_all_gaps(f0, 0.2, seed=1)
+    assert g.level == 1 and sup_distance(f0, g) < 0.2
+    assert band_structure(to_periodic(g), compute_masses=False).open_gap_count() == 2
+    for run in (lambda f: cantor_iterate(f, 0.9, K=1, seed=7),
+                lambda f: ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)):
+        reports, final = run(f0)
+        assert [r.period for r in reports] == [2, 4]
+        assert [r.open_gap_count for r in reports] == [2, 4]
+        # the same draws as from the level-1 table with the same values
+        assert final.table == run(f1)[1].table
+
+
 def test_cantor_stage_budgets_hold():
     f = make_sampling((0.3, 0.0), 0.6)
     eps = 0.9
@@ -118,7 +135,9 @@ def test_stage_reports_serialize():
 
 
 #: stage reports and final tables of the seed-7 acceptance runs, recorded
-#: before the candidate search was restructured
+#: before the candidate search was restructured; the cantor stage-3 band
+#: measure and the ac density drifts were re-recorded when band edges became
+#: the unpolished eigenangles
 LEDGERS = json.loads((Path(__file__).parent / "data" / "seed7_ledgers.json").read_text())
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmvspectra.coeffs import constant_seq, make_periodic
+from cmvspectra.construct import cantor_iterate
 from cmvspectra.floquet import (
     AllGapsClosedError,
     band_structure,
@@ -14,6 +15,7 @@ from cmvspectra.floquet import (
     floquet_matrix,
     min_gap,
 )
+from cmvspectra.odometer import make_sampling, to_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,7 +23,7 @@ TWO_PI = 2.0 * math.pi
 def test_floquet_matrix_is_unitary():
     seq = make_periodic([0.1, -0.2, 0.3j, 0.05], 0.5)
     for theta in (0.0, 0.7, math.pi):
-        B = floquet_matrix(seq, theta).entries
+        B = floquet_matrix(seq, theta)
         assert np.allclose(B @ B.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -34,7 +36,7 @@ def test_floquet_matrix_matches_entry_fold(entry_parts, q):
     C, P, Q = entry_parts(seq)
     for theta in (0.0, math.pi / 2, math.pi, -0.7):
         oracle = C + np.exp(1j * theta) * P + np.exp(-1j * theta) * Q
-        assert np.abs(floquet_matrix(seq, theta).entries - oracle).max() <= 1e-14
+        assert np.abs(floquet_matrix(seq, theta) - oracle).max() <= 1e-14
 
 
 def test_free_discriminant_is_two_cos():
@@ -48,7 +50,7 @@ def test_free_discriminant_is_two_cos():
 def _char_poly_laurent(seq):
     """det(w - E_q(pi/2)) at q + 1 roots of unity, inverse DFT, over the rho product."""
     q = seq.period
-    E = floquet_matrix(seq, math.pi / 2).entries
+    E = floquet_matrix(seq, math.pi / 2)
     omegas = np.exp(2j * np.pi * np.arange(q + 1) / (q + 1))
     vals = np.array([np.linalg.det(w * np.eye(q) - E) for w in omegas])
     coeffs = np.array([(vals * omegas ** (-j)).mean() for j in range(q + 1)])
@@ -82,6 +84,31 @@ def test_constant_half_gap_edges_at_pi_thirds():
     edges = {np.round(np.exp(1j * g.theta_lo), 9), np.round(np.exp(1j * g.theta_hi), 9)}
     expected = {np.round(np.exp(-1j * math.pi / 3), 9), np.round(np.exp(1j * math.pi / 3), 9)}
     assert edges == expected
+
+
+def _assert_bands_and_gaps_share_endpoints(bs):
+    arcs = sorted([(b.theta_lo, b.theta_hi, "band") for b in bs.bands]
+                  + [(g.theta_lo, g.theta_hi, "gap") for g in bs.gaps])
+    successors = arcs[1:] + [(arcs[0][0] + TWO_PI, None, arcs[0][2])]
+    for (_, hi, kind), (lo, _, next_kind) in zip(arcs, successors):
+        assert kind != next_kind and hi == lo
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 64, 128])
+def test_band_edges_are_the_gap_edges(q):
+    rng = np.random.default_rng(300 + q)
+    for _ in range(3):
+        vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+        _assert_bands_and_gaps_share_endpoints(
+            band_structure(make_periodic(list(vals), 0.6), compute_masses=False)
+        )
+
+
+def test_band_edges_are_the_gap_edges_after_three_cantor_stages():
+    _, final = cantor_iterate(make_sampling([0.3, 0.3], 0.6), 0.9, 3, seed=7)
+    bs = band_structure(to_periodic(final), compute_masses=False)
+    assert bs.q == 16 and bs.open_gap_count() == 16
+    _assert_bands_and_gaps_share_endpoints(bs)
 
 
 def test_band_and_gap_counts_match_period():
@@ -130,8 +157,8 @@ def test_eigenangles_solve_the_discriminant_equation(theta):
 def test_eigenangles_match_direct_eigensolve():
     seq = make_periodic([0.2, -0.1, 0.15j, 0.05], 0.5)
     theta = 1.1
-    direct = np.sort(np.angle(np.linalg.eigvals(floquet_matrix(seq, theta).entries)) % TWO_PI)
-    mirror = np.sort(np.angle(np.linalg.eigvals(floquet_matrix(seq, -theta).entries)) % TWO_PI)
+    direct = np.sort(np.angle(np.linalg.eigvals(floquet_matrix(seq, theta))) % TWO_PI)
+    mirror = np.sort(np.angle(np.linalg.eigvals(floquet_matrix(seq, -theta))) % TWO_PI)
     union = np.sort(np.concatenate([direct, mirror]))
     computed = eigenangles(seq, theta)
     # E_q(theta) and E_q(-theta) share the circle points where Delta = 2cos(theta)

@@ -51,6 +51,11 @@ def test_lift_preserves_values():
         assert g(OdometerPoint.from_index(n, 4)) == f(OdometerPoint.from_index(n, 1))
 
 
+def test_lift_to_own_level_is_identity():
+    f = make_sampling((0.1, 0.2), 0.5)
+    assert lift(f, 1) is f
+
+
 def test_lift_down_is_an_error():
     f = make_sampling((0.1, 0.2, 0.3, 0.4), 0.5)
     with pytest.raises(ValueError):

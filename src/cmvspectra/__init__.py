@@ -7,14 +7,7 @@ extended CMV matrices (cmv), transfer matrices and the perturbation modulus
 iterations (construct), the acceptance suite (acceptance), and the CLI (cli).
 """
 
-from .cmv import (
-    CmvWindow,
-    assemble_window,
-    cmv_entry,
-    diff_norm_bound,
-    diff_norm_bound_seq,
-    spectrum_movement_check,
-)
+from .cmv import assemble_window, cmv_entry, diff_norm_bound, diff_norm_bound_seq
 from .coeffs import PeriodicSeq, constant_seq, make_periodic, rho, validate_alpha
 from .construct import (
     DensityConstraintError,
@@ -34,6 +27,7 @@ from .floquet import (
     eigenangles,
     floquet_matrix,
     min_gap,
+    spectrum_displacement,
 )
 from .gordon import (
     CoefficientWindow,
@@ -91,9 +85,7 @@ __all__ = [
     "cantor_iterate",
     "check_gordon",
     "cmv_entry",
-    "CmvWindow",
     "assemble_window",
-    "spectrum_movement_check",
     "constant_seq",
     "construct_gordon_approximant",
     "density",
@@ -116,6 +108,7 @@ __all__ = [
     "open_all_gaps",
     "rho",
     "sample_sequence",
+    "spectrum_displacement",
     "sup_distance",
     "to_periodic",
     "translate",

@@ -19,8 +19,8 @@ import numpy as np
 from .acceptance import run_criteria
 from .coeffs import PeriodicSeq, complex_from_json
 from .construct import GapOpeningError, ac_iterate, cantor_iterate
-from .floquet import (AllGapsClosedError, BandDiagnosticError, BandStructure, band_structure,
-                      discriminant)
+from .floquet import (AllGapsClosedError, BandDiagnosticError, BandStructure, Discriminant,
+                      band_structure, discriminant)
 from .gordon import CoefficientWindow, check_gordon
 from .odometer import SamplingFn, to_periodic
 from .specmeasure import EdgeProximityError, density
@@ -187,6 +187,13 @@ def _ensure_out(args) -> str:
     return out
 
 
+def _write_discriminant_csv(out: str, disc: Discriminant, grid: int) -> None:
+    rows = ["theta,delta"]
+    for th in np.linspace(0, TWO_PI, grid, endpoint=False):
+        rows.append(f"{_fmt(th)},{_fmt(disc.eval_real(th))}")
+    _atomic_write(os.path.join(out, "discriminant.csv"), "\n".join(rows) + "\n")
+
+
 def cmd_bands(args) -> int:
     seq = _as_periodic(_load_input(args.input))
     grid = _grid(args, 720)
@@ -202,11 +209,7 @@ def cmd_bands(args) -> int:
         rows.append(f"{i},{_fmt(g.theta_lo % TWO_PI)},{_fmt(g.theta_hi % TWO_PI)},"
                     f"{_fmt(g.chord)}")
     _atomic_write(os.path.join(out, "gaps.csv"), "\n".join(rows) + "\n")
-    thetas = np.linspace(0, TWO_PI, grid, endpoint=False)
-    rows = ["theta,delta"]
-    for th in thetas:
-        rows.append(f"{_fmt(th)},{_fmt(bs.disc.eval_real(th))}")
-    _atomic_write(os.path.join(out, "discriminant.csv"), "\n".join(rows) + "\n")
+    _write_discriminant_csv(out, bs.disc, grid)
     _atomic_write(os.path.join(out, "bands.svg"), _band_ring_svg([bs]))
     if args.json:
         report = {
@@ -225,10 +228,7 @@ def cmd_discriminant(args) -> int:
     grid = _grid(args, 720)
     disc = discriminant(seq)
     out = _ensure_out(args)
-    rows = ["theta,delta"]
-    for th in np.linspace(0, TWO_PI, grid, endpoint=False):
-        rows.append(f"{_fmt(th)},{_fmt(disc.eval_real(th))}")
-    _atomic_write(os.path.join(out, "discriminant.csv"), "\n".join(rows) + "\n")
+    _write_discriminant_csv(out, disc, grid)
     if args.json:
         report = {
             "period": disc.q,

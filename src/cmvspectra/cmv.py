@@ -6,17 +6,18 @@ The extended CMV matrix factors as E = L M into block-diagonal unitaries whose
 Appl. 362 (2003); Simon, OPUC Part 1, Sect. 4.2).  Windows, the Floquet
 restrictions in `floquet` and the closed-form movement bound all derive from
 the vectorized blocks; `cmv_entry` is an independent oracle for the assembly.
+The exact spectrum displacement that the bound controls is
+`floquet.spectrum_displacement`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coeffs import PeriodicSeq, common_period, rho, validate_alpha
-from .odometer import SamplingFn, lift, to_periodic
+from .odometer import SamplingFn, to_periodic
 
 AlphaFn = Callable[[int], complex]
 
@@ -47,27 +48,6 @@ def cmv_entry(alpha: AlphaFn, m: int, n: int) -> complex:
         if n == m + 1:
             return -alpha(m - 1) * rho(alpha(m))
     return 0.0
-
-
-@dataclass(frozen=True)
-class CmvWindow:
-    """Dense dim x dim truncation with rows/columns offset .. offset+dim-1.
-
-    Every stored entry equals the corresponding entry of the two-sided
-    operator (the assembly works on a padded index range), so only the
-    truncation itself is lossy, not the entries.
-    """
-
-    offset: int
-    matrix: np.ndarray
-    source: tuple[complex, ...]  # alpha(offset-2 .. offset+dim+1)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def alpha(self, n: int) -> complex:
-        return self.source[n - (self.offset - 2)]
 
 
 def theta_blocks(values) -> np.ndarray:
@@ -102,8 +82,13 @@ def band_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(m, 4), cols.ravel()
 
 
-def assemble_window(alpha: AlphaFn, offset: int, dim: int) -> CmvWindow:
-    """Window of the extended CMV matrix, scattered from the band storage of its rows."""
+def assemble_window(alpha: AlphaFn, offset: int, dim: int) -> np.ndarray:
+    """Rows and columns offset .. offset+dim-1 of the extended CMV matrix.
+
+    The window is scattered from the band storage of its rows, assembled on a
+    padded index range, so every entry equals that of the two-sided operator:
+    only the truncation itself is lossy.
+    """
     if dim < 4:
         raise ValueError("window dimension must be at least 4")
     if offset % 2 != 0:
@@ -113,7 +98,7 @@ def assemble_window(alpha: AlphaFn, offset: int, dim: int) -> CmvWindow:
     rows, cols = band_columns(n)
     E = np.zeros((n, n + 2), dtype=complex)
     E[rows, cols + 1] = band_rows(source[1:-1]).ravel()
-    return CmvWindow(offset, E[:dim, 1 : dim + 1].copy(), tuple(source[: dim + 4]))
+    return E[:dim, 1 : dim + 1].copy()
 
 
 def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq) -> float:
@@ -135,49 +120,4 @@ def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq) -> float:
 
 def diff_norm_bound(f: SamplingFn, g: SamplingFn) -> float:
     """Upper bound on the operator norm of E_f - E_g for sampling functions."""
-    k = max(max(f.level, g.level), 1)
-    return diff_norm_bound_seq(to_periodic(lift(f, k)), to_periodic(lift(g, k)))
-
-
-@dataclass(frozen=True)
-class MovementReport:
-    """Outcome of the one-sided spectrum-movement check."""
-
-    bound: float
-    max_displacement: float
-    grid_size: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_displacement <= self.bound + 1e-8
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "max_displacement": self.max_displacement,
-            "grid_size": self.grid_size,
-            "passed": self.passed,
-        }
-
-
-def spectrum_movement_check(f: PeriodicSeq, g: PeriodicSeq, grid: int = 2000) -> MovementReport:
-    """Verify every band point of the f-spectrum lies within the norm bound of the g-spectrum."""
-    from .floquet import band_structure
-
-    bound = diff_norm_bound_seq(f, g)
-    bs_f = band_structure(f)
-    bs_g = band_structure(g)
-
-    def dist_to_bands(theta: float) -> float:
-        if any(b.contains(theta) for b in bs_g.bands):
-            return 0.0
-        z = np.exp(1j * theta)
-        return min(min(abs(z - np.exp(1j * b.theta_lo)), abs(z - np.exp(1j * b.theta_hi)))
-                   for b in bs_g.bands)
-
-    worst = 0.0
-    for band in bs_f.bands:
-        width = (band.theta_hi - band.theta_lo) % (2 * np.pi)
-        for s in np.linspace(0.0, width, max(2, grid // max(1, len(bs_f.bands)))):
-            worst = max(worst, dist_to_bands((band.theta_lo + s) % (2 * np.pi)))
-    return MovementReport(bound=bound, max_displacement=worst, grid_size=grid)
+    return diff_norm_bound_seq(to_periodic(f), to_periodic(g))

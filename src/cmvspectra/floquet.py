@@ -260,3 +260,30 @@ def min_gap(bs: BandStructure) -> float:
     if not open_gaps:
         raise AllGapsClosedError("all gaps are closed; no minimal open gap exists")
     return min(open_gaps)
+
+
+def band_distance(bands: tuple[Band, ...], theta: float) -> float:
+    """Chord distance from e^{i theta} to the union of the bands.
+
+    Zero on a band; off the bands, the point lies in a gap, and the nearest
+    spectrum point is one of that gap's two ends.
+    """
+    if any(b.contains(theta) for b in bands):
+        return 0.0
+    z = cmath.exp(1j * theta)
+    return min(abs(z - cmath.exp(1j * t)) for b in bands for t in (b.theta_lo, b.theta_hi))
+
+
+def spectrum_displacement(f: PeriodicSeq, g: PeriodicSeq) -> float:
+    """Exact sup over the spectrum of E_f of the chord distance to the spectrum of E_g.
+
+    On each g-gap that distance is a tent: zero at the gap's ends, peaking at
+    its midpoint.  So on an f-band the sup is attained at one of the band's
+    ends or at a g-gap midpoint inside it, at most 2 q_f + q_g points in all.
+    """
+    f_bands = band_structure(f, compute_masses=False).bands
+    bs_g = band_structure(g, compute_masses=False)
+    mids = (0.5 * (gap.theta_lo + gap.theta_hi) for gap in bs_g.gaps)
+    points = [t for b in f_bands for t in (b.theta_lo, b.theta_hi)]
+    points += [t for t in mids if any(b.contains(t) for b in f_bands)]
+    return max(band_distance(bs_g.bands, t) for t in points)

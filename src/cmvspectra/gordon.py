@@ -12,7 +12,7 @@ budgets of all coarser scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,14 +76,7 @@ class GordonCheck:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "q_k": self.q_k,
-            "r_k": self.r_k,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

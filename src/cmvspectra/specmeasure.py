@@ -16,6 +16,7 @@ metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -101,22 +102,13 @@ def floquet_solution(
     return FloquetSolution(complex(z), psi, phi[:, 0], phi[:, 1])
 
 
-@dataclass(frozen=True)
-class EquilibriumDensity:
-    """Density of the band equilibrium measure, V = |dpsi/dtheta| / (q pi)."""
-
-    seq: PeriodicSeq
-    bands: tuple[Band, ...]
-    disc: Discriminant = field(repr=False)
-
-    def __call__(self, theta: float) -> float:
-        return density_factor(self.disc, theta)
-
-
-def equilibrium_density(seq: PeriodicSeq, bs: BandStructure | None = None) -> EquilibriumDensity:
+def equilibrium_density(
+    seq: PeriodicSeq, bs: BandStructure | None = None
+) -> Callable[[float], float]:
+    """The band equilibrium density V(theta) = |dpsi/dtheta| / (q pi)."""
     if bs is None:
         bs = band_structure(seq, compute_masses=False)
-    return EquilibriumDensity(seq, bs.bands, bs.disc)
+    return functools.partial(density_factor, bs.disc)
 
 
 def _transform_amplitudes(

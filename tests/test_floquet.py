@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmvspectra.cmv import diff_norm_bound_seq
 from cmvspectra.coeffs import constant_seq, make_periodic
 from cmvspectra.construct import cantor_iterate
 from cmvspectra.floquet import (
@@ -14,6 +15,7 @@ from cmvspectra.floquet import (
     eigenangles,
     floquet_matrix,
     min_gap,
+    spectrum_displacement,
 )
 from cmvspectra.odometer import make_sampling, to_periodic
 
@@ -169,3 +171,58 @@ def test_eigenangles_match_direct_eigensolve():
 def test_min_gap_positive_when_gap_open():
     bs = band_structure(constant_seq(0.5))
     assert min_gap(bs) > 0.9  # chord of a 2*pi/3 arc is sqrt(3) > 0.9
+
+
+def _sampled_displacement(f, g, n=20_000):
+    """Sup of the chord distance to g's bands over about n evenly spaced points of f's bands.
+
+    Returns the sup and the spacing h; the distance is 1-Lipschitz in the
+    angle, so the exact sup lies within h above the sampled one.
+    """
+    f_bands = band_structure(f, compute_masses=False).bands
+    g_bands = band_structure(g, compute_masses=False).bands
+    h = sum(b.width for b in f_bands) / n
+    theta = np.concatenate(
+        [np.linspace(b.theta_lo, b.theta_hi, math.ceil(b.width / h) + 1) for b in f_bands]
+    )
+    lo = np.array([b.theta_lo for b in g_bands])
+    width = np.array([b.width for b in g_bands])
+    inside = ((theta[:, None] - lo) % TWO_PI <= width).any(axis=1)
+    ends = np.exp(1j * np.concatenate([lo, lo + width]))
+    dist = np.abs(np.exp(1j * theta)[:, None] - ends).min(axis=1)
+    return float(np.where(inside, 0.0, dist).max()), h
+
+
+def test_spectrum_displacement_of_a_gap_opening_period_doubling():
+    # g doubles the period of f and opens gaps inside f's bands; the sup is
+    # attained at a g-gap midpoint, where a coarse grid reads low
+    f = make_periodic([0.3, 0.1j], 0.6)
+    g = make_periodic([0.3, 0.1j, 0.3 + 0.02j, 0.12j], 0.6)
+    d = spectrum_displacement(f, g)
+    sampled, h = _sampled_displacement(f, g)
+    assert d == pytest.approx(1.386e-2, abs=1e-5)
+    assert sampled <= d <= sampled + h
+    assert d <= diff_norm_bound_seq(f, g) + 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spectrum_displacement_brackets_a_sampled_sup(seed):
+    rng = np.random.default_rng(seed)
+    q = 2 * int(rng.integers(1, 3))
+    vals = 0.4 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    f = make_periodic(list(vals), 0.6)
+    bump = 0.02 * np.exp(2j * np.pi * rng.uniform(0, 1, 2 * q))
+    g = make_periodic([f.value_at(n) + b for n, b in enumerate(bump)], 0.6)
+    for a, b in ((f, g), (g, f)):
+        d = spectrum_displacement(a, b)
+        sampled, h = _sampled_displacement(a, b)
+        # a sample on a band end may read an ulp above: numpy and cmath exponentials differ there
+        assert sampled - 1e-15 <= d <= sampled + h
+        assert d <= diff_norm_bound_seq(a, b) + 1e-8
+
+
+def test_spectrum_displacement_within_bound_for_small_perturbation():
+    f = make_periodic([0.3, 0.0], 0.6)
+    g = make_periodic([0.301, 0.002], 0.6)
+    assert spectrum_displacement(f, f) == 0.0
+    assert 0.0 < spectrum_displacement(f, g) <= diff_norm_bound_seq(f, g) + 1e-8

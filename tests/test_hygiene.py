@@ -1,4 +1,4 @@
-"""Every name a library module imports is used there, or its line says why not."""
+"""Library modules import only at module level and use every name they import, or say why not."""
 
 import ast
 from pathlib import Path
@@ -26,6 +26,16 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _nested_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
@@ -34,3 +44,22 @@ def test_no_unused_imports(path):
 def test_the_check_sees_unused_and_marked_imports():
     source = "import math\nimport os  # noqa: F401\nfrom json import dumps, loads\nloads('1')\n"
     assert _unused_imports(source) == ["line 1: math", "line 3: dumps"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_at_module_level(path):
+    assert _nested_imports(path.read_text()) == []
+
+
+def test_the_check_sees_nested_imports():
+    source = (
+        "import math\n"
+        "def f():\n"
+        "    from os import path\n"
+        "    return path\n"
+        "class C:\n"
+        "    import json\n"
+        "if math.pi:\n"
+        "    import sys\n"
+    )
+    assert _nested_imports(source) == ["line 3", "line 6", "line 8"]

@@ -3,7 +3,11 @@
 Band-edge integrands behave like dist^{-1/2} (equilibrium density) or worse
 (L^t integrands, up to dist^{-t/2}).  Substituting theta = edge +/- s^m with a
 large enough grading exponent m makes the transformed integrand bounded, after
-which plain Gauss-Legendre converges quickly.  Nodes never touch the edges.
+which plain Gauss-Legendre converges quickly.  The node offsets s^m are
+positive, but for large m the first one (about 1e-17 at m = 5, n = 48) lies
+below one ulp of theta, so edge + s^m rounds onto the edge itself; callers
+that evaluate next to an edge take the offsets from `graded_offsets` and keep
+(edge, offset) apart.
 """
 
 from __future__ import annotations
@@ -29,19 +33,21 @@ def graded_nodes(lo: float, hi: float, n: int = 64, m: int = 2):
     """
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    x, w = _gauss(n)
     mid = 0.5 * (lo + hi)
-    half = mid - lo
+    offsets, weights = graded_offsets(mid - lo, n, m)
+    thetas = np.concatenate([lo + offsets, hi - offsets])
+    return thetas, np.concatenate([weights, weights])
+
+
+def graded_offsets(half: float, n: int, m: int):
+    """Offsets s^m from one edge and their weights, for a half-interval of length half."""
+    x, w = _gauss(n)
     smax = half ** (1.0 / m)
     # map [-1, 1] -> [0, smax]
     s = 0.5 * smax * (x + 1.0)
     ws = 0.5 * smax * w
     jac = m * s ** (m - 1)
-    t_left = lo + s**m
-    t_right = hi - s**m
-    thetas = np.concatenate([t_left, t_right])
-    weights = np.concatenate([ws * jac, ws * jac])
-    return thetas, weights
+    return s**m, ws * jac
 
 
 def integrate_graded(fn, lo: float, hi: float, n: int = 64, m: int = 2) -> float:

@@ -269,7 +269,7 @@ def perturbation_laws() -> CriterionResult:
             worst_ratio = max(worst_ratio, est / eps)
     rng2 = np.random.default_rng(61)
     move_ok = True
-    move_detail = 0.0
+    move_detail = -math.inf
     for _ in range(6):
         f = _random_seq(rng2, 4)
         bump = 1e-3 * np.exp(1j * rng2.uniform(0, TWO_PI, 4))

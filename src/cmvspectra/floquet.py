@@ -227,9 +227,12 @@ def density_factor(disc: Discriminant, theta: float) -> float:
     """|dpsi/dtheta| / (q pi), evaluated with a roundoff floor on 1 - (Delta/2)^2.
 
     Within ~1e-8 of a band edge the cancellation in 1 - (Delta/2)^2 leaves pure
-    roundoff; clamping at the floor keeps the value finite there.  At tangency
-    edges (closed gaps) the derivative vanishes at the same rate, so the true
-    density is finite and the clamped value stays near it.
+    roundoff; clamping at the floor keeps the value finite there, but not
+    accurate.  At the touching point of a closed gap the true density is
+    finite, yet both Delta' and 1 - (Delta/2)^2 are roundoff there, so the
+    value collapses: for constant alpha = 0.5 it reads 8.2e-10 at theta = pi
+    against 0.184 at pi +/- 1e-7.  specmeasure.density_distance evaluates
+    next to edges in edge-relative form instead.
     """
     half = 0.5 * disc.eval_real(theta)
     s = max(1.0 - half * half, _S_FLOOR)

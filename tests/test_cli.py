@@ -53,6 +53,9 @@ def test_density_outputs_and_mass(tmp_path, seq_file):
     assert rc == 0
     report = json.loads((out / "density.json").read_text())
     assert report["mass"] == pytest.approx(1.0, abs=1e-4)
+    # an n-versus-n/2 difference, reported as an estimate rather than a tolerance
+    assert "tolerance" not in report
+    assert 0.0 <= report["error_estimate"] < 1e-4
 
 
 def test_gordon_check_periodic_passes(tmp_path, seq_file):

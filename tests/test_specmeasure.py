@@ -1,12 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cmvspectra import specmeasure
 from cmvspectra.coeffs import constant_seq, make_periodic
-from cmvspectra.floquet import band_structure, floquet_matrix
+from cmvspectra.construct import ac_iterate
+from cmvspectra.floquet import band_structure, density_factor, floquet_matrix
+from cmvspectra.odometer import make_sampling, to_periodic
 from cmvspectra.specmeasure import (
     EdgeProximityError,
+    _density_at,
+    _transform_amplitudes,
     density,
     density_distance,
     equilibrium_density,
@@ -120,3 +126,125 @@ def test_density_distance_positive_and_shrinking():
     d_near = density_distance(base, near, u, 1.5)
     d_far = density_distance(base, far, u, 1.5)
     assert 0 < d_near < d_far
+
+
+THREE_SITES = {0: 1.0, 1: 0.5 - 0.25j, 5: -0.3}
+
+
+def _random_seq(q, seed):
+    rng = np.random.default_rng(seed)
+    vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    return make_periodic(list(vals), 0.6)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+def test_batched_density_matches_the_per_node_reference(q):
+    seq = _random_seq(q, 300 + q)
+    bs = band_structure(seq, compute_masses=False)
+    c_sum = np.abs(bs.disc.laurent_coeffs).sum()
+    edges, offsets = [], []
+    for b in bs.bands:
+        for dist in (1e-9, 1e-6, 1e-3, 0.1 * b.width, 0.3 * b.width, 0.5 * b.width):
+            edges += [b.theta_lo, b.theta_hi]
+            offsets += [dist, -dist]
+    got = _density_at(bs.disc, THREE_SITES, np.array(edges), np.array(offsets))
+    for g, edge, offset in zip(got, edges, offsets):
+        theta = edge + offset
+        ap, am = _transform_amplitudes(seq, THREE_SITES, theta, bs.disc)
+        ref = (ap + am) * density_factor(bs.disc, theta)
+        # the reference forms 1 - (Delta/2)^2 directly, so it carries that
+        # subtraction's roundoff, about (q + 1) eps sum|c_k|, relative to it
+        s = 1.0 - (0.5 * bs.disc.eval_real(theta)) ** 2
+        own_roundoff = (q + 1) * np.finfo(float).eps * c_sum / s
+        assert abs(g - ref) <= (1e-12 + own_roundoff) * ref
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+def test_batched_density_resolves_nodes_below_one_ulp_of_an_edge(q):
+    # near an open-gap edge g ~ C / sqrt(offset); theta = edge + 1e-17 would round onto the edge
+    seq = _random_seq(q, 300 + q)
+    bs = band_structure(seq, compute_masses=False)
+    offsets = np.array([1e-17, 1e-15, 1e-13, 1e-11])
+    for b in bs.bands:
+        for edge, sign in ((b.theta_lo, 1.0), (b.theta_hi, -1.0)):
+            g = _density_at(bs.disc, THREE_SITES, np.full(4, edge), sign * offsets)
+            scaled = g * np.sqrt(offsets)
+            assert np.ptp(scaled) <= 1e-6 * scaled.max()
+
+
+def test_batched_density_of_the_free_case():
+    # alpha = 0: the spectral measure of delta_0 is d theta / (2 pi); the
+    # monodromy diag(1/z, z) has one vanishing eigenvector candidate off z = +/-1
+    # and equals the identity at z = 1
+    seq = make_periodic([0.0, 0.0], 0.5)
+    disc = band_structure(seq, compute_masses=False).disc
+    edges = np.array([0.0, 0.0, math.pi, math.pi, TWO_PI])
+    offsets = np.array([0.3, 1.2, -0.5, 1.0, -0.7])
+    g = _density_at(disc, {0: 1.0}, edges, offsets)
+    assert g == pytest.approx(np.full(5, 1.0 / TWO_PI), rel=1e-12)
+    with pytest.raises(EdgeProximityError):
+        _density_at(disc, {0: 1.0}, np.array([0.0]), np.array([0.0]))
+
+
+@pytest.fixture(scope="module")
+def seed7_stages():
+    """The periodic sequences of the seed-7 ac stages 0, 1, 2 (periods 2, 4, 8)."""
+    f = make_sampling([0.3, 0.3], 0.6)
+    return [to_periodic(ac_iterate(f, 0.9, k, {0: 1.0}, 1.5, seed=7)[1]) for k in range(3)]
+
+
+def test_density_distance_never_calls_the_per_node_solver(monkeypatch, seed7_stages):
+    def per_node(*args, **kwargs):
+        raise AssertionError("density_distance evaluated a node through floquet_solution")
+
+    monkeypatch.setattr(specmeasure, "floquet_solution", per_node)
+    seq_a, seq_b = seed7_stages[1:]
+    assert seq_b.period == 8
+    assert density_distance(seq_a, seq_b, {0: 1.0}, 1.5) > 0
+
+
+@pytest.mark.parametrize("shift_a, shift_b", [(1e-14, 1e-14), (-1e-14, -1e-14),
+                                              (1e-14, -1e-14), (-1e-14, 1e-14)])
+def test_density_distance_is_stable_under_edge_shifts(monkeypatch, seed7_stages,
+                                                      shift_a, shift_b):
+    exact = band_structure
+    for seq_a, seq_b in zip(seed7_stages, seed7_stages[1:]):
+        base = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+
+        def shifted(seq, compute_masses=True):
+            bs = exact(seq, compute_masses=compute_masses)
+            s = shift_a if seq is seq_a else shift_b
+            bands = tuple(dataclasses.replace(b, theta_lo=b.theta_lo + s, theta_hi=b.theta_hi + s)
+                          for b in bs.bands)
+            return dataclasses.replace(bs, bands=bands)
+
+        monkeypatch.setattr(specmeasure, "band_structure", shifted)
+        moved = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+        monkeypatch.undo()
+        assert moved == pytest.approx(base, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_density_distance_is_invariant_under_rotation(seed7_stages, stage):
+    # alpha_n -> lam^(n+1) alpha_n with lam^q = 1 rotates the spectrum and the
+    # spectral measure of delta_0 by arg(lam); some rotations put a band across 2 pi
+    seq_a, seq_b = seed7_stages[stage - 1:stage + 1]
+    base = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+
+    def rotated(seq, lam):
+        return dataclasses.replace(
+            seq, values=tuple(v * lam ** (n + 1) for n, v in enumerate(seq.values)))
+
+    for j in range(1, seq_a.period):
+        lam = np.exp(2j * np.pi * j / seq_a.period)
+        moved = density_distance(rotated(seq_a, lam), rotated(seq_b, lam), {0: 1.0}, 1.5)
+        assert moved == pytest.approx(base, rel=1e-8, abs=0)
+
+
+def test_density_distance_converges_in_the_node_count(monkeypatch, seed7_stages):
+    for seq_a, seq_b in zip(seed7_stages, seed7_stages[1:]):
+        coarse = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+        monkeypatch.setattr(specmeasure, "_DISTANCE_NODES", 2 * specmeasure._DISTANCE_NODES)
+        fine = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+        monkeypatch.undo()
+        assert fine == pytest.approx(coarse, rel=1e-4, abs=0)

@@ -59,6 +59,9 @@ def _load_input(path: str):
         raise InputError(f"cannot read input file: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise InputError("input JSON must be an object with 'values' or 'table', "
+                         f"not {type(obj).__name__}")
     try:
         if "table" in obj:
             obj.setdefault("level", (len(obj["table"]) - 1).bit_length())

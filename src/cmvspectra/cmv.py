@@ -51,11 +51,13 @@ def cmv_entry(alpha: AlphaFn, m: int, n: int) -> complex:
 
 
 def theta_blocks(values) -> np.ndarray:
-    """Theta(a) = [[conj(a), rho], [rho, -a]] for each coefficient, stacked to shape (n, 2, 2)."""
+    """Theta(a) = [[conj(a), rho], [rho, -a]] for each coefficient: (..., n) to (..., n, 2, 2)."""
     a = np.asarray(values, dtype=complex)
     ac = a.conj()
     r = np.sqrt(1.0 - (a * ac).real)
-    return np.array([[ac, r], [r, -a]]).transpose(2, 0, 1)
+    T = np.empty(a.shape + (2, 2), dtype=complex)
+    T[..., 0, 0], T[..., 0, 1], T[..., 1, 0], T[..., 1, 1] = ac, r, r, -a
+    return T
 
 
 def band_rows(values) -> np.ndarray:
@@ -64,15 +66,19 @@ def band_rows(values) -> np.ndarray:
     Entry c of row m is E[m, m - m % 2 - 1 + c] for c = 0..3, the four columns
     a CMV row can reach.  Rows (m, m+1), m even, are Theta(alpha_m) times rows
     m and m+1 of M, which are row 1 of Theta(alpha_{m-1}) and row 0 of
-    Theta(alpha_{m+1}).
+    Theta(alpha_{m+1}).  Leading axes of values are kept: (..., n + 2) gives
+    (..., n, 4).
     """
     T = theta_blocks(values)
-    lead = T[1:-1:2]
+    lead = T[..., 1:-1:2, :, :]
     pairs = np.concatenate(
-        (lead[:, :, 0, None] * T[:-2:2, None, 1, :], lead[:, :, 1, None] * T[2::2, None, 0, :]),
-        axis=2,
+        (
+            lead[..., :, 0, None] * T[..., :-2:2, None, 1, :],
+            lead[..., :, 1, None] * T[..., 2::2, None, 0, :],
+        ),
+        axis=-1,
     )
-    return pairs.reshape(-1, 4)
+    return pairs.reshape(pairs.shape[:-3] + (-1, 4))
 
 
 def band_columns(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cmv import diff_norm_bound_seq
 from .coeffs import PeriodicSeq
-from .floquet import BandStructure, band_structure, min_gap
+from .floquet import CLOSED_GAP_CHORD, band_structure, gap_chords, min_gap
 from .odometer import SamplingFn, lift, perturb, sup_distance, to_periodic
 from .specmeasure import density_distance
 
@@ -87,8 +87,29 @@ class StageReport:
 class _Candidate(NamedTuple):
     f: SamplingFn
     seq: PeriodicSeq
-    bs: BandStructure
+    min_gap: float  # minimal gap chord; a candidate has every gap open
     measured: tuple  # what the gate measured; () without a gate
+
+
+def _screen(
+    fs: list[SamplingFn], gate: Callable[[SamplingFn, PeriodicSeq], tuple | None] | None
+) -> tuple[np.ndarray, list[_Candidate]]:
+    """The closed-gap counts of the sampling functions fs, and the candidates among them.
+
+    All gap chords come from one stacked eigensolve.  A member whose gaps are
+    all open then goes to the gate, in order.
+    """
+    seqs = [to_periodic(g) for g in fs]
+    chords = gap_chords(np.array([s.values for s in seqs]))
+    closed = np.count_nonzero(chords <= CLOSED_GAP_CHORD, axis=-1)
+    passing = []
+    for g, seq, row, n in zip(fs, seqs, chords, closed):
+        if n:
+            continue
+        measured = () if gate is None else gate(g, seq)
+        if measured is not None:
+            passing.append(_Candidate(g, seq, row.min(), measured))
+    return closed, passing
 
 
 def _search_candidates(
@@ -101,42 +122,32 @@ def _search_candidates(
 
     f itself is tried before any draw and, if it passes, is the only candidate
     (the zero-perturbation case).  Otherwise _MAX_ATTEMPTS random candidates
-    are drawn on a halving radius ladder; ties in the minimal gap go to the
-    earlier draw.  The gate sees a candidate only once all its gaps are open,
-    and returns the values it measured, or None to reject it.  Raises
-    GapOpeningError carrying the least-closed candidate seen if none passes.
+    are drawn on a halving radius ladder and screened together; ties in the
+    minimal gap go to the earlier draw.  The gate sees a candidate only once
+    all its gaps are open, and returns the values it measured, or None to
+    reject it.  Raises GapOpeningError carrying the least-closed candidate
+    seen, f included, if none passes.
     """
-    passing: list[_Candidate] = []
-    best, best_closed = None, None
-    for attempt in range(-1, _MAX_ATTEMPTS):  # attempt -1 is f itself
-        if attempt < 0:
-            cand = f
-        else:
-            radius = radius_cap * 0.5 ** (attempt // _HALVING_PERIOD)
-            if radius < _RADIUS_FLOOR:
-                break
-            cand = perturb(f, radius, rng)
-        seq = to_periodic(cand)
-        bs = band_structure(seq, compute_masses=False)
-        closed = [g for g in bs.gaps if g.closed]
-        if best is None or len(closed) < len(best_closed):
-            best, best_closed = cand, closed
-        if closed:
-            continue
-        measured = () if gate is None else gate(cand, seq)
-        if measured is None:
-            continue
-        passing.append(_Candidate(cand, seq, bs, measured))
-        if attempt < 0:
-            return passing
+    fs = [f]
+    closed, passing = _screen(fs, gate)
+    if passing:
+        return passing
+    radii = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
+    draws = [perturb(f, radius, rng) for radius in radii if radius >= _RADIUS_FLOOR]
+    if draws:
+        drawn_closed, passing = _screen(draws, gate)
+        fs, closed = fs + draws, np.concatenate((closed, drawn_closed))
     if not passing:
+        best = int(np.argmin(closed))
+        bs = band_structure(to_periodic(fs[best]), compute_masses=False)
+        closed_gaps = [g for g in bs.gaps if g.closed]
         raise GapOpeningError(
             f"no perturbation within radius {radius_cap:.3e} opened every gap within "
-            f"budget in {_MAX_ATTEMPTS} attempts ({len(best_closed)} still closed)",
-            best=best,
-            closed_gaps=best_closed,
+            f"budget in {_MAX_ATTEMPTS} attempts ({len(closed_gaps)} still closed)",
+            best=fs[best],
+            closed_gaps=closed_gaps,
         )
-    return sorted(passing, key=lambda c: -min_gap(c.bs))
+    return sorted(passing, key=lambda c: -c.min_gap)
 
 
 def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
@@ -208,7 +219,8 @@ def _run_stages(
                     trail=reports,
                 )
         s_norm, movement = cand.measured
-        gap = min_gap(cand.bs)
+        bs = band_structure(cand.seq, compute_masses=False)
+        gap = min_gap(bs)
         reports.append(
             StageReport(
                 stage=k,
@@ -219,8 +231,8 @@ def _run_stages(
                 movement=movement,
                 min_gap_before=b_k,
                 min_gap_after=gap,
-                open_gap_count=cand.bs.open_gap_count(),
-                band_measure=cand.bs.total_band_measure(),
+                open_gap_count=bs.open_gap_count(),
+                band_measure=bs.total_band_measure(),
                 density_drift=drift,
             )
         )

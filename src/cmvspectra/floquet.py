@@ -50,25 +50,30 @@ def _fold_index(q: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols % q
 
 
-def floquet_matrix(seq: PeriodicSeq, theta: float) -> np.ndarray:
+def floquet_matrix(seq, theta) -> np.ndarray:
     """Restriction of E = L M to vectors with u_{m+q} = e^{i theta} u_m.
 
+    seq is a PeriodicSeq or a (..., q) stack of periods, and theta a phase or
+    an array of phases; their leading axes broadcast, giving (..., q, q).
     Rows 0..q-1 come from their band storage.  Only the wrap block of M, on
     rows and columns (q-1, q), reaches across the period: it weights column -1
     of rows 0, 1 by e^{-i theta} and column q of rows q-2, q-1 by e^{i theta}
     before the columns are folded mod q.
     """
-    v = seq.values
-    q = len(v)
-    S = band_rows(v[-1:] + v + v[:1])
-    S[:2, 0] *= cmath.exp(-1j * theta)
-    S[-2:, 3] *= cmath.exp(1j * theta)
+    v = np.asarray(seq.values if isinstance(seq, PeriodicSeq) else seq, dtype=complex)
+    theta = np.asarray(theta, dtype=float)
+    q = v.shape[-1]
+    S = band_rows(np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1))
+    shape = np.broadcast_shapes(theta.shape, S.shape[:-2]) + S.shape[-2:]
+    if S.shape != shape:
+        S = np.broadcast_to(S, shape).copy()
+    S[..., :2, 0] *= np.exp(-1j * theta)[..., None]
+    S[..., -2:, 3] *= np.exp(1j * theta)[..., None]
     if q == 2:
         # both wraps land in the one 2x2 block: columns -1, 1 and 0, 2 coincide
-        B = S[:, 1:3] + S[:, 3::-3]
-    else:
-        B = np.zeros((q, q), dtype=complex)
-        B[_fold_index(q)] = S.ravel()
+        return S[..., 1:3] + S[..., 3::-3]
+    B = np.zeros(S.shape[:-2] + (q, q), dtype=complex)
+    B[(...,) + _fold_index(q)] = S.reshape(S.shape[:-2] + (-1,))
     return B
 
 
@@ -138,18 +143,26 @@ class Band:
         return (theta - self.theta_lo) % TWO_PI <= (self.theta_hi - self.theta_lo) % TWO_PI
 
 
+def arc_chord(theta_lo: np.ndarray, theta_hi: np.ndarray) -> np.ndarray:
+    """|e^{i theta_hi} - e^{i theta_lo}|, elementwise.
+
+    Taken with hypot: np.abs of a complex array may take a SIMD path that
+    differs from the scalar abs in the last bit, while hypot matches it, so a
+    chord is the same number alone and across a stack.
+    """
+    d = np.exp(1j * theta_hi) - np.exp(1j * theta_lo)
+    return np.hypot(d.real, d.imag)
+
+
 @dataclass(frozen=True)
 class Gap:
     theta_lo: float
     theta_hi: float
+    chord: float  # arc_chord of the two ends
 
     @property
     def width(self) -> float:
         return self.theta_hi - self.theta_lo
-
-    @property
-    def chord(self) -> float:
-        return abs(np.exp(1j * self.theta_hi) - np.exp(1j * self.theta_lo))
 
     @property
     def closed(self) -> bool:
@@ -174,37 +187,58 @@ class BandStructure:
         return sum(1 for g in self.gaps if not g.closed)
 
 
+def label_arcs(
+    plus: np.ndarray, minus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the circle at the phase-0 angles plus and phase-pi angles minus, each (..., q).
+
+    Returns (lo, hi, band, rising), each (..., 2q) and in angular order: arc i
+    runs from lo[i] to hi[i], the last one past 2 pi.  An arc between a
+    phase-0 and a phase-pi angle is a band, one between two angles of the same
+    phase is a gap; rising marks the arcs that start at a phase-pi angle,
+    across which a band's discriminant rises from -2 to 2.  Equal angles keep
+    phase 0 first.
+    """
+    q = plus.shape[-1]
+    angles = np.concatenate((plus, minus), axis=-1)
+    lo = np.sort(angles, axis=-1)
+    hi = np.concatenate((lo[..., 1:], lo[..., :1] + TWO_PI), axis=-1)
+    rising = np.argsort(angles, axis=-1, kind="stable") >= q
+    band = rising != np.concatenate((rising[..., 1:], rising[..., :1]), axis=-1)
+    counts = np.count_nonzero(band, axis=-1)
+    if np.any(counts != q):
+        n = int(counts[counts != q].flat[0])
+        raise BandDiagnosticError(
+            f"band/gap count mismatch: {n} bands, {2 * q - n} gaps for period {q}"
+        )
+    return lo, hi, band, rising
+
+
+def gap_chords(values: np.ndarray) -> np.ndarray:
+    """Chords of the q gaps of each period in an (N, q) stack, in angular order: (N, q).
+
+    Every period is folded at phases 0 and pi in one pass, and all 2N
+    restrictions go through one eigensolve.  These are band_structure's gaps
+    without the discriminant, so without its midpoint check: the cheap screen
+    for many candidate periods at once.
+    """
+    plus, minus = eigenangles(values, np.array([[0.0], [math.pi]]))
+    lo, hi, band, _ = label_arcs(plus, minus)
+    return arc_chord(lo[~band], hi[~band]).reshape(len(values), -1)
+
+
 def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructure:
     """Bands and gaps from the eigenangles of the phase-0 and phase-pi restrictions.
 
-    The 2q sorted angles cut the circle into arcs: an arc between a phase-0
-    and a phase-pi angle is a band, one between two angles of the same phase
-    is a gap.  Each arc takes its endpoints straight from those angles, so
-    every band shares both endpoints with its neighbouring gaps.
+    label_arcs cuts the circle at the 2q angles.  Each arc takes its endpoints
+    straight from those angles, so every band shares both endpoints with its
+    neighbouring gaps.
     """
-    q = seq.period
     disc = discriminant(seq)
-    plus = [(a, +1) for a in eigenangles(seq, 0.0)]
-    minus = [(a, -1) for a in eigenangles(seq, math.pi)]
-    edges = sorted(plus + minus, key=lambda e: e[0])
-    if len(edges) != 2 * q:
-        raise BandDiagnosticError(f"expected {2 * q} band edges, found {len(edges)}")
-
-    bands: list[Band] = []
-    gaps: list[Gap] = []
-    for i in range(2 * q):
-        a_lo, t_lo = edges[i]
-        a_hi, t_hi = edges[(i + 1) % (2 * q)]
-        if i + 1 == 2 * q:
-            a_hi += TWO_PI
-        if t_lo != t_hi:
-            bands.append(Band(a_lo, a_hi, increasing=(t_lo < 0)))
-        else:
-            gaps.append(Gap(a_lo, a_hi))
-    if len(bands) != q or len(gaps) != q:
-        raise BandDiagnosticError(
-            f"band/gap count mismatch: {len(bands)} bands, {len(gaps)} gaps for period {q}"
-        )
+    lo, hi, band, rising = label_arcs(eigenangles(seq, 0.0), eigenangles(seq, math.pi))
+    gap = ~band
+    bands = [Band(a, b, bool(r)) for a, b, r in zip(lo[band], hi[band], rising[band])]
+    gaps = [Gap(a, b, c) for a, b, c in zip(lo[gap], hi[gap], arc_chord(lo[gap], hi[gap]))]
     # sanity: open gap interiors must lie outside the spectrum
     for g in gaps:
         if not g.closed and g.width > 1e-7:
@@ -216,7 +250,7 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
             Band(b.theta_lo, b.theta_hi, b.increasing, mass=band_mass(disc, b))
             for b in bands
         ]
-    return BandStructure(q, tuple(bands), tuple(gaps), disc)
+    return BandStructure(seq.period, tuple(bands), tuple(gaps), disc)
 
 
 #: roundoff floor for 1 - (Delta/2)^2; below this the computed value is noise
@@ -251,10 +285,13 @@ def band_mass(disc: Discriminant, band: Band) -> float:
     )
 
 
-def eigenangles(seq: PeriodicSeq, theta: float) -> np.ndarray:
-    """The q spectrum points of E_q(theta), one per band: its sorted eigenangles."""
+def eigenangles(seq, theta) -> np.ndarray:
+    """The q spectrum points of E_q(theta), one per band: its sorted eigenangles.
+
+    Takes the stacks floquet_matrix takes, in one eigensolve, giving (..., q).
+    """
     vals = np.linalg.eigvals(floquet_matrix(seq, theta))
-    return np.sort(np.angle(vals) % TWO_PI)
+    return np.sort(np.angle(vals) % TWO_PI, axis=-1)
 
 
 def min_gap(bs: BandStructure) -> float:

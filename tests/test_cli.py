@@ -164,6 +164,14 @@ def test_invalid_json_exits_2(tmp_path):
     assert main(["bands", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("text", ['"table"', '["values"]', "3"])
+def test_json_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["bands", "--input", str(bad)]) == 2
+    assert "must be an object" in capsys.readouterr().err
+
+
 def test_alpha_outside_disk_exits_2_without_partial_output(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"values": [[1.5, 0.0], [0.0, 0.2]], "r": 0.6}))

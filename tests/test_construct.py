@@ -2,9 +2,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cmvspectra import construct
+from cmvspectra import construct, floquet
 from cmvspectra.cmv import diff_norm_bound_seq
 from cmvspectra.construct import (
     DensityConstraintError,
@@ -14,7 +15,7 @@ from cmvspectra.construct import (
     open_all_gaps,
 )
 from cmvspectra.floquet import band_structure
-from cmvspectra.odometer import make_sampling, sup_distance, to_periodic
+from cmvspectra.odometer import make_sampling, perturb, sup_distance, to_periodic
 
 
 def test_open_all_gaps_from_free_case():
@@ -188,3 +189,65 @@ def test_ac_gap_opening_failure_is_not_a_density_error(monkeypatch):
     assert str(info.value).startswith("stage 1:")
     assert [r.stage for r in info.value.trail] == [0]
     assert drifts == []  # the drift cap never ran
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeypatch):
+    structures = _count_calls(monkeypatch, construct, "band_structure")
+    discriminants = _count_calls(monkeypatch, floquet, "discriminant")
+    sequences = _count_calls(monkeypatch, construct, "to_periodic")
+    reports, _ = cantor_iterate(make_sampling([0.3, 0.3], 0.6), 0.9, 3, seed=7)
+    assert len(reports) == 4
+    assert len(structures) == 4 and len(discriminants) == 4
+    # every stage still screens f and its 48 draws
+    assert len(sequences) == 4 * 49
+
+
+def test_a_passing_f_draws_nothing():
+    f = make_sampling((0.3, 0.0), 0.6)  # both gaps already open
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert [c.f for c in construct._search_candidates(f, 0.1, rng)] == [f]
+    assert rng.bit_generator.state == state
+
+
+def test_gap_opening_failure_keeps_the_first_least_closed_candidate():
+    f = make_sampling((0.0, 0.0), 0.5)  # both gaps closed
+    with pytest.raises(GapOpeningError) as info:
+        construct._search_candidates(f, 0.1, np.random.default_rng(1), gate=lambda g, seq: None)
+    # every draw opens both gaps, so the first draw is the least closed, not f
+    assert info.value.closed_gaps == []
+    assert info.value.best == perturb(f, 0.1, np.random.default_rng(1))
+
+
+#: the stage-4 gap-opening failure of a seed-7 run, recorded before the
+#: candidates of a stage were screened in one stacked eigensolve
+GAP_FAILURE = json.loads((Path(__file__).parent / "data" / "seed7_gap_failure.json").read_text())
+
+
+def test_gap_opening_failure_reports_the_least_closed_candidate():
+    p = GAP_FAILURE["params"]
+    with pytest.raises(GapOpeningError) as info:
+        cantor_iterate(make_sampling(p["table"], p["r"]), p["eps"], p["K"], seed=p["seed"])
+    exc = info.value
+    assert str(exc) == GAP_FAILURE["message"]
+    assert len(exc.closed_gaps) == GAP_FAILURE["closed_gaps"] == 16
+    assert all(g.closed for g in exc.closed_gaps)
+    assert [r.stage for r in exc.trail] == GAP_FAILURE["trail_stages"]
+    assert exc.best.table[0] == 0.29618556270618823 - 0.0037831324828035075j
+    got = exc.best.to_json()
+    assert got["level"] == GAP_FAILURE["best"]["level"]
+    flat = [x for v in got["table"] for x in v]
+    want = [x for v in GAP_FAILURE["best"]["table"] for x in v]
+    assert flat == pytest.approx(want, rel=1e-12, abs=0)

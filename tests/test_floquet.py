@@ -10,10 +10,13 @@ from cmvspectra.coeffs import constant_seq, make_periodic
 from cmvspectra.construct import cantor_iterate
 from cmvspectra.floquet import (
     AllGapsClosedError,
+    BandDiagnosticError,
     band_structure,
     discriminant,
     eigenangles,
     floquet_matrix,
+    gap_chords,
+    label_arcs,
     min_gap,
     spectrum_displacement,
 )
@@ -166,6 +169,83 @@ def test_eigenangles_match_direct_eigensolve():
     # E_q(theta) and E_q(-theta) share the circle points where Delta = 2cos(theta)
     for a in computed:
         assert np.min(np.abs(np.exp(1j * a) - np.exp(1j * union))) < 1e-7
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+def test_stacked_fold_eigensolve_and_chords_match_one_period_at_a_time(q):
+    # at q = 2 both wraps land in the one 2x2 block
+    rng = np.random.default_rng(500 + q)
+    seqs = []
+    for _ in range(5):
+        vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+        seqs.append(make_periodic(list(vals), 0.6))
+    stack = np.array([s.values for s in seqs])
+    phases = np.array([[0.0], [math.pi]])
+    folded = floquet_matrix(stack, phases)
+    plus, minus = eigenangles(stack, phases)
+    assert folded.shape == (2, 5, q, q) and plus.shape == minus.shape == (5, q)
+    for n, seq in enumerate(seqs):
+        for k, theta in enumerate((0.0, math.pi)):
+            assert np.array_equal(folded[k, n], floquet_matrix(seq, theta))
+        assert np.array_equal(plus[n], eigenangles(seq, 0.0))
+        assert np.array_equal(minus[n], eigenangles(seq, math.pi))
+    chords = gap_chords(stack)
+    for n, seq in enumerate(seqs):
+        gaps = band_structure(seq, compute_masses=False).gaps
+        assert chords[n].tolist() == [g.chord for g in gaps]
+        # the scalar chord, as Gap.chord took it before chords were stacked
+        assert chords[n].tolist() == [
+            abs(np.exp(1j * g.theta_hi) - np.exp(1j * g.theta_lo)) for g in gaps
+        ]
+
+
+def _arcs_by_loop(plus, minus):
+    """Reference: the per-edge loop band_structure ran before label_arcs.
+
+    Returns (bands, gaps) as (lo, hi, increasing) and (lo, hi) tuples, or None
+    where the loop raised on a band/gap count mismatch.
+    """
+    q = len(plus)
+    edges = sorted([(a, +1) for a in plus] + [(a, -1) for a in minus], key=lambda e: e[0])
+    bands, gaps = [], []
+    for i in range(2 * q):
+        a_lo, t_lo = edges[i]
+        a_hi, t_hi = edges[(i + 1) % (2 * q)]
+        if i + 1 == 2 * q:
+            a_hi += TWO_PI
+        if t_lo != t_hi:
+            bands.append((a_lo, a_hi, t_lo < 0))
+        else:
+            gaps.append((a_lo, a_hi))
+    return (bands, gaps) if len(bands) == q else None
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_label_arcs_matches_the_edge_loop(q):
+    rng = np.random.default_rng(700 + q)
+    rows = []
+    for trial in range(300):
+        # a coarse grid makes equal angles, within a phase and across, common
+        angles = rng.integers(0, 60, 2 * q) * 0.1 if trial % 2 else rng.uniform(0, TWO_PI, 2 * q)
+        angles.sort()
+        if trial % 3:  # interlaced, as the eigenangles of a period are
+            phase0 = np.roll(np.tile([True, True, False, False], q // 2), rng.integers(4))
+        else:
+            phase0 = rng.permutation(np.arange(2 * q) < q)
+        plus, minus = angles[phase0], angles[~phase0]
+        want = _arcs_by_loop(list(plus), list(minus))
+        if want is None:
+            with pytest.raises(BandDiagnosticError):
+                label_arcs(plus, minus)
+            continue
+        lo, hi, band, rising = label_arcs(plus, minus)
+        assert list(zip(lo[band], hi[band], rising[band])) == want[0]
+        assert list(zip(lo[~band], hi[~band])) == want[1]
+        rows.append((plus, minus, (lo, hi, band, rising)))
+    assert len(rows) > 150
+    stacked = label_arcs(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+    for n, (_, _, single) in enumerate(rows):
+        assert all(np.array_equal(a[n], b) for a, b in zip(stacked, single))
 
 
 def test_min_gap_positive_when_gap_open():

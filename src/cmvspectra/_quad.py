@@ -6,7 +6,7 @@ large enough grading exponent m makes the transformed integrand bounded, after
 which plain Gauss-Legendre converges quickly.  The node offsets s^m are
 positive, but for large m the first one (about 1e-17 at m = 5, n = 48) lies
 below one ulp of theta, so edge + s^m rounds onto the edge itself; callers
-that evaluate next to an edge take the offsets from `graded_offsets` and keep
+that evaluate next to an edge take the nodes from `graded_pairs` and keep
 (edge, offset) apart.
 """
 
@@ -24,38 +24,29 @@ def _gauss(n: int):
     return x, w
 
 
-def graded_nodes(lo: float, hi: float, n: int = 64, m: int = 2):
+def graded_pairs(lo: float, hi: float, n: int, m: int):
     """Nodes and weights for an integral over [lo, hi] with edge grading exponent m.
 
     The interval is split at its midpoint and each half is mapped by
     theta = edge +/- s^m, so integrable edge singularities up to order
-    1 - 1/m are removed.
+    1 - 1/m are removed.  Each node is returned apart as (edge, signed
+    offset): the first n step up from lo, the last n down from hi.
     """
     if hi <= lo:
-        return np.empty(0), np.empty(0)
-    mid = 0.5 * (lo + hi)
-    offsets, weights = graded_offsets(mid - lo, n, m)
-    thetas = np.concatenate([lo + offsets, hi - offsets])
-    return thetas, np.concatenate([weights, weights])
-
-
-def graded_offsets(half: float, n: int, m: int):
-    """Offsets s^m from one edge and their weights, for a half-interval of length half."""
+        return np.empty(0), np.empty(0), np.empty(0)
     x, w = _gauss(n)
-    smax = half ** (1.0 / m)
+    smax = (0.5 * (lo + hi) - lo) ** (1.0 / m)
     # map [-1, 1] -> [0, smax]
     s = 0.5 * smax * (x + 1.0)
-    ws = 0.5 * smax * w
-    jac = m * s ** (m - 1)
-    return s**m, ws * jac
+    offsets, weights = s**m, (0.5 * smax * w) * (m * s ** (m - 1))
+    return (np.repeat([lo, hi], n), np.concatenate([offsets, -offsets]),
+            np.concatenate([weights, weights]))
 
 
 def integrate_graded(fn, lo: float, hi: float, n: int = 64, m: int = 2) -> float:
     """Integrate fn over [lo, hi] with edge-graded Gauss-Legendre nodes."""
-    thetas, weights = graded_nodes(lo, hi, n=n, m=m)
-    if thetas.size == 0:
-        return 0.0
-    vals = np.array([fn(t) for t in thetas], dtype=float)
+    edges, offsets, weights = graded_pairs(lo, hi, n, m)
+    vals = np.array([fn(t) for t in edges + offsets], dtype=float)
     return float(np.dot(vals, weights))
 
 

@@ -249,14 +249,15 @@ def cmd_density(args) -> int:
     u = _parse_u(args.u or '{"0": 1.0}')
     d = density(seq, u, n=_grid(args, 64))
     out = _ensure_out(args)
-    thetas, vals = d.grid[np.lexsort((d.grid[:, 1], d.grid[:, 0]))].T
+    # sorted by the angle as printed: a band across 2 pi holds nodes past it
+    thetas, vals = d.grid[:, 0] % TWO_PI, d.grid[:, 1]
+    order = np.lexsort((vals, thetas))
+    thetas, vals = thetas[order], vals[order]
     rows = ["theta,g"]
     for th, val in zip(thetas, vals):
-        rows.append(f"{_fmt(th % TWO_PI)},{_fmt(val)}")
+        rows.append(f"{_fmt(th)},{_fmt(val)}")
     _atomic_write(os.path.join(out, "density.csv"), "\n".join(rows) + "\n")
-    xs = thetas % TWO_PI
-    order = np.argsort(xs)
-    _atomic_write(os.path.join(out, "density.svg"), _polyline_svg(xs[order], vals[order]))
+    _atomic_write(os.path.join(out, "density.svg"), _polyline_svg(thetas, vals))
     report = d.to_json()
     report["u"] = {str(k): [v.real, v.imag] for k, v in u.items()}
     _atomic_write(os.path.join(out, "density.json"), json.dumps(report, indent=2) + "\n")

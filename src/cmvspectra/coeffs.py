@@ -29,6 +29,17 @@ def complex_from_json(value) -> complex:
     return complex(value)
 
 
+def check_radius(values, r: float) -> None:
+    """values must be nonempty and lie in the closed disk of a declared radius r in (0, 1)."""
+    if len(values) == 0:
+        raise ValueError("a coefficient sequence needs at least one value")
+    if not (0.0 < r < 1.0):
+        raise ValueError(f"radius bound must lie in (0, 1), got {r}")
+    worst = max(abs(v) for v in values)
+    if worst > r:
+        raise ValueError(f"max |value| = {worst} exceeds declared bound r = {r}")
+
+
 def rho(alpha) -> float:
     """Companion radius sqrt(1 - |alpha|^2) of a coefficient in the open disk."""
     a = validate_alpha(alpha)
@@ -48,15 +59,9 @@ class PeriodicSeq:
     r: float
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("periodic sequence needs at least one value")
+        check_radius(self.values, self.r)
         if len(self.values) % 2 != 0:
             raise ValueError("PeriodicSeq period must be even; use make_periodic")
-        if not (0.0 < self.r < 1.0):
-            raise ValueError(f"radius bound must lie in (0, 1), got {self.r}")
-        worst = max(abs(v) for v in self.values)
-        if worst > self.r:
-            raise ValueError(f"max |value| = {worst} exceeds declared bound r = {self.r}")
 
     @property
     def period(self) -> int:

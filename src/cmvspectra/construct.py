@@ -121,12 +121,13 @@ def _search_candidates(
     """Perturbations of f that open every gap and pass the gate, widest minimal gap first.
 
     f itself is tried before any draw and, if it passes, is the only candidate
-    (the zero-perturbation case).  Otherwise _MAX_ATTEMPTS random candidates
-    are drawn on a halving radius ladder and screened together; ties in the
-    minimal gap go to the earlier draw.  The gate sees a candidate only once
-    all its gaps are open, and returns the values it measured, or None to
-    reject it.  Raises GapOpeningError carrying the least-closed candidate
-    seen, f included, if none passes.
+    (the zero-perturbation case).  Otherwise up to _MAX_ATTEMPTS random
+    candidates are drawn on a halving radius ladder, skipping radii below
+    _RADIUS_FLOOR, and screened together; ties in the minimal gap go to the
+    earlier draw.  The gate sees a candidate only once all its gaps are open,
+    and returns the values it measured, or None to reject it.  Raises
+    GapOpeningError carrying the least-closed candidate seen, f included, if
+    none passes.
     """
     fs = [f]
     closed, passing = _screen(fs, gate)
@@ -143,7 +144,7 @@ def _search_candidates(
         closed_gaps = [g for g in bs.gaps if g.closed]
         raise GapOpeningError(
             f"no perturbation within radius {radius_cap:.3e} opened every gap within "
-            f"budget in {_MAX_ATTEMPTS} attempts ({len(closed_gaps)} still closed)",
+            f"budget in {len(draws)} attempts ({len(closed_gaps)} still closed)",
             best=fs[best],
             closed_gaps=closed_gaps,
         )

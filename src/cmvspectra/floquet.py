@@ -11,8 +11,8 @@ returned: a Newton step on the discriminant would divide its roundoff by
 
 The discriminant is the trace of the monodromy, the product
 A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
-OPUC Part 2, ch. 11); its Laurent coefficients come from multiplying out the
-matrices' coefficients in z.
+OPUC Part 2, ch. 11), multiplied out from their coefficients in z
+(`transfer.step_coeffs`); a `Discriminant` is just that Laurent polynomial.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class Discriminant:
 
     q: int
     laurent_coeffs: np.ndarray  # index j corresponds to power j - q/2
-    steps: np.ndarray = field(repr=False)  # transfer.step_coeffs of the period
 
     @functools.cached_property
     def _powers(self) -> np.ndarray:
@@ -106,23 +105,18 @@ class Discriminant:
         """d/dtheta of the (real) circle restriction."""
         return np.dot(self._deriv_coeffs, np.exp(1j * theta) ** self._powers).real
 
-    def transfers(self, z: complex) -> np.ndarray:
-        """The two-step transfer matrices A_1, A_3, ..., A_{q-1} at z, shape (q/2, 2, 2)."""
-        return self.steps[:, 0] / z + self.steps[:, 1] + self.steps[:, 2] * z
-
 
 def discriminant(seq: PeriodicSeq) -> Discriminant:
     """Trace of the monodromy, multiplied out as a Laurent polynomial in z."""
-    steps = step_coeffs(seq.values)
     mono = np.eye(2, dtype=complex)[None]  # Laurent coefficients, lowest power first
-    for c in steps:
+    for c in step_coeffs(seq.values):
         m = len(mono)
         nxt = np.zeros((m + 2, 2, 2), dtype=complex)
         nxt[:m] += c[0] @ mono
         nxt[1:-1] += c[1] @ mono
         nxt[2:] += c[2] @ mono
         mono = nxt
-    return Discriminant(seq.period, mono[:, 0, 0] + mono[:, 1, 1], steps)
+    return Discriminant(seq.period, mono[:, 0, 0] + mono[:, 1, 1])
 
 
 @dataclass(frozen=True)

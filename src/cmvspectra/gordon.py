@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coeffs import PeriodicSeq
-from .odometer import SamplingFn, lift, perturb, sample_sequence, sup_distance, zero
+from .coeffs import PeriodicSeq, check_radius
+from .odometer import SamplingFn, lift, perturb, sup_distance, to_periodic
 from .transfer import build_A_unimodular, four_block, gamma
 
 #: stage perturbations below this are absorbed by floating point and infeasible
@@ -44,6 +44,9 @@ class CoefficientWindow:
     values: tuple[complex, ...]
     r: float
 
+    def __post_init__(self):
+        check_radius(self.values, self.r)
+
     @property
     def n_max(self) -> int:
         return self.n_min + len(self.values) - 1
@@ -59,9 +62,7 @@ class CoefficientWindow:
 
     @classmethod
     def from_sampling(cls, f: SamplingFn, n_min: int, n_max: int) -> "CoefficientWindow":
-        k = max(f.level, 1)
-        vals = sample_sequence(lift(f, k), zero(k), n_min, n_max)
-        return cls(n_min, tuple(vals), f.r)
+        return cls.from_periodic(to_periodic(f), n_min, n_max)
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,12 @@ def growth_ratio(seq: PeriodicSeq, z, q_k: int, u0=(1.0, 0.0)) -> float:
     nu = np.linalg.norm(u)
     if nu == 0:
         raise ValueError("initial condition (u_1, u_2) must be nonzero")
+    # the triples repeat with the period, so one period's matrices serve every step
+    steps = [build_A_unimodular(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z)
+             for n in range(1, min(q_k, seq.period), 2)]
     mono = np.eye(2, dtype=complex)
-    for n in range(1, q_k, 2):
-        mono = (
-            build_A_unimodular(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z)
-            @ mono
-        )
+    for j in range(q_k // 2):
+        mono = steps[j % len(steps)] @ mono
     return float(four_block(mono, u / nu))
 
 

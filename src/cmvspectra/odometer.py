@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import PeriodicSeq, complex_from_json, validate_alpha
+from .coeffs import PeriodicSeq, check_radius, complex_from_json, validate_alpha
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,7 @@ class SamplingFn:
         n = len(self.table)
         if n == 0 or n & (n - 1):
             raise ValueError("table length must be a power of two")
-        if not (0.0 < self.r < 1.0):
-            raise ValueError(f"radius bound must lie in (0, 1), got {self.r}")
-        worst = max(abs(v) for v in self.table)
-        if worst > self.r:
-            raise ValueError(f"max |table value| = {worst} exceeds declared bound r = {self.r}")
+        check_radius(self.table, self.r)
 
     @property
     def level(self) -> int:
@@ -87,10 +83,7 @@ class SamplingFn:
         return len(self.table)
 
     def __call__(self, omega: OdometerPoint) -> complex:
-        if omega.level < self.level:
-            raise ValueError(
-                f"point at level {omega.level} is coarser than sampling function level {self.level}"
-            )
+        _check_level(self, omega)
         return self.table[omega.index % self.period]
 
     def to_json(self) -> dict:
@@ -106,6 +99,14 @@ class SamplingFn:
         if len(table) != 1 << obj["level"]:
             raise ValueError("level field disagrees with table size")
         return cls(table, obj["r"])
+
+
+def _check_level(f: SamplingFn, omega: OdometerPoint) -> None:
+    """f is constant on the cosets of omega's level only if that level is at least f's."""
+    if omega.level < f.level:
+        raise ValueError(
+            f"point at level {omega.level} is coarser than sampling function level {f.level}"
+        )
 
 
 def make_sampling(table, r: float) -> SamplingFn:
@@ -130,8 +131,7 @@ def perturb(f: SamplingFn, radius: float, rng: np.random.Generator) -> SamplingF
 
 def sample_sequence(f: SamplingFn, omega: OdometerPoint, n_min: int, n_max: int) -> list[complex]:
     """Coefficients alpha(n) = f(T^n omega) for n in [n_min, n_max] inclusive."""
-    if omega.level < f.level:
-        raise ValueError("omega must be at least as fine as the sampling function")
+    _check_level(f, omega)
     base = omega.index
     return [f.table[(base + n) % f.period] for n in range(n_min, n_max + 1)]
 
@@ -158,9 +158,15 @@ def sup_distance(f: SamplingFn, g: SamplingFn) -> float:
 
 
 def to_periodic(f: SamplingFn, omega: OdometerPoint | None = None) -> PeriodicSeq:
-    """Induced periodic coefficient sequence (period 2^k, at least 2) for a given base point."""
-    if omega is None:
-        omega = zero(f.level)
-    period = max(f.period, 2)
-    values = sample_sequence(lift(f, max(f.level, 1)), translate(zero(max(f.level, 1)), omega.index), 0, period - 1)
-    return PeriodicSeq(tuple(values), f.r)
+    """Induced periodic sequence alpha(n) = f(T^n omega), of period 2^k and at least 2.
+
+    omega defaults to the zero point; like f itself, it must not be coarser
+    than f.  The values are f's table, lifted to level 1 at least, rotated to
+    start at omega.
+    """
+    table = lift(f, max(f.level, 1)).table
+    start = 0
+    if omega is not None:
+        _check_level(f, omega)
+        start = omega.index % len(table)
+    return PeriodicSeq(table[start:] + table[:start], f.r)

@@ -4,8 +4,11 @@ Builds the two Floquet solutions at a spectrum point, the equilibrium density
 V = |dpsi/dtheta| / (q pi), and the absolutely continuous density of the
 spectral measure of a finitely supported vector.  The Floquet solutions are
 the eigenvectors of the 2x2 monodromy for e^{+/- i psi}, propagated over one
-period by the two-step transfer matrices.  All band integrals use edge-graded
-quadrature since V blows up like dist^{-1/2} at band edges.
+period by the two-step transfer matrices (`transfer.step_coeffs`, evaluated by
+`transfer_at`).  All band integrals use edge-graded quadrature since V blows
+up like dist^{-1/2} at band edges.  `density` and `density_distance` pass all
+nodes of a band to `_density_at` at once, each as an offset from a band edge;
+evaluations at a single point go node by node.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -23,12 +26,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._quad import graded_nodes, graded_offsets, grading_exponent, integrate_graded
+from ._quad import graded_pairs, grading_exponent, integrate_graded
 from .coeffs import PeriodicSeq
 from .floquet import (TWO_PI, Band, BandStructure, Discriminant, band_structure,
                       density_factor, discriminant)
 # unused here; perfbench/tests asserts that the span tracer patches this binding
 from .floquet import floquet_matrix  # noqa: F401
+from .transfer import step_coeffs, transfer_at
 
 AMPLITUDE_FACTOR = "sqrt(q/2)"
 
@@ -91,7 +95,7 @@ def floquet_solution(
         disc = discriminant(seq)
     psi = psi_of(z, disc)
     partial = [np.eye(2, dtype=complex)]
-    for A in disc.transfers(z):
+    for A in transfer_at(step_coeffs(seq.values), z):
         partial.append(A @ partial[-1])
     mono = partial.pop()
     lams = np.exp([1j * psi, -1j * psi])
@@ -141,15 +145,12 @@ class SpectralDensity:
     quad_error_estimate: float = 0.0
 
     def __call__(self, theta: float) -> float:
+        """g at one point, node by node through floquet_solution."""
         theta %= 2.0 * math.pi
-        if any(b.contains(theta) for b in self.bands):
-            return self._eval_inside(theta)
-        return 0.0
-
-    def _eval_inside(self, theta: float) -> float:
-        v = density_factor(self.disc, theta)
+        if not any(b.contains(theta) for b in self.bands):
+            return 0.0
         ap, am = _transform_amplitudes(self.seq, self.u, theta, self.disc)
-        return (ap + am) * v
+        return (ap + am) * density_factor(self.disc, theta)
 
     def to_json(self) -> dict:
         return {
@@ -172,25 +173,25 @@ def density(
     u = {int(k): complex(v) for k, v in u.items()}
     if bs is None:
         bs = band_structure(seq, compute_masses=False)
-    disc = bs.disc
-    sd = SpectralDensity(seq, u, bs.bands, disc)
+    steps = step_coeffs(seq.values)
     samples = []
     mass = 0.0
     mass_coarse = 0.0
     for b in bs.bands:
-        thetas, weights = graded_nodes(b.theta_lo, b.theta_hi, n=n, m=2)
-        vals = np.array([sd._eval_inside(t) for t in thetas])
-        mass += float(np.dot(vals, weights))
-        samples.append(np.column_stack([thetas, vals]))
-        t2, w2 = graded_nodes(b.theta_lo, b.theta_hi, n=max(8, n // 2), m=2)
-        mass_coarse += float(
-            np.dot(np.array([sd._eval_inside(t) for t in t2]), w2)
-        )
+        edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, n, 2)
+        e2, o2, w2 = graded_pairs(b.theta_lo, b.theta_hi, max(8, n // 2), 2)
+        # the band's n fine and n/2 coarse nodes in one pass
+        vals = _density_at(bs.disc, steps, u, np.concatenate([edges, e2]),
+                           np.concatenate([offsets, o2]))
+        fine, coarse = vals[:len(weights)], vals[len(weights):]
+        mass += float(np.dot(fine, weights))
+        mass_coarse += float(np.dot(coarse, w2))
+        samples.append(np.column_stack([edges + offsets, fine]))
     return SpectralDensity(
         seq,
         u,
         bs.bands,
-        disc,
+        bs.disc,
         grid=np.concatenate(samples),
         total_mass=mass,
         quad_error_estimate=abs(mass - mass_coarse),
@@ -235,13 +236,15 @@ _BATCH_SIZE = 1 << 11
 
 def _density_at(
     disc: Discriminant,
+    steps: np.ndarray,
     u: Mapping[int, complex],
     edges: np.ndarray,
     offsets: np.ndarray,
 ) -> np.ndarray:
     """The density of u at theta = edge + offset, for all nodes in one numpy pass.
 
-    Each edge is a band edge of disc's sequence, where Delta = 2 sigma, and
+    disc and steps are the discriminant and step_coeffs of one sequence.
+    Each edge is a band edge of that sequence, where Delta = 2 sigma, and
     each offset the signed step from it into the band.  w = 1 - sigma Delta / 2
     is taken as sigma (Delta(edge) - Delta(theta)) / 2, summed term by term
     with expm1(i k offset), so a node a few ulps from its edge keeps full
@@ -267,11 +270,9 @@ def _density_at(
     # the transfer matrices, shape (q/2, 2, 2, N), and the partial products before
     # each step; 2x2 products are spelled out, since stacked matmul is about ten
     # times slower on 2x2 blocks
-    z = np.exp(1j * (edges + offsets))
-    steps = disc.steps.transpose(1, 0, 2, 3)[..., None]
-    A = steps[0] * (1.0 / z) + steps[1] + steps[2] * z
+    A = transfer_at(steps, np.exp(1j * (edges + offsets)))
     partial = np.empty_like(A)
-    mono = np.eye(2, dtype=complex)[:, :, None] * np.ones(len(z))
+    mono = np.eye(2, dtype=complex)[:, :, None] * np.ones(len(edges))
     for j in range(q // 2):
         partial[j] = mono
         mono = A[j, :, :1] * mono[0] + A[j, :, 1:] * mono[1]
@@ -334,9 +335,7 @@ def density_distance(
         if hi - lo < 1e-13:
             continue
         mid = 0.5 * (lo + hi)
-        offsets, w = graded_offsets(mid - lo, _DISTANCE_NODES, m)
-        anchors = np.repeat([lo, hi], _DISTANCE_NODES)
-        signed = np.concatenate([offsets, -offsets])
+        anchors, signed, w = graded_pairs(lo, hi, _DISTANCE_NODES, m)
         for bs, (pieces, edges, offs) in zip(structures, on_bands):
             band = next((b for b in bs.bands if b.contains(mid)), None)
             if band is None:
@@ -349,12 +348,13 @@ def density_distance(
             pieces.append(len(weights))
             edges.append(np.where(near_lo, band.theta_lo, band.theta_hi))
             offs.append(np.where(near_lo, from_lo, from_hi))
-        weights.append(np.concatenate([w, w]))
+        weights.append(w)
     g = np.zeros((len(structures), len(weights), 2 * _DISTANCE_NODES))
-    for gx, bs, (pieces, edges, offs) in zip(g, structures, on_bands):
+    for gx, seq, bs, (pieces, edges, offs) in zip(g, (seq_a, seq_b), structures, on_bands):
+        steps = step_coeffs(seq.values)
         chunk = max(1, _BATCH_SIZE // (bs.q * g.shape[2]))
         for start in range(0, len(pieces), chunk):
             part = slice(start, start + chunk)
-            vals = _density_at(bs.disc, u, np.ravel(edges[part]), np.ravel(offs[part]))
+            vals = _density_at(bs.disc, steps, u, np.ravel(edges[part]), np.ravel(offs[part]))
             gx[pieces[part]] = vals.reshape(-1, g.shape[2])
     return float(np.sum(np.array(weights) * np.abs(g[0] - g[1]) ** t))

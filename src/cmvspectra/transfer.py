@@ -1,50 +1,85 @@
 """Two-step transfer matrices for the extended CMV recurrence.
 
 For odd n the pair (u_n, u_{n+1}) propagates to (u_{n+2}, u_{n+3}) through a
-2x2 matrix built from the coefficient triple (alpha_n, alpha_{n+1},
-alpha_{n+2}) and the unimodular spectral parameter z.  The matrix has
-determinant rho_n / rho_{n+2}; a rescaled variant with determinant 1 is also
-provided.  `step_coeffs` gives the Laurent coefficients in z of all the
-matrices of one period at once; the Floquet layer multiplies them into the
-monodromy.  A computable Lipschitz modulus for the entries over a coefficient
-polydisk supports the perturbation budgets used by the Gordon machinery.
+2x2 matrix A_n of the triple (alpha_n, alpha_{n+1}, alpha_{n+2}) and the
+unimodular spectral parameter z, with determinant rho_n / rho_{n+2}.  Its
+entries are written once, as Laurent coefficients in z (`step_laurent`,
+elementwise); `step_coeffs` fills them for a period, which the discriminant
+multiplies into the monodromy, and `transfer_at` evaluates them at z for
+`build_A`, its determinant-1 variant, the Lipschitz sampler and the Floquet
+solutions and densities.  The sampled Lipschitz modulus of the entries over a
+coefficient polydisk supports the Gordon perturbation budgets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .coeffs import rho, validate_alpha
+from .coeffs import validate_alpha
 
 _UNIMODULAR_TOL = 1e-12
 
 
-def _check_z(z) -> complex:
-    z = complex(z)
-    if abs(abs(z) - 1.0) > _UNIMODULAR_TOL:
-        raise ValueError(f"spectral parameter must be unimodular, got |z| = {abs(z)}")
-    return z
+def step_laurent(a0, a1, a2) -> np.ndarray:
+    """Laurent coefficients in z of A_n for (a0, a1, a2) = (alpha_n, alpha_{n+1}, alpha_{n+2}).
+
+    Elementwise: three complex scalars give shape (3, 2, 2), three arrays of
+    one shape S give (3, 2, 2) + S; entry [s] is the z^(s-1) coefficient.
+    Because |alpha|^2 + rho^2 = 1, the matrix reduces to
+
+        A = [[rho0 / (rho1 z), -(alpha0 / z + alpha1) / rho1],
+             [-rho0 (conj(alpha2) / z + conj(alpha1)) / (rho1 rho2),
+              (conj(alpha2) alpha0 / z + conj(alpha2) alpha1 + conj(alpha1) alpha0 + z)
+               / (rho1 rho2)]]
+
+    with det A = rho0 / rho2.  Scalars stay Python numbers until the one
+    array is built, which keeps a single triple cheap.
+    """
+    r0, r1, r2 = ((1.0 - (a.real * a.real + a.imag * a.imag)) ** 0.5 for a in (a0, a1, a2))
+    c1, c2 = a1.conjugate(), a2.conjugate()
+    r12 = r1 * r2
+    o = 0.0 * r12  # a zero of the triple's shape
+    return np.array([
+        [[r0 / r1, -a0 / r1], [-r0 * c2 / r12, c2 * a0 / r12]],
+        [[o, -a1 / r1], [-r0 * c1 / r12, (c2 * a1 + c1 * a0) / r12]],
+        [[o, o], [o, 1.0 / r12]],
+    ], dtype=complex)
 
 
-def _entries(a0: complex, a1: complex, a2: complex, z: complex) -> np.ndarray:
-    r0, r1, r2 = rho(a0), rho(a1), rho(a2)
-    a11 = r2 * (a1.conjugate() * a1 * r0 + r1 * r1 * r0)
-    a12 = -r2 * ((a1.conjugate() * a0 + z) * a1 + r1 * r1 * a0)
-    a21 = -((a2.conjugate() * a1 + z) * a1.conjugate() * r0 + r1 * r1 * r0 * a2.conjugate())
-    a22 = (a2.conjugate() * a1 + z) * (a1.conjugate() * a0 + z) + a2.conjugate() * r1 * r1 * a0
-    return np.array([[a11, a12], [a21, a22]], dtype=complex) / (z * r1 * r2)
+def step_coeffs(values) -> np.ndarray:
+    """Laurent coefficients of A_1, A_3, ..., A_{q-1} over one period, shape (q/2, 3, 2, 2).
+
+    Entry [k] is step_laurent of the triple (alpha_{2k+1}, alpha_{2k+2}, alpha_{2k+3}).
+    """
+    a = np.asarray(values, dtype=complex)
+    c = step_laurent(a[1::2], np.roll(a, -1)[1::2], np.roll(a, -2)[1::2])
+    return np.ascontiguousarray(c.transpose(3, 0, 1, 2))
+
+
+def transfer_at(coeffs: np.ndarray, z) -> np.ndarray:
+    """The transfer matrices at z from their Laurent coefficients.
+
+    coeffs is one triple's (3, 2, 2) from step_laurent or a period's
+    (q/2, 3, 2, 2) from step_coeffs, giving (2, 2) or (q/2, 2, 2) at a scalar
+    z; an array of N points adds a last axis of length N.
+    """
+    c = coeffs.swapaxes(0, -3)  # the Laurent axis first
+    if isinstance(z, np.ndarray) and z.ndim:
+        c = c[..., None]
+    return c[0] * (1.0 / z) + c[1] + c[2] * z
 
 
 def build_A(alpha_n, alpha_n1, alpha_n2, z) -> np.ndarray:
     """Two-step transfer matrix with det = rho_n / rho_{n+2}."""
-    z = _check_z(z)
-    a0 = validate_alpha(alpha_n)
-    a1 = validate_alpha(alpha_n1)
-    a2 = validate_alpha(alpha_n2)
-    return _entries(a0, a1, a2, z)
+    z = complex(z)
+    if abs(abs(z) - 1.0) > _UNIMODULAR_TOL:
+        raise ValueError(f"spectral parameter must be unimodular, got |z| = {abs(z)}")
+    triple = (validate_alpha(a) for a in (alpha_n, alpha_n1, alpha_n2))
+    return transfer_at(step_laurent(*triple), z)
 
 
 def build_A_unimodular(alpha_n, alpha_n1, alpha_n2, z) -> np.ndarray:
@@ -52,45 +87,11 @@ def build_A_unimodular(alpha_n, alpha_n1, alpha_n2, z) -> np.ndarray:
 
     Propagates (rho_n u_n, u_{n+1}) to (rho_{n+2} u_{n+2}, u_{n+3}).
     """
-    z = _check_z(z)
-    a0 = validate_alpha(alpha_n)
-    a1 = validate_alpha(alpha_n1)
-    a2 = validate_alpha(alpha_n2)
-    m = _entries(a0, a1, a2, z)
-    m[0, :] *= rho(a2)
-    m[:, 0] /= rho(a0)
+    m = build_A(alpha_n, alpha_n1, alpha_n2, z)
+    r0, r2 = (math.sqrt(1.0 - abs(complex(a)) ** 2) for a in (alpha_n, alpha_n2))
+    m[0, :] *= r2
+    m[:, 0] /= r0
     return m
-
-
-def step_coeffs(values) -> np.ndarray:
-    """Laurent coefficients of A_1, A_3, ..., A_{q-1} over one period, shape (q/2, 3, 2, 2).
-
-    Entry [k, s] is the z^(s-1) coefficient of A_{2k+1}.  Because
-    |alpha|^2 + rho^2 = 1, the entries of `build_A` reduce to
-
-        A = [[rho0 / (rho1 z), -(alpha0 / z + alpha1) / rho1],
-             [-rho0 (conj(alpha2) / z + conj(alpha1)) / (rho1 rho2),
-              (conj(alpha2) alpha0 / z + conj(alpha2) alpha1 + conj(alpha1) alpha0 + z)
-               / (rho1 rho2)]]
-
-    for the triple (alpha0, alpha1, alpha2) = (alpha_n, alpha_{n+1}, alpha_{n+2}).
-    """
-    a = np.asarray(values, dtype=complex)
-    r = np.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
-    a0, a1, a2 = a[1::2], np.roll(a, -1)[1::2], np.roll(a, -2)[1::2]
-    r0, r1, r2 = r[1::2], np.roll(r, -1)[1::2], np.roll(r, -2)[1::2]
-    c1, c2 = a1.conj(), a2.conj()
-    r12 = r1 * r2
-    out = np.zeros((len(a0), 3, 2, 2), dtype=complex)
-    out[:, 0, 0, 0] = r0 / r1
-    out[:, 0, 0, 1] = -a0 / r1
-    out[:, 1, 0, 1] = -a1 / r1
-    out[:, 0, 1, 0] = -r0 * c2 / r12
-    out[:, 1, 1, 0] = -r0 * c1 / r12
-    out[:, 0, 1, 1] = c2 * a0 / r12
-    out[:, 1, 1, 1] = (c2 * a1 + c1 * a0) / r12
-    out[:, 2, 1, 1] = 1.0 / r12
-    return out
 
 
 def four_block(A: np.ndarray, x: np.ndarray) -> float:
@@ -123,10 +124,6 @@ class LipschitzModulus:
     L: float
 
 
-def _spec_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
 @lru_cache(maxsize=64)
 def _estimate_lipschitz_cached(r_key: float) -> LipschitzModulus:
     r = r_key
@@ -143,7 +140,7 @@ def _estimate_lipschitz_cached(r_key: float) -> LipschitzModulus:
     for i in range(n_samples):
         tri = disk_sample(r, 3)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        a = _entries(tri[0], tri[1], tri[2], z)
+        a = transfer_at(step_laurent(*tri.tolist()), z)
         d = deltas[i % len(deltas)]
         dirs = disk_sample(1.0, 3)
         dirs /= max(np.max(np.abs(dirs)), 1e-12)
@@ -154,8 +151,8 @@ def _estimate_lipschitz_cached(r_key: float) -> LipschitzModulus:
         dist = np.max(np.abs(tri2 - tri))
         if dist < 1e-9:
             continue
-        a2 = _entries(tri2[0], tri2[1], tri2[2], z)
-        worst = max(worst, _spec_norm(a - a2) / dist)
+        a2 = transfer_at(step_laurent(*tri2.tolist()), z)
+        worst = max(worst, float(np.linalg.norm(a - a2, 2)) / dist)
     # safety factor 2 over the sampled finite-difference quotients
     return LipschitzModulus(r, 2.0 * worst)
 

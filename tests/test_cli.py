@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from cmvspectra import cli
 from cmvspectra.cli import main
-from cmvspectra.floquet import AllGapsClosedError, BandDiagnosticError
+from cmvspectra.coeffs import make_periodic
+from cmvspectra.floquet import AllGapsClosedError, BandDiagnosticError, band_structure
 from cmvspectra.specmeasure import EdgeProximityError
 
 
@@ -56,6 +58,23 @@ def test_density_outputs_and_mass(tmp_path, seq_file):
     # an n-versus-n/2 difference, reported as an estimate rather than a tolerance
     assert "tolerance" not in report
     assert 0.0 <= report["error_estimate"] < 1e-4
+
+
+def test_density_rows_follow_the_printed_angle(tmp_path):
+    # seed 70 draws a period-4 sequence one of whose bands runs across 2 pi
+    rng = np.random.default_rng(70)
+    vals = 0.4 * np.sqrt(rng.uniform(0, 1, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+    p = tmp_path / "seq.json"
+    p.write_text(json.dumps({"values": [[v.real, v.imag] for v in vals], "r": 0.5}))
+    bands = band_structure(make_periodic(list(vals), 0.5), compute_masses=False).bands
+    assert any(b.theta_hi > 2 * np.pi for b in bands)
+    out = tmp_path / "out"
+    assert main(["density", "--input", str(p), "--out", str(out)]) == 0
+    _, *rows = (out / "density.csv").read_text().strip().splitlines()
+    thetas = [float(row.split(",")[0]) for row in rows]
+    assert len(thetas) == 4 * 2 * 64
+    assert thetas == sorted(thetas)
+    assert 0.0 <= thetas[0] and thetas[-1] < 2 * np.pi
 
 
 def test_gordon_check_periodic_passes(tmp_path, seq_file):

@@ -231,6 +231,14 @@ def test_gap_opening_failure_keeps_the_first_least_closed_candidate():
     assert info.value.best == perturb(f, 0.1, np.random.default_rng(1))
 
 
+def test_gap_opening_failure_counts_only_the_screened_draws():
+    # every radius of the ladder lies below the floor, so nothing is drawn
+    f = make_sampling((0.0, 0.0), 0.5)
+    with pytest.raises(GapOpeningError, match="in 0 attempts") as info:
+        construct._search_candidates(f, 1e-16, np.random.default_rng(1))
+    assert info.value.best == f
+
+
 #: the stage-4 gap-opening failure of a seed-7 run, recorded before the
 #: candidates of a stage were screened in one stacked eigensolve
 GAP_FAILURE = json.loads((Path(__file__).parent / "data" / "seed7_gap_failure.json").read_text())

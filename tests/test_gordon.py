@@ -62,6 +62,21 @@ def test_window_too_short_raises():
         check_gordon(w, [(1, 8)])
 
 
+@pytest.mark.parametrize(
+    "values, r",
+    [
+        ((), 0.5),  # empty
+        ((0.9,) * 81, 0.3),  # values beyond the declared radius
+        ((0.2, 1.0), 0.5),  # a value on the unit circle
+        ((0.2, 0.1), 1.0),  # radius not below 1
+        ((0.2, 0.1), 0.0),
+    ],
+)
+def test_window_validates_its_values_and_radius(values, r):
+    with pytest.raises(ValueError):
+        CoefficientWindow(-40, values, r)
+
+
 def test_growth_ratio_free_case_is_one():
     seq = make_periodic([0.0, 0.0], 0.5)
     z = np.exp(1j * 0.9)

@@ -1,11 +1,13 @@
-"""Library modules import only at module level and use every name they import, or say why not."""
+"""Library modules import only at module level and use every name they import, or say why
+not; every private module-level name of the library is used somewhere in it or its tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cmvspectra"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cmvspectra"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -63,3 +65,60 @@ def test_the_check_sees_nested_imports():
         "    import sys\n"
     )
     assert _nested_imports(source) == ["line 3", "line 6", "line 8"]
+
+
+def _private_definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants whose names start with one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(source: str) -> set[str]:
+    """Names a source reads, as a name, an attribute, an import, or a string such as
+    monkeypatch.setattr's attribute name."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_private_name_is_referenced():
+    sources = [p.read_text() for p in (*SRC.glob("*.py"), *TESTS.glob("*.py"))]
+    used = set().union(*map(_references, sources))
+    unused = [f"{p.stem}.{name}" for p in MODULES
+              for name in _private_definitions(p.read_text()) if name not in used]
+    assert unused == []
+
+
+def test_the_check_sees_unreferenced_private_names():
+    source = (
+        "import os\n"
+        "_A = 1\n"
+        "_B: int = 2\n"
+        "__all__ = []\n"
+        "def _f():\n"
+        "    _local = os.sep\n"
+        "    return _local\n"
+        "def _g():\n"
+        "    return _A\n"
+        "class _C:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _g()\n"
+    )
+    defined = _private_definitions(source)
+    assert defined == ["_A", "_B", "_f", "_g", "_C"]
+    assert [n for n in defined if n not in _references(source)] == ["_B", "_f", "_C"]

@@ -103,6 +103,26 @@ def test_to_periodic_respects_base_point():
         assert seq.value_at(n) == f(translate(omega, n))
 
 
+@pytest.mark.parametrize("start", range(8))
+def test_to_periodic_from_a_finer_base_point(start):
+    f = make_sampling((0.1, -0.2, 0.3j, 0.05), 0.5)
+    omega = OdometerPoint.from_index(start, 3)
+    seq = to_periodic(f, omega)
+    assert seq.period == 4
+    for n in range(-4, 8):
+        assert seq.value_at(n) == f(translate(omega, n))
+
+
+def test_to_periodic_rejects_a_coarser_base_point():
+    f = make_sampling((0.1, -0.2, 0.3j, 0.05), 0.5)
+    omega = OdometerPoint.from_index(1, 1)
+    with pytest.raises(ValueError, match="coarser") as from_call:
+        f(omega)
+    with pytest.raises(ValueError) as from_periodic:
+        to_periodic(f, omega)
+    assert str(from_periodic.value) == str(from_call.value)
+
+
 def test_sampling_json_roundtrip():
     f = make_sampling((0.1 + 0.05j, -0.2), 0.6)
     assert SamplingFn.from_json(f.to_json()) == f

@@ -9,6 +9,7 @@ from cmvspectra.coeffs import constant_seq, make_periodic
 from cmvspectra.construct import ac_iterate
 from cmvspectra.floquet import band_structure, density_factor, floquet_matrix
 from cmvspectra.odometer import make_sampling, to_periodic
+from cmvspectra.transfer import step_coeffs
 from cmvspectra.specmeasure import (
     EdgeProximityError,
     _density_at,
@@ -87,6 +88,16 @@ def test_density_vanishes_in_gaps():
     assert d(math.pi) > 0.0
 
 
+def test_density_never_calls_the_per_node_solver(monkeypatch):
+    def per_node(*args, **kwargs):
+        raise AssertionError("density evaluated a node through floquet_solution")
+
+    monkeypatch.setattr(specmeasure, "floquet_solution", per_node)
+    d = density(_random_seq(8, 308), THREE_SITES)
+    assert d.total_mass == pytest.approx(sum(abs(v) ** 2 for v in THREE_SITES.values()),
+                                         rel=1e-6)
+
+
 def test_density_rejects_empty_source():
     with pytest.raises(ValueError):
         density(constant_seq(0.5), {})
@@ -147,7 +158,8 @@ def test_batched_density_matches_the_per_node_reference(q):
         for dist in (1e-9, 1e-6, 1e-3, 0.1 * b.width, 0.3 * b.width, 0.5 * b.width):
             edges += [b.theta_lo, b.theta_hi]
             offsets += [dist, -dist]
-    got = _density_at(bs.disc, THREE_SITES, np.array(edges), np.array(offsets))
+    steps = step_coeffs(seq.values)
+    got = _density_at(bs.disc, steps, THREE_SITES, np.array(edges), np.array(offsets))
     for g, edge, offset in zip(got, edges, offsets):
         theta = edge + offset
         ap, am = _transform_amplitudes(seq, THREE_SITES, theta, bs.disc)
@@ -165,9 +177,10 @@ def test_batched_density_resolves_nodes_below_one_ulp_of_an_edge(q):
     seq = _random_seq(q, 300 + q)
     bs = band_structure(seq, compute_masses=False)
     offsets = np.array([1e-17, 1e-15, 1e-13, 1e-11])
+    steps = step_coeffs(seq.values)
     for b in bs.bands:
         for edge, sign in ((b.theta_lo, 1.0), (b.theta_hi, -1.0)):
-            g = _density_at(bs.disc, THREE_SITES, np.full(4, edge), sign * offsets)
+            g = _density_at(bs.disc, steps, THREE_SITES, np.full(4, edge), sign * offsets)
             scaled = g * np.sqrt(offsets)
             assert np.ptp(scaled) <= 1e-6 * scaled.max()
 
@@ -180,10 +193,11 @@ def test_batched_density_of_the_free_case():
     disc = band_structure(seq, compute_masses=False).disc
     edges = np.array([0.0, 0.0, math.pi, math.pi, TWO_PI])
     offsets = np.array([0.3, 1.2, -0.5, 1.0, -0.7])
-    g = _density_at(disc, {0: 1.0}, edges, offsets)
+    steps = step_coeffs(seq.values)
+    g = _density_at(disc, steps, {0: 1.0}, edges, offsets)
     assert g == pytest.approx(np.full(5, 1.0 / TWO_PI), rel=1e-12)
     with pytest.raises(EdgeProximityError):
-        _density_at(disc, {0: 1.0}, np.array([0.0]), np.array([0.0]))
+        _density_at(disc, steps, {0: 1.0}, np.array([0.0]), np.array([0.0]))
 
 
 @pytest.fixture(scope="module")

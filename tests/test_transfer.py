@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmvspectra.cmv import cmv_entry
 from cmvspectra.coeffs import make_periodic, rho
 from cmvspectra.transfer import (
     build_A,
@@ -11,6 +12,7 @@ from cmvspectra.transfer import (
     four_block,
     gamma,
     step_coeffs,
+    transfer_at,
 )
 
 disk = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
@@ -109,3 +111,23 @@ def test_gamma_rejects_bad_arguments():
         gamma(0, 4, 0.5)
     with pytest.raises(ValueError):
         gamma(1, 4, 1.2)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+def test_step_coeffs_propagate_solutions_of_the_cmv_rows(q):
+    # u_{n+2}, u_{n+3} = A_n (u_n, u_{n+1}) for odd n, over two periods from a
+    # random start, must solve every row of E u = z u that the range covers
+    rng = np.random.default_rng(40 + q)
+    vals = 0.9 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    seq = make_periodic(list(vals), 0.95)
+    steps = step_coeffs(seq.values)
+    for t in rng.uniform(0, 2 * np.pi, 4):
+        z = np.exp(1j * t)
+        A = transfer_at(steps, z)
+        u = {1: rng.normal() + 1j * rng.normal(), 2: rng.normal() + 1j * rng.normal()}
+        for n in range(1, 2 * q, 2):
+            u[n + 2], u[n + 3] = A[(n // 2) % (q // 2)] @ [u[n], u[n + 1]]
+        for m in range(3, 2 * q + 1):
+            terms = [cmv_entry(seq.value_at, m, k) * u[k] for k in range(m - 2, m + 3)]
+            scale = sum(abs(x) for x in terms) + abs(u[m])
+            assert abs(sum(terms) - z * u[m]) <= 1e-10 * scale, (m, t)

@@ -8,6 +8,7 @@ directory.  Exit codes: 0 success, 1 criterion/stage failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -27,6 +28,9 @@ from .specmeasure import EdgeProximityError, density
 from .transfer import estimate_lipschitz, gamma
 
 TWO_PI = 2.0 * math.pi
+
+#: the default source vector of density and construct --mode ac: delta_0
+_DEFAULT_U = '{"0": 1.0}'
 
 
 class InputError(Exception):
@@ -103,15 +107,15 @@ def _parse_u(spec: str) -> dict[int, complex]:
         out = {int(k): complex_from_json(v) for k, v in obj.items()}
         if not out:
             raise ValueError("empty support")
+        if not all(cmath.isfinite(v) for v in out.values()):
+            raise ValueError("values must be finite")
         return out
     except (ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"invalid --u mapping: {exc}")
 
 
-def _grid(args, default: int) -> int:
-    """--grid, or the default when it is absent; an explicit value must be positive."""
-    if args.grid is None:
-        return default
+def _grid(args) -> int:
+    """--grid, which must be positive."""
     if args.grid < 1:
         raise InputError("--grid must be at least 1")
     return args.grid
@@ -199,7 +203,7 @@ def _write_discriminant_csv(out: str, disc: Discriminant, grid: int) -> None:
 
 def cmd_bands(args) -> int:
     seq = _as_periodic(_load_input(args.input))
-    grid = _grid(args, 720)
+    grid = _grid(args)
     bs = band_structure(seq)
     out = _ensure_out(args)
     rows = ["band_index,theta_lo,theta_hi,mass,monotonicity"]
@@ -228,7 +232,7 @@ def cmd_bands(args) -> int:
 
 def cmd_discriminant(args) -> int:
     seq = _as_periodic(_load_input(args.input))
-    grid = _grid(args, 720)
+    grid = _grid(args)
     disc = discriminant(seq)
     out = _ensure_out(args)
     _write_discriminant_csv(out, disc, grid)
@@ -246,8 +250,8 @@ def cmd_discriminant(args) -> int:
 
 def cmd_density(args) -> int:
     seq = _as_periodic(_load_input(args.input))
-    u = _parse_u(args.u or '{"0": 1.0}')
-    d = density(seq, u, n=_grid(args, 64))
+    u = _parse_u(args.u)
+    d = density(seq, u, n=_grid(args))
     out = _ensure_out(args)
     # sorted by the angle as printed: a band across 2 pi holds nodes past it
     thetas, vals = d.grid[:, 0] % TWO_PI, d.grid[:, 1]
@@ -269,7 +273,7 @@ def cmd_density(args) -> int:
 def cmd_gordon_check(args) -> int:
     obj = _load_input(args.input)
     seq = _as_periodic(obj)
-    depth = 3 if args.stages is None else args.stages
+    depth = args.stages
     if depth < 1:
         raise InputError("--stages must be at least 1 for gordon-check")
     schedule = [(k, k * seq.period) for k in range(1, depth + 1)]
@@ -286,28 +290,24 @@ def cmd_gordon_check(args) -> int:
 
 def cmd_construct(args) -> int:
     f = _as_sampling(_load_input(args.input))
-    eps = args.eps if args.eps is not None else 0.5
-    if eps <= 0:
-        raise InputError("--eps must be positive")
-    K = args.stages if args.stages is not None else 2
+    eps, K, mode = args.eps, args.stages, args.mode
+    if not 0 < eps < math.inf:
+        raise InputError("--eps must be finite and positive")
     if K < 0:
         raise InputError("--stages must be nonnegative")
-    mode = args.mode or "cantor"
     out = _ensure_out(args)
     try:
         if mode == "cantor":
-            reports, final = cantor_iterate(f, eps, K, seed=args.seed or 0)
+            reports, final = cantor_iterate(f, eps, K, seed=args.seed)
         else:
-            u = _parse_u(args.u or '{"0": 1.0}')
-            t = args.t if args.t is not None else 1.5
-            reports, final = ac_iterate(f, eps, K, u, t, seed=args.seed or 0)
+            reports, final = ac_iterate(f, eps, K, _parse_u(args.u), args.t, seed=args.seed)
     except GapOpeningError as exc:
         trail = [r.to_json() for r in exc.trail]
         _atomic_write(os.path.join(out, "trail.json"),
                       json.dumps({"error": str(exc), "stages": trail}, indent=2) + "\n")
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
-    trail = {"mode": mode, "eps": eps, "K": K, "seed": args.seed or 0,
+    trail = {"mode": mode, "eps": eps, "K": K, "seed": args.seed,
              "stages": [r.to_json() for r in reports],
              "final": final.to_json()}
     _atomic_write(os.path.join(out, "trail.json"), json.dumps(trail, indent=2) + "\n")
@@ -332,9 +332,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    k = args.k if args.k is not None else 1
-    q = args.q if args.q is not None else 2
-    r = args.r if args.r is not None else 0.5
+    k, q, r = args.k, args.q, args.r
     if not (0 < r < 1):
         raise InputError("--r must lie in (0, 1)")
     if k < 1 or q < 1:
@@ -382,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {
         "--json": dict(action="store_true", help="also emit JSON output"),
-        "--seed": dict(type=int, help="random seed"),
-        "--grid": dict(type=int, help="grid size for sampled outputs"),
+        "--seed": dict(type=int, default=0, help="random seed (default 0)"),
+        "--grid": dict(type=int, help="grid size for sampled outputs (default %(default)s)"),
     }
 
     def common(sp, *flags, needs_input=True):
@@ -396,37 +394,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="band/gap tables, discriminant CSV, SVG diagram")
     common(sp, "--json", "--grid")
-    sp.set_defaults(fn=cmd_bands)
+    sp.set_defaults(fn=cmd_bands, grid=720)
 
     sp = sub.add_parser("discriminant", help="sampled discriminant CSV")
     common(sp, "--json", "--grid")
-    sp.set_defaults(fn=cmd_discriminant)
+    sp.set_defaults(fn=cmd_discriminant, grid=720)
 
     sp = sub.add_parser("density", help="spectral density of a finite-support vector")
     common(sp, "--grid")
-    sp.add_argument("--u", help='source vector, JSON mapping n -> value or [re, im]; '
-                                'or @file.json (default: {"0": 1})')
-    sp.set_defaults(fn=cmd_density)
+    sp.add_argument("--u", default=_DEFAULT_U,
+                    help="source vector, JSON mapping n -> value or [re, im]; "
+                         "or @file.json (default: %(default)s)")
+    sp.set_defaults(fn=cmd_density, grid=64)
 
     sp = sub.add_parser("gordon-check", help="audit the almost-repetition criterion")
     common(sp)
-    sp.add_argument("--stages", type=int, help="certificate depth K (default 3)")
+    sp.add_argument("--stages", type=int, default=3, help="certificate depth K (default 3)")
     sp.set_defaults(fn=cmd_gordon_check)
 
     sp = sub.add_parser("construct", help="run the cantor or ac construction")
     common(sp, "--seed")
-    sp.add_argument("--mode", choices=["cantor", "ac"], help="iteration type")
-    sp.add_argument("--eps", type=float, help="construction budget parameter")
-    sp.add_argument("--stages", type=int, help="number of stages K")
-    sp.add_argument("--t", type=float, help="L^t exponent for ac mode, in (1, 2)")
-    sp.add_argument("--u", help="source vector for ac mode (see density --u)")
+    sp.add_argument("--mode", choices=["cantor", "ac"], default="cantor",
+                    help="iteration type (default cantor)")
+    sp.add_argument("--eps", type=float, default=0.5,
+                    help="construction budget parameter (default 0.5)")
+    sp.add_argument("--stages", type=int, default=2, help="number of stages K (default 2)")
+    sp.add_argument("--t", type=float, default=1.5,
+                    help="L^t exponent for ac mode, in (1, 2) (default 1.5)")
+    sp.add_argument("--u", default=_DEFAULT_U,
+                    help="source vector for ac mode (see density --u)")
     sp.set_defaults(fn=cmd_construct)
 
     sp = sub.add_parser("gamma", help="perturbation modulus gamma(k, q, r)")
     common(sp, "--json", needs_input=False)
-    sp.add_argument("--k", type=int, help="scale index k (default 1)")
-    sp.add_argument("--q", type=int, help="window length q (default 2)")
-    sp.add_argument("--r", type=float, help="coefficient radius bound (default 0.5)")
+    sp.add_argument("--k", type=int, default=1, help="scale index k (default 1)")
+    sp.add_argument("--q", type=int, default=2, help="window length q (default 2)")
+    sp.add_argument("--r", type=float, default=0.5,
+                    help="coefficient radius bound (default 0.5)")
     sp.set_defaults(fn=cmd_gamma)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
@@ -441,10 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (InputError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (BandDiagnosticError, AllGapsClosedError, EdgeProximityError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 def validate_alpha(value) -> complex:
     """Return value as a complex number after checking it lies strictly inside the unit disk."""
     v = complex(value)
-    if abs(v) >= 1.0:
+    if not abs(v) < 1.0:  # NaN fails every comparison
         raise ValueError(f"Verblunsky coefficient must satisfy |alpha| < 1, got |{v}| = {abs(v)}")
     return v
 
@@ -35,8 +35,10 @@ def check_radius(values, r: float) -> None:
         raise ValueError("a coefficient sequence needs at least one value")
     if not (0.0 < r < 1.0):
         raise ValueError(f"radius bound must lie in (0, 1), got {r}")
-    worst = max(abs(v) for v in values)
-    if worst > r:
+    mags = list(map(abs, values))
+    # max() passes over a NaN after the first value, the sum does not; NaN fails <= r
+    worst = math.nan if math.isnan(sum(mags)) else max(mags)
+    if not worst <= r:
         raise ValueError(f"max |value| = {worst} exceeds declared bound r = {r}")
 
 

@@ -158,8 +158,8 @@ def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
     lifted to level 1 first: a level-0 table induces a constant sequence, and
     at period 2 that always has a closed gap.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     rng = np.random.default_rng(seed)
     return _search_candidates(lift(f, max(f.level, 1)), 0.5 * eps, rng)[0].f
 
@@ -253,8 +253,8 @@ def cantor_iterate(
     (1/2^k) B_k / 3, and every gap of the doubled period is open.  Total
     coefficient drift stays below eps^2/54 (geometric sum of stage budgets).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if K < 0:
         raise ValueError("K must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -281,8 +281,8 @@ def ac_iterate(
         raise ValueError("t must lie strictly in (1, 2)")
     if not u:
         raise ValueError("source vector must have nonempty support")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if K < 0:
         raise ValueError("K must be nonnegative")
     u = {int(n): complex(v) for n, v in u.items()}

@@ -169,8 +169,8 @@ def construct_gordon_approximant(
     inequality bounds the scale-k displacement of the final function by
     gamma(k, q_k, r) / 4.  sup_distance(f, result) stays below eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if K < 0:
         raise ValueError("K must be nonnegative")
     N = max(f.level, 1)

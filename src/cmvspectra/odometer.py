@@ -125,7 +125,13 @@ def perturb(f: SamplingFn, radius: float, rng: np.random.Generator) -> SamplingF
     for v, b in zip(f.table, mag * np.exp(1j * phase)):
         w = v + b
         a = abs(w)
-        table.append(w if a <= f.r else w * (f.r / a))
+        if a > f.r:
+            scale = f.r / a
+            # the rounded |w scale| can land an ulp above r
+            while abs(w * scale) > f.r:
+                scale = math.nextafter(scale, 0.0)
+            w *= scale
+        table.append(w)
     return make_sampling(table, f.r)
 
 

@@ -5,10 +5,12 @@ V = |dpsi/dtheta| / (q pi), and the absolutely continuous density of the
 spectral measure of a finitely supported vector.  The Floquet solutions are
 the eigenvectors of the 2x2 monodromy for e^{+/- i psi}, propagated over one
 period by the two-step transfer matrices (`transfer.step_coeffs`, evaluated by
-`transfer_at`).  All band integrals use edge-graded quadrature since V blows
+`transfer_at`).  One batched kernel, `_floquet_solutions`, builds them for N
+points at once, and `_amplitude_sum` forms the transform amplitudes from them;
+`floquet_solution` and `SpectralDensity.__call__` run both at N = 1, with psi
+from `psi_of`.  All band integrals use edge-graded quadrature since V blows
 up like dist^{-1/2} at band edges.  `density` and `density_distance` pass all
-nodes of a band to `_density_at` at once, each as an offset from a band edge;
-evaluations at a single point go node by node.
+nodes of a band to `_density_at` at once, each as an offset from a band edge.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -51,59 +53,26 @@ def psi_of(z: complex, disc: Discriminant) -> float:
 
 @dataclass(frozen=True)
 class FloquetSolution:
-    """Normalized fundamental pair at a spectrum point."""
+    """Normalized fundamental pair at a spectrum point, one period each.
+
+    phi_{j + l q} = e^{+/- i l psi} phi_j extends them to all sites.
+    """
 
     z: complex
     psi: float
     phi_plus: np.ndarray
     phi_minus: np.ndarray
 
-    def extend(self, plus: bool, n: int) -> complex:
-        """Two-sided solution value via phi_{j + l q} = e^{+/- i l psi} phi_j."""
-        phi = self.phi_plus if plus else self.phi_minus
-        q = len(phi)
-        l, j = divmod(n, q)
-        sign = 1.0 if plus else -1.0
-        return np.exp(1j * sign * l * self.psi) * phi[j]
-
-
-def _eigenvector(T: np.ndarray, lam: complex) -> tuple[complex, complex]:
-    """Eigenvector of the 2x2 matrix T for its eigenvalue lam.
-
-    (b, lam - a) and (lam - d, c) both solve (T - lam) v = 0; the longer one is
-    kept.  Both vanish only when T equals lam I, where every vector is an
-    eigenvector and the two Floquet solutions are not determined.
-    """
-    (a, b), (c, d) = T.tolist()
-    v = max((b, lam - a), (lam - d, c), key=lambda v: abs(v[0]) ** 2 + abs(v[1]) ** 2)
-    if v == (0, 0):
-        raise EdgeProximityError(
-            "the monodromy equals +/-I at z; the Floquet solutions are not determined"
-        )
-    return v
-
 
 def floquet_solution(
     seq: PeriodicSeq, z: complex, disc: Discriminant | None = None
 ) -> FloquetSolution:
-    """The two quasiperiodic solutions at z on the spectrum, normalized over one period.
-
-    (u_1, u_2) is the eigenvector of the monodromy A_{q-1} ... A_1 for
-    e^{+/- i psi}; the partial products give u_1 .. u_q, and u_0 = u_q e^{-/+ i psi}.
-    """
+    """The two quasiperiodic solutions at z on the spectrum, normalized over one period."""
     if disc is None:
         disc = discriminant(seq)
     psi = psi_of(z, disc)
-    partial = [np.eye(2, dtype=complex)]
-    for A in transfer_at(step_coeffs(seq.values), z):
-        partial.append(A @ partial[-1])
-    mono = partial.pop()
-    lams = np.exp([1j * psi, -1j * psi])
-    V = np.array([_eigenvector(mono, lam) for lam in lams.tolist()]).T
-    phi = np.roll((np.array(partial) @ V).reshape(-1, 2), 1, axis=0)  # columns +, -
-    phi[0] /= lams
-    phi /= np.linalg.norm(phi, axis=0)
-    return FloquetSolution(complex(z), psi, phi[:, 0], phi[:, 1])
+    phi = _floquet_solutions(step_coeffs(seq.values), np.array([z]), np.array([psi]))
+    return FloquetSolution(complex(z), psi, phi[:, 0, 0], phi[:, 1, 0])
 
 
 def equilibrium_density(
@@ -113,21 +82,6 @@ def equilibrium_density(
     if bs is None:
         bs = band_structure(seq, compute_masses=False)
     return functools.partial(density_factor, bs.disc)
-
-
-def _transform_amplitudes(
-    seq: PeriodicSeq, u: Mapping[int, complex], theta: float, disc: Discriminant
-) -> tuple[float, float]:
-    """|Uu+|^2 and |Uu-|^2 at the spectrum point e^{i theta}."""
-    sol = floquet_solution(seq, np.exp(1j * theta), disc)
-    q = seq.period
-    scale = math.sqrt(q / 2.0)
-    acc_p = 0.0 + 0.0j
-    acc_m = 0.0 + 0.0j
-    for n, un in u.items():
-        acc_p += np.conj(sol.extend(True, n)) * un
-        acc_m += np.conj(sol.extend(False, n)) * un
-    return abs(scale * acc_p) ** 2, abs(scale * acc_m) ** 2
 
 
 @dataclass(frozen=True)
@@ -145,12 +99,14 @@ class SpectralDensity:
     quad_error_estimate: float = 0.0
 
     def __call__(self, theta: float) -> float:
-        """g at one point, node by node through floquet_solution."""
+        """g at one point, with psi from psi_of and V from density_factor."""
         theta %= 2.0 * math.pi
         if not any(b.contains(theta) for b in self.bands):
             return 0.0
-        ap, am = _transform_amplitudes(self.seq, self.u, theta, self.disc)
-        return (ap + am) * density_factor(self.disc, theta)
+        z = np.exp(1j * theta)
+        psi = np.array([psi_of(z, self.disc)])
+        phi = _floquet_solutions(step_coeffs(self.seq.values), np.array([z]), psi)
+        return float(_amplitude_sum(phi, psi, self.u)[0]) * density_factor(self.disc, theta)
 
     def to_json(self) -> dict:
         return {
@@ -249,9 +205,8 @@ def _density_at(
     is taken as sigma (Delta(edge) - Delta(theta)) / 2, summed term by term
     with expm1(i k offset), so a node a few ulps from its edge keeps full
     relative accuracy; then psi = 2 asin(sqrt(w / 2)) on a sigma = +1 edge.
-    The Floquet solutions and amplitudes are those of floquet_solution and
-    _transform_amplitudes.  A node with sin(psi) = 0, possible only on the
-    touching point of a closed gap to roundoff, gets density 0.
+    A node with sin(psi) = 0, possible only on the touching point of a closed
+    gap to roundoff, gets density 0.
     """
     q = disc.q
     k = disc._powers
@@ -266,18 +221,32 @@ def _density_at(
     slope = np.abs((1j * k * terms * (1.0 + expm1)).sum(axis=1).real)
     factor = np.divide(slope, 2.0 * q * math.pi * sin_psi,
                        out=np.zeros_like(slope), where=sin_psi > 0)
+    phi = _floquet_solutions(steps, np.exp(1j * (edges + offsets)), psi)
+    return _amplitude_sum(phi, psi, u) * factor
 
+
+def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The two Floquet solutions at each of N points z, shape (q, 2, N).
+
+    steps are the step_coeffs of one sequence and psi the Floquet phase at
+    each z.  (u_1, u_2) is the eigenvector of the monodromy A_{q-1} ... A_1
+    for lam = e^{+/- i psi} (axis 1); the partial products give u_1 .. u_q,
+    and u_0 = u_q / lam.  Each solution is normalized over one period.  Of
+    the eigenvector candidates (b, lam - a) and (lam - d, c), which both solve
+    (T - lam) v = 0, the longer one is kept; both vanish only when the
+    monodromy equals lam I, where the Floquet solutions are not determined.
+    """
     # the transfer matrices, shape (q/2, 2, 2, N), and the partial products before
     # each step; 2x2 products are spelled out, since stacked matmul is about ten
     # times slower on 2x2 blocks
-    A = transfer_at(steps, np.exp(1j * (edges + offsets)))
+    A = transfer_at(steps, z)
     partial = np.empty_like(A)
-    mono = np.eye(2, dtype=complex)[:, :, None] * np.ones(len(edges))
-    for j in range(q // 2):
+    mono = np.eye(2, dtype=complex)[:, :, None] * np.ones(len(z))
+    for j in range(len(steps)):
         partial[j] = mono
         mono = A[j, :, :1] * mono[0] + A[j, :, 1:] * mono[1]
 
-    # monodromy eigenvectors (x, y) for lam = e^{+/- i psi}, shape (2, N), by _eigenvector's rule
+    # monodromy eigenvectors (x, y) for lam = e^{+/- i psi}, shape (2, N)
     lam = np.exp(1j * np.multiply.outer([1.0, -1.0], psi))
     (a, b), (c, d) = mono
     first = np.abs(b) ** 2 + np.abs(lam - a) ** 2
@@ -290,21 +259,27 @@ def _density_at(
     x = np.where(use_second, lam - d, b)
     y = np.where(use_second, c, lam - a)
 
-    # u_1 .. u_q from the partial products, u_0 = u_q / lam; shape (q, 2, N),
-    # normalized over the period
-    rows = (partial[:, :, :1] * x + partial[:, :, 1:] * y).reshape(q, 2, -1)
+    rows = (partial[:, :, :1] * x + partial[:, :, 1:] * y).reshape(2 * len(steps), 2, -1)
     phi = np.empty_like(rows)
     phi[1:] = rows[:-1]
     phi[0] = rows[-1] / lam
     phi /= np.sqrt((phi.real**2 + phi.imag**2).sum(axis=0))
+    return phi
 
-    # sqrt(q/2) sum_n conj(phi_n) u_n, with phi_{j + l q} = e^{+/- i l psi} phi_j
+
+def _amplitude_sum(phi: np.ndarray, psi: np.ndarray, u: Mapping[int, complex]) -> np.ndarray:
+    """|U u|^2 summed over the two solutions phi of _floquet_solutions, per point.
+
+    The transform is sqrt(q/2) sum_n conj(phi_n) u_n, with
+    phi_{j + l q} = e^{+/- i l psi} phi_j.
+    """
+    q = len(phi)
     sites = np.array(list(u), dtype=int)
     l, j = np.divmod(sites, q)
     values = np.array(list(u.values()), dtype=complex)
     ext = phi[j] * np.exp(1j * np.multiply.outer(l, [1.0, -1.0])[:, :, None] * psi)
     amp = np.einsum("skn,s->kn", ext.conj(), values)
-    return 0.5 * q * (np.abs(amp) ** 2).sum(axis=0) * factor
+    return 0.5 * q * (np.abs(amp) ** 2).sum(axis=0)
 
 
 def density_distance(

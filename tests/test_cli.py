@@ -235,6 +235,57 @@ def test_gordon_check_stages_zero_exits_2(tmp_path, seq_file, capsys):
     assert "--stages" in capsys.readouterr().err
 
 
+def test_gordon_check_rejects_a_nan_value(tmp_path, capsys):
+    # NaN once passed every check here: lhs read 0 and each scale passed
+    p = tmp_path / "nan.json"
+    p.write_text('{"values": [NaN, 0.2], "r": 0.6}')
+    assert main(["gordon-check", "--input", str(p), "--out", str(tmp_path / "o"),
+                 "--stages", "2"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_construct_eps_that_is_not_finite_and_positive_exits_2(tmp_path, samp_file, eps,
+                                                               capsys):
+    rc = main(["construct", "--input", samp_file, "--out", str(tmp_path / "o"),
+               "--eps", eps])
+    assert rc == 2
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_nan_u_value_exits_2(tmp_path, seq_file, capsys):
+    rc = main(["density", "--input", seq_file, "--out", str(tmp_path / "o"),
+               "--u", '{"0": NaN}'])
+    assert rc == 2
+    assert "invalid --u mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_construct_on_a_table_at_its_radius(tmp_path, seed):
+    # the stage-0 draws are projected back onto |alpha| = r, which once rounded
+    # above r and made this valid input exit 2 for each of these seeds
+    p = tmp_path / "edge.json"
+    p.write_text('{"table": [0.6, 0.6], "r": 0.6}')
+    out = tmp_path / "out"
+    rc = main(["construct", "--input", str(p), "--out", str(out), "--eps", "0.9",
+               "--stages", "1", "--seed", str(seed)])
+    assert rc == 0
+    trail = json.loads((out / "trail.json").read_text())
+    assert [s["open_gap_count"] for s in trail["stages"]] == [2, 4]
+
+
+def test_defaults_are_the_parsers():
+    parse = cli.build_parser().parse_args
+    args = parse(["construct", "--input", "f.json"])
+    assert (args.eps, args.stages, args.mode, args.t, args.u, args.seed) == (
+        0.5, 2, "cantor", 1.5, '{"0": 1.0}', 0)
+    assert parse(["gordon-check", "--input", "f.json"]).stages == 3
+    args = parse(["gamma"])
+    assert (args.k, args.q, args.r) == (1, 2, 0.5)
+    assert [parse([cmd, "--input", "f.json"]).grid
+            for cmd in ("bands", "discriminant", "density")] == [720, 720, 64]
+
+
 def test_length_one_table_is_level_zero(tmp_path):
     p = tmp_path / "samp0.json"
     p.write_text(json.dumps({"table": [[0.3, 0.0]], "r": 0.6}))

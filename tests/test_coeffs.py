@@ -27,7 +27,8 @@ def test_validate_alpha_accepts_disk(a):
     assert validate_alpha(a) == complex(a)
 
 
-@pytest.mark.parametrize("bad", [1.0, -1.0, 1.2, 0.9 + 0.6j, complex(0, 1)])
+@pytest.mark.parametrize("bad", [1.0, -1.0, 1.2, 0.9 + 0.6j, complex(0, 1), math.nan,
+                                 complex(0.2, math.nan), math.inf])
 def test_validate_alpha_rejects_boundary_and_outside(bad):
     with pytest.raises(ValueError):
         validate_alpha(bad)

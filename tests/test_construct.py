@@ -37,6 +37,17 @@ def test_open_all_gaps_rejects_bad_eps():
         open_all_gaps(make_sampling((0.3, 0.0), 0.6), 0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+@pytest.mark.parametrize("run", [
+    lambda f, eps: open_all_gaps(f, eps),
+    lambda f, eps: cantor_iterate(f, eps, K=1),
+    lambda f, eps: ac_iterate(f, eps, 1, u={0: 1.0}, t=1.5),
+], ids=["open_all_gaps", "cantor_iterate", "ac_iterate"])
+def test_constructions_reject_eps_that_is_not_finite(run, eps):
+    with pytest.raises(ValueError, match="eps"):
+        run(make_sampling((0.3, 0.0), 0.6), eps)
+
+
 def test_level_zero_table_is_lifted_before_stage_zero():
     # a level-0 table induces a constant sequence, whose period-2 gap at z = -1
     # stays closed under every level-0 perturbation

@@ -70,6 +70,8 @@ def test_window_too_short_raises():
         ((0.2, 1.0), 0.5),  # a value on the unit circle
         ((0.2, 0.1), 1.0),  # radius not below 1
         ((0.2, 0.1), 0.0),
+        ((math.nan, 0.2), 0.6),  # NaN fails every comparison, in any position
+        ((0.2, math.nan), 0.6),
     ],
 )
 def test_window_validates_its_values_and_radius(values, r):
@@ -116,6 +118,22 @@ def test_approximant_deterministic_under_seed():
     g3, _ = construct_gordon_approximant(f, 0.05, K=2, seed=6)
     assert g1.table == g2.table
     assert g1.table != g3.table
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+def test_approximant_rejects_eps_that_is_not_finite_and_positive(eps):
+    # a NaN eps once gave an all-NaN table with a passing certificate
+    with pytest.raises(ValueError, match="eps"):
+        construct_gordon_approximant(make_sampling([0.3, 0.1], 0.5), eps, 2, seed=1)
+
+
+def test_approximant_on_the_boundary_of_its_radius():
+    # perturbations of a table on |alpha| = r get projected back onto the circle,
+    # which once rounded above r on 12 of these 40 seeds
+    f = make_sampling([0.5, -0.5], 0.5)
+    for seed in range(40):
+        g, _ = construct_gordon_approximant(f, 0.5, 2, seed=seed)
+        assert max(abs(v) for v in g.table) <= 0.5
 
 
 def test_approximant_k_zero_returns_certified_lift():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from cmvspectra.odometer import (
     SamplingFn,
     lift,
     make_sampling,
+    perturb,
     sample_sequence,
     sup_distance,
     to_periodic,
@@ -40,6 +42,15 @@ def test_sampling_table_must_be_power_of_two():
 def test_sampling_rejects_values_over_declared_radius():
     with pytest.raises(ValueError):
         make_sampling((0.1, 0.6), 0.5)
+
+
+def test_perturb_keeps_projected_values_in_the_disk():
+    # values pushed outside |z| <= r are projected back onto the circle; the rounded
+    # projection once landed an ulp above r on 497 of these 2000 seeds
+    f = make_sampling((0.6, -0.6, 0.6j, 0.42 + 0.42j), 0.6)
+    for seed in range(2000):
+        g = perturb(f, 0.3, np.random.default_rng(seed))
+        assert max(abs(v) for v in g.table) <= 0.6
 
 
 def test_lift_preserves_values():

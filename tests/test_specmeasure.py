@@ -12,13 +12,14 @@ from cmvspectra.odometer import make_sampling, to_periodic
 from cmvspectra.transfer import step_coeffs
 from cmvspectra.specmeasure import (
     EdgeProximityError,
+    SpectralDensity,
     _density_at,
-    _transform_amplitudes,
     density,
     density_distance,
     equilibrium_density,
     floquet_solution,
     lt_integral,
+    psi_of,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -160,15 +161,51 @@ def test_batched_density_matches_the_per_node_reference(q):
             offsets += [dist, -dist]
     steps = step_coeffs(seq.values)
     got = _density_at(bs.disc, steps, THREE_SITES, np.array(edges), np.array(offsets))
+    at_one_point = SpectralDensity(seq, THREE_SITES, bs.bands, bs.disc)
     for g, edge, offset in zip(got, edges, offsets):
         theta = edge + offset
-        ap, am = _transform_amplitudes(seq, THREE_SITES, theta, bs.disc)
-        ref = (ap + am) * density_factor(bs.disc, theta)
+        ref = at_one_point(theta)
         # the reference forms 1 - (Delta/2)^2 directly, so it carries that
         # subtraction's roundoff, about (q + 1) eps sum|c_k|, relative to it
         s = 1.0 - (0.5 * bs.disc.eval_real(theta)) ** 2
         own_roundoff = (q + 1) * np.finfo(float).eps * c_sum / s
         assert abs(g - ref) <= (1e-12 + own_roundoff) * ref
+
+
+#: sites in four different periods at q = 2, and in two at q = 16
+SPREAD_SITES = {0: 1.0, 1: 0.5 - 0.25j, 5: -0.3, -7: 0.2 + 0.1j}
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_density_matches_the_floquet_matrix_eigenvectors(q):
+    # an oracle without transfer matrices: the solution for e^{+/- i psi} is the
+    # unit eigenvector of floquet_matrix(seq, +/- psi) for its eigenvalue nearest z,
+    # extended by u_{j + l q} = e^{+/- i l psi} u_j
+    seq = _random_seq(q, 400 + q)
+    bs = band_structure(seq, compute_masses=False)
+    l, j = np.divmod(np.array(list(SPREAD_SITES)), q)
+    values = np.array(list(SPREAD_SITES.values()))
+    edges, offsets, expected = [], [], []
+    for b in bs.bands:
+        for s in np.arange(1, 10) / 10:
+            theta = b.theta_lo + s * b.width
+            z = np.exp(1j * theta)
+            psi = psi_of(z, bs.disc)
+            amp2 = 0.0
+            for sign in (1.0, -1.0):
+                evals, evecs = np.linalg.eig(floquet_matrix(seq, sign * psi))
+                phi = evecs[j, np.argmin(np.abs(evals - z))] * np.exp(1j * sign * l * psi)
+                amp2 += abs(np.vdot(phi, values)) ** 2
+            expected.append(0.5 * q * amp2 * density_factor(bs.disc, theta))
+            edges.append(b.theta_lo)
+            offsets.append(s * b.width)
+    expected = np.array(expected)
+    at_one_point = SpectralDensity(seq, SPREAD_SITES, bs.bands, bs.disc)
+    pointwise = np.array([at_one_point(e + o) for e, o in zip(edges, offsets)])
+    batched = _density_at(bs.disc, step_coeffs(seq.values), SPREAD_SITES,
+                          np.array(edges), np.array(offsets))
+    assert pointwise == pytest.approx(expected, rel=1e-10, abs=0)
+    assert batched == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])

@@ -12,11 +12,12 @@ The exact spectrum displacement that the bound controls is
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .coeffs import PeriodicSeq, common_period, rho, validate_alpha
+from .coeffs import PeriodicSeq, rho, validate_alpha
 from .odometer import SamplingFn, to_periodic
 
 AlphaFn = Callable[[int], complex]
@@ -107,7 +108,7 @@ def assemble_window(alpha: AlphaFn, offset: int, dim: int) -> np.ndarray:
     return E[:dim, 1 : dim + 1].copy()
 
 
-def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq) -> float:
+def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq | np.ndarray) -> float | np.ndarray:
     """Upper bound on the operator norm of E_f - E_g for periodic sequences.
 
     From E = L M with unitary factors, ||L_f M_f - L_g M_g|| <= ||L_f - L_g||
@@ -116,12 +117,18 @@ def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq) -> float:
     odd n of ||Theta(f_n) - Theta(g_n)||.  That difference is
     [[conj(d), e], [e, -d]] with e = rho(f_n) - rho(g_n) real, a multiple of a
     unitary, so its norm is that of its first row, sqrt(|d|^2 + e^2).  Both
-    sequences are lifted to their common period first.
+    sequences are lifted to their common (lcm) period first.  sg may also be
+    an (N, q) stack of periods, as in floquet.floquet_matrix; the bound is
+    then one per row, an (N,) array.
     """
-    sf, sg = common_period(sf, sg)
-    d = theta_blocks(sf.values) - theta_blocks(sg.values)
-    norms = np.linalg.norm(d[:, 0, :], axis=1)
-    return float(norms[0::2].max() + norms[1::2].max())
+    a, b = (
+        np.asarray(s.values if isinstance(s, PeriodicSeq) else s, dtype=complex) for s in (sf, sg)
+    )
+    q = math.lcm(a.shape[-1], b.shape[-1])
+    d = theta_blocks(np.tile(a, q // a.shape[-1])) - theta_blocks(np.tile(b, q // b.shape[-1]))
+    norms = np.linalg.norm(d[..., 0, :], axis=-1)
+    bound = norms[..., 0::2].max(axis=-1) + norms[..., 1::2].max(axis=-1)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def diff_norm_bound(f: SamplingFn, g: SamplingFn) -> float:

@@ -104,14 +104,6 @@ def make_periodic(values, r: float) -> PeriodicSeq:
     return PeriodicSeq(tuple(vals), float(r))
 
 
-def common_period(sf: PeriodicSeq, sg: PeriodicSeq) -> tuple[PeriodicSeq, PeriodicSeq]:
-    """Re-express two periodic sequences with their common (lcm) period."""
-    q = math.lcm(sf.period, sg.period)
-    return tuple(
-        s if s.period == q else PeriodicSeq(s.values * (q // s.period), s.r) for s in (sf, sg)
-    )
-
-
 def constant_seq(alpha, r: float | None = None) -> PeriodicSeq:
     """Period-2 constant sequence, with r defaulting to just above |alpha|."""
     a = validate_alpha(alpha)

@@ -19,6 +19,14 @@ above the gap-detection threshold.
 The AC variant additionally keeps the spectral-density drift of a chosen
 vector below 2^{-k} per stage.  Every stage emits a report from which the
 budget ledger is auditable without re-running the construction.
+
+A stage handles its candidates as one complex (N, q) array of coset tables
+from start to finish: one draw (odometer.perturbed_tables), one stacked gap
+screen (floquet.gap_chords), and the drift and movement gates as row-wise
+array operations (cmv.diff_norm_bound_seq takes the stack).  Sampling
+functions and periodic sequences are built only for the stage winner, for the
+candidates the density-drift cap actually tries, and for the least-closed
+candidate a GapOpeningError carries.
 """
 
 from __future__ import annotations
@@ -29,9 +37,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cmv import diff_norm_bound_seq
-from .coeffs import PeriodicSeq
 from .floquet import CLOSED_GAP_CHORD, band_structure, gap_chords, min_gap
-from .odometer import SamplingFn, lift, perturb, sup_distance, to_periodic
+from .odometer import SamplingFn, lift, perturbed_tables, to_periodic
 from .specmeasure import density_distance
 
 #: perturbation radii below this cannot move double-precision tables reliably
@@ -85,70 +92,73 @@ class StageReport:
 
 
 class _Candidate(NamedTuple):
-    f: SamplingFn
-    seq: PeriodicSeq
-    min_gap: float  # minimal gap chord; a candidate has every gap open
+    base: SamplingFn  # the function the search perturbed
+    table: np.ndarray | None  # the candidate's coset table; None for base itself
     measured: tuple  # what the gate measured; () without a gate
 
-
-def _screen(
-    fs: list[SamplingFn], gate: Callable[[SamplingFn, PeriodicSeq], tuple | None] | None
-) -> tuple[np.ndarray, list[_Candidate]]:
-    """The closed-gap counts of the sampling functions fs, and the candidates among them.
-
-    All gap chords come from one stacked eigensolve.  A member whose gaps are
-    all open then goes to the gate, in order.
-    """
-    seqs = [to_periodic(g) for g in fs]
-    chords = gap_chords(np.array([s.values for s in seqs]))
-    closed = np.count_nonzero(chords <= CLOSED_GAP_CHORD, axis=-1)
-    passing = []
-    for g, seq, row, n in zip(fs, seqs, chords, closed):
-        if n:
-            continue
-        measured = () if gate is None else gate(g, seq)
-        if measured is not None:
-            passing.append(_Candidate(g, seq, row.min(), measured))
-    return closed, passing
+    @property
+    def f(self) -> SamplingFn:
+        """The candidate as a sampling function, built on each access."""
+        if self.table is None:
+            return self.base
+        return SamplingFn(tuple(self.table.tolist()), self.base.r)
 
 
 def _search_candidates(
     f: SamplingFn,
     radius_cap: float,
     rng: np.random.Generator,
-    gate: Callable[[SamplingFn, PeriodicSeq], tuple | None] | None = None,
+    gate: Callable[[np.ndarray], tuple[np.ndarray, tuple]] | None = None,
 ) -> list[_Candidate]:
     """Perturbations of f that open every gap and pass the gate, widest minimal gap first.
 
     f itself is tried before any draw and, if it passes, is the only candidate
     (the zero-perturbation case).  Otherwise up to _MAX_ATTEMPTS random
     candidates are drawn on a halving radius ladder, skipping radii below
-    _RADIUS_FLOOR, and screened together; ties in the minimal gap go to the
-    earlier draw.  The gate sees a candidate only once all its gaps are open,
-    and returns the values it measured, or None to reject it.  Raises
+    _RADIUS_FLOOR, as one (N, q) array of coset tables.  All their gap chords
+    come from one stacked eigensolve, and the gate takes the whole array too:
+    it returns a boolean (N,) array of the rows it accepts and a tuple of (N,)
+    arrays of the values it measured.  A row passes when all its gaps are open
+    and the gate accepts it; ties in the minimal gap go to the earlier draw.
+    f has level >= 1, so its table is the period it induces.  No sampling
+    function is built here: a candidate's f is built when it is read.  Raises
     GapOpeningError carrying the least-closed candidate seen, f included, if
     none passes.
     """
-    fs = [f]
-    closed, passing = _screen(fs, gate)
-    if passing:
-        return passing
-    radii = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
-    draws = [perturb(f, radius, rng) for radius in radii if radius >= _RADIUS_FLOOR]
-    if draws:
-        drawn_closed, passing = _screen(draws, gate)
-        fs, closed = fs + draws, np.concatenate((closed, drawn_closed))
-    if not passing:
-        best = int(np.argmin(closed))
-        bs = band_structure(to_periodic(fs[best]), compute_masses=False)
-        closed_gaps = [g for g in bs.gaps if g.closed]
-        raise GapOpeningError(
-            f"no perturbation within radius {radius_cap:.3e} opened every gap within "
-            f"budget in {len(draws)} attempts ({len(closed_gaps)} still closed)",
-            best=fs[best],
-            closed_gaps=closed_gaps,
-        )
-    return sorted(passing, key=lambda c: -c.min_gap)
+    ladder = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
+    radii = [radius for radius in ladder if radius >= _RADIUS_FLOOR]
+    screened, closed = [], []
+    # f alone first, so that a passing f draws nothing; then every draw at once
+    for drawn in (False, True):
+        if drawn and not radii:
+            break
+        values = perturbed_tables(f, radii, rng) if drawn else np.array([f.table])
+        chords = gap_chords(values)
+        n_closed = np.count_nonzero(chords <= CLOSED_GAP_CHORD, axis=-1)
+        passed, measured = n_closed == 0, ()
+        if gate is not None and passed.any():
+            accepted, measured = gate(values)
+            passed &= accepted
+        if passed.any():
+            min_gaps = chords.min(axis=-1)
+            order = np.flatnonzero(passed)[np.argsort(-min_gaps[passed], kind="stable")]
+            return [
+                _Candidate(f, values[i] if drawn else None, tuple(float(m[i]) for m in measured))
+                for i in order
+            ]
+        screened.append(values)
+        closed.append(n_closed)
+    values, closed = np.concatenate(screened), np.concatenate(closed)
+    best = int(np.argmin(closed))
+    best_f = _Candidate(f, values[best] if best else None, ()).f
+    bs = band_structure(to_periodic(best_f), compute_masses=False)
+    closed_gaps = [g for g in bs.gaps if g.closed]
+    raise GapOpeningError(
+        f"no perturbation within radius {radius_cap:.3e} opened every gap within "
+        f"budget in {len(radii)} attempts ({len(closed_gaps)} still closed)",
+        best=best_f,
+        closed_gaps=closed_gaps,
+    )
 
 
 def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
@@ -189,14 +199,15 @@ def _run_stages(
             # inside it; the halving ladder covers tighter cases
             radius = min(0.8 * budget_eps, 0.25 * budget_move)
 
-        def gate(cand: SamplingFn, seq: PeriodicSeq):
-            s_norm = sup_distance(base, cand)
-            if s_norm >= budget_eps:
-                return None
+        base_values = np.array(base.table)
+
+        def gate(values: np.ndarray):
+            d = values - base_values
+            s_norm = np.hypot(d.real, d.imag).max(axis=-1)
             if prev_seq is None:
-                return s_norm, None
-            movement = diff_norm_bound_seq(prev_seq, seq)
-            return (s_norm, movement) if movement < budget_move else None
+                return s_norm < budget_eps, (s_norm,)
+            movement = diff_norm_bound_seq(prev_seq, values)
+            return (s_norm < budget_eps) & (movement < budget_move), (s_norm, movement)
 
         try:
             passing = _search_candidates(base, radius, rng, gate)
@@ -204,32 +215,35 @@ def _run_stages(
             raise GapOpeningError(
                 f"stage {k}: {exc}", exc.best, exc.closed_gaps, trail=reports
             ) from None
-        cand, drift = passing[0], None
-        if density is not None and prev_seq is not None:
+        # only the candidates read here become sampling functions and sequences
+        drift = None
+        for cand in passing:
+            g = cand.f
+            seq = to_periodic(g)
+            if density is None or prev_seq is None:
+                break
             u, t = density
-            for cand in passing:
-                drift = density_distance(prev_seq, cand.seq, u, t)
-                if drift ** (1.0 / t) <= 2.0**-k:
-                    break
-            else:
-                raise DensityConstraintError(
-                    f"stage {k}: none of the {len(passing)} candidates within the sup-norm "
-                    f"and movement budgets met the density-drift cap 2^-{k}",
-                    best=passing[0].f,
-                    closed_gaps=[],
-                    trail=reports,
-                )
-        s_norm, movement = cand.measured
-        bs = band_structure(cand.seq, compute_masses=False)
+            drift = density_distance(prev_seq, seq, u, t)
+            if drift ** (1.0 / t) <= 2.0**-k:
+                break
+        else:
+            raise DensityConstraintError(
+                f"stage {k}: none of the {len(passing)} candidates within the sup-norm "
+                f"and movement budgets met the density-drift cap 2^-{k}",
+                best=passing[0].f,
+                closed_gaps=[],
+                trail=reports,
+            )
+        bs = band_structure(seq, compute_masses=False)
         gap = min_gap(bs)
         reports.append(
             StageReport(
                 stage=k,
-                period=cand.f.period,
-                s_norm=s_norm,
+                period=g.period,
+                s_norm=cand.measured[0],
                 budget_eps=budget_eps,
                 budget_move=budget_move,
-                movement=movement,
+                movement=cand.measured[1] if k else None,
                 min_gap_before=b_k,
                 min_gap_after=gap,
                 open_gap_count=bs.open_gap_count(),
@@ -237,7 +251,7 @@ def _run_stages(
                 density_drift=drift,
             )
         )
-        current, prev_seq = cand.f, cand.seq
+        current, prev_seq = g, seq
         b_k = gap if b_k is None else min(b_k, gap)
     return reports, current
 

@@ -113,26 +113,39 @@ def make_sampling(table, r: float) -> SamplingFn:
     return SamplingFn(tuple(validate_alpha(v) for v in table), float(r))
 
 
+def perturbed_tables(f: SamplingFn, radii, rng: np.random.Generator) -> np.ndarray:
+    """Coset tables of N perturbations of f, one per radius: an (N, f.period) array.
+
+    Row i is f plus a random bump, uniform in the disk of radius radii[i], on
+    every coset.  One (N, 2, period) draw gives each row its magnitudes, then
+    its phases, so the rows take the generator's values exactly as N calls of
+    perturb would.  A value pushed outside the disk |z| <= f.r is projected
+    radially back onto its boundary.
+    """
+    radii = np.asarray(radii, dtype=float)
+    u = rng.random((len(radii), 2, f.period))
+    mag = radii[:, None] * np.sqrt(u[:, 0])
+    phase = 2.0 * math.pi * u[:, 1]
+    values = np.array(f.table) + mag * np.exp(1j * phase)
+    # hypot, not np.abs: it matches the scalar abs to the last bit
+    for i, j in zip(*np.nonzero(np.hypot(values.real, values.imag) > f.r)):
+        w = values[i, j]
+        scale = f.r / abs(w)
+        # the rounded |w scale| can land an ulp above r
+        while abs(w * scale) > f.r:
+            scale = math.nextafter(scale, 0.0)
+        values[i, j] = w * scale
+    return values
+
+
 def perturb(f: SamplingFn, radius: float, rng: np.random.Generator) -> SamplingFn:
     """f plus a random bump, uniform in the disk of the given radius, on every coset.
 
-    The magnitudes are drawn first, then the phases; a value pushed outside
-    the disk |z| <= f.r is projected radially back onto its boundary.
+    This is the one-row case of perturbed_tables: the magnitudes are drawn
+    first, then the phases, and a value pushed outside the disk |z| <= f.r is
+    projected radially back onto its boundary.
     """
-    mag = radius * np.sqrt(rng.uniform(0.0, 1.0, f.period))
-    phase = rng.uniform(0.0, 2.0 * math.pi, f.period)
-    table = []
-    for v, b in zip(f.table, mag * np.exp(1j * phase)):
-        w = v + b
-        a = abs(w)
-        if a > f.r:
-            scale = f.r / a
-            # the rounded |w scale| can land an ulp above r
-            while abs(w * scale) > f.r:
-                scale = math.nextafter(scale, 0.0)
-            w *= scale
-        table.append(w)
-    return make_sampling(table, f.r)
+    return SamplingFn(tuple(perturbed_tables(f, [radius], rng)[0].tolist()), f.r)
 
 
 def sample_sequence(f: SamplingFn, omega: OdometerPoint, n_min: int, n_max: int) -> list[complex]:

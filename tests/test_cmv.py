@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmvspectra.cmv import assemble_window, cmv_entry, diff_norm_bound, diff_norm_bound_seq
+from cmvspectra.cmv import (
+    assemble_window,
+    cmv_entry,
+    diff_norm_bound,
+    diff_norm_bound_seq,
+    theta_blocks,
+)
 from cmvspectra.coeffs import make_periodic
 from cmvspectra.odometer import make_sampling
 
@@ -143,3 +149,28 @@ def test_diff_norm_bound_scales_with_perturbation(delta):
     # a rank-controlled banded difference: norm between delta and a small multiple
     assert delta * 0.5 <= b <= 10 * delta
 
+
+
+def _bound_reference(sf, sg):
+    """The bound with both value tuples tiled to the lcm period, one pair at a time."""
+    q = math.lcm(sf.period, sg.period)
+    d = theta_blocks(sf.values * (q // sf.period)) - theta_blocks(sg.values * (q // sg.period))
+    norms = np.linalg.norm(d[:, 0, :], axis=1)
+    return float(norms[0::2].max() + norms[1::2].max())
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 16, 32])
+def test_stacked_bound_equals_the_per_row_bounds_bit_for_bit(q):
+    rng = np.random.default_rng(q)
+    mag, phase = rng.uniform(0, 1, (2, 48, q))
+    rows = 0.5 * np.sqrt(mag) * np.exp(2j * np.pi * phase)
+    seqs = [make_periodic(row.tolist(), 0.6) for row in rows]
+    # a half-period sequence, as a construction stage's previous one, and periods 2 and 4
+    # that are lifted to the lcm with q (rows of period 6 are lifted to 12 against 4)
+    for sf in (_random_seq(rng, max(q // 2, 2)), _random_seq(rng, 2), _random_seq(rng, 4)):
+        stacked = diff_norm_bound_seq(sf, rows)
+        assert stacked.shape == (48,)
+        per_row = [diff_norm_bound_seq(sf, sg) for sg in seqs]
+        assert stacked.tobytes() == np.array(per_row).tobytes()
+        assert per_row == [_bound_reference(sf, sg) for sg in seqs]
+        assert all(type(b) is float for b in per_row)

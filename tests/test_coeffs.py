@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cmvspectra.coeffs import (
     PeriodicSeq,
-    common_period,
     constant_seq,
     make_periodic,
     rho,
@@ -80,12 +79,3 @@ def test_constant_seq_default_radius():
     assert seq.value_at(0) == seq.value_at(1) == 0.5
     assert 0.5 < seq.r < 1.0
     assert constant_seq(0.0).r == 0.5
-
-
-def test_common_period_tiles_both_to_the_lcm():
-    f = make_periodic([0.1, 0.2j], 0.5)
-    g = make_periodic([0.3, 0.1, 0.0, 0.2, -0.1, 0.1], 0.5)
-    lf, lg = common_period(f, g)
-    assert lf.period == lg.period == 6
-    assert lg is g
-    assert all(lf.value_at(n) == f.value_at(n) for n in range(12))

@@ -218,11 +218,20 @@ def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeyp
     structures = _count_calls(monkeypatch, construct, "band_structure")
     discriminants = _count_calls(monkeypatch, floquet, "discriminant")
     sequences = _count_calls(monkeypatch, construct, "to_periodic")
+    screened = []
+    gap_chords = construct.gap_chords
+
+    def screen(values):
+        screened.append(len(values))
+        return gap_chords(values)
+
+    monkeypatch.setattr(construct, "gap_chords", screen)
     reports, _ = cantor_iterate(make_sampling([0.3, 0.3], 0.6), 0.9, 3, seed=7)
     assert len(reports) == 4
     assert len(structures) == 4 and len(discriminants) == 4
-    # every stage still screens f and its 48 draws
-    assert len(sequences) == 4 * 49
+    # every stage still screens f and its 48 draws, and only its winner becomes a sequence
+    assert screened == [1, 48] * 4
+    assert len(sequences) == 4
 
 
 def test_a_passing_f_draws_nothing():
@@ -236,7 +245,9 @@ def test_a_passing_f_draws_nothing():
 def test_gap_opening_failure_keeps_the_first_least_closed_candidate():
     f = make_sampling((0.0, 0.0), 0.5)  # both gaps closed
     with pytest.raises(GapOpeningError) as info:
-        construct._search_candidates(f, 0.1, np.random.default_rng(1), gate=lambda g, seq: None)
+        construct._search_candidates(
+            f, 0.1, np.random.default_rng(1), gate=lambda values: (np.zeros(len(values), bool), ())
+        )
     # every draw opens both gaps, so the first draw is the least closed, not f
     assert info.value.closed_gaps == []
     assert info.value.best == perturb(f, 0.1, np.random.default_rng(1))
@@ -270,3 +281,31 @@ def test_gap_opening_failure_reports_the_least_closed_candidate():
     flat = [x for v in got["table"] for x in v]
     want = [x for v in GAP_FAILURE["best"]["table"] for x in v]
     assert flat == pytest.approx(want, rel=1e-12, abs=0)
+
+
+#: exact stage ledgers and final tables, each float as its repr, of cantor_iterate (K = 3)
+#: and ac_iterate (K = 2, u = delta_0, t = 1.5) on four seeded 2-entry tables with
+#: |alpha| <= 0.5, r = 0.6 and eps = 0.9; recorded before a stage's candidates were
+#: drawn, gated and screened as one array
+PINS = json.loads((Path(__file__).parent / "data" / "construction_pins.json").read_text())
+
+
+def _exact(value):
+    if value is None:
+        return None
+    return int(value) if isinstance(value, (int, np.integer)) else repr(float(value))
+
+
+@pytest.mark.parametrize("run", PINS["runs"], ids=lambda run: f"seed{run['seed']}")
+@pytest.mark.parametrize("mode", ["cantor", "ac"])
+def test_construction_is_bit_identical_to_its_pin(mode, run):
+    p = PINS["params"]
+    f = make_sampling([complex(*v) for v in run["table"]], p["r"])
+    if mode == "cantor":
+        reports, final = cantor_iterate(f, p["eps"], p["cantor_K"], seed=run["seed"])
+    else:
+        u = {int(n): v for n, v in p["u"].items()}
+        reports, final = ac_iterate(f, p["eps"], p["ac_K"], u, p["t"], seed=run["seed"])
+    got = [{k: _exact(v) for k, v in r.to_json().items()} for r in reports]
+    assert got == run[mode]["stages"]
+    assert [[repr(v.real), repr(v.imag)] for v in final.table] == run[mode]["final"]

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +161,18 @@ def test_approximant_induced_sequence_nearly_repeats():
     for c in cert.checks:
         if c.q_k % seq.period == 0:
             assert c.lhs == 0.0
+
+
+#: Gordon approximants, each table value as its repr, recorded before perturb became
+#: the one-row case of a stacked draw; the last two project values onto |alpha| = r
+GORDON_PINS = json.loads(
+    (Path(__file__).parent / "data" / "construction_pins.json").read_text()
+)["gordon"]
+
+
+@pytest.mark.parametrize("pin", GORDON_PINS, ids=lambda p: f"{p['table']}-seed{p['seed']}")
+def test_approximant_is_bit_identical_to_its_pin(pin):
+    f = make_sampling(pin["table"], pin["r"])
+    g, cert = construct_gordon_approximant(f, pin["eps"], pin["K"], seed=pin["seed"])
+    assert [[repr(v.real), repr(v.imag)] for v in g.table] == pin["final"]
+    assert cert.passed == pin["passed"]

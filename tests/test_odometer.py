@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from cmvspectra.odometer import (
     lift,
     make_sampling,
     perturb,
+    perturbed_tables,
     sample_sequence,
     sup_distance,
     to_periodic,
@@ -51,6 +54,45 @@ def test_perturb_keeps_projected_values_in_the_disk():
     for seed in range(2000):
         g = perturb(f, 0.3, np.random.default_rng(seed))
         assert max(abs(v) for v in g.table) <= 0.6
+
+
+def _perturb_reference(f, radius, rng):
+    """One perturbation drawn and projected value by value."""
+    mag = radius * np.sqrt(rng.uniform(0.0, 1.0, f.period))
+    phase = rng.uniform(0.0, 2.0 * math.pi, f.period)
+    table = []
+    for v, b in zip(f.table, mag * np.exp(1j * phase)):
+        w = v + b
+        a = abs(w)
+        if a > f.r:
+            scale = f.r / a
+            while abs(w * scale) > f.r:
+                scale = math.nextafter(scale, 0.0)
+            w *= scale
+        table.append(complex(w))
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    (0.1, 0.2 + 0.1j),
+    (0.6, -0.6, 0.6j, 0.42 + 0.42j),  # on |alpha| = r: the projection runs
+    (0.3, 0.0, -0.1j, 0.25, 0.0, 0.5, 0.1 - 0.1j, 0.0),
+])
+def test_stacked_draw_equals_sequential_perturbs_bit_for_bit(table):
+    f = make_sampling(table, 0.6)
+    radii = [0.3 * 0.5 ** (attempt // 12) for attempt in range(48)]
+    projected = 0
+    for seed in range(20):
+        stacked, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = perturbed_tables(f, radii, stacked)
+        want = np.array([_perturb_reference(f, radius, sequential) for radius in radii])
+        assert rows.tobytes() == want.tobytes()
+        assert stacked.bit_generator.state == sequential.bit_generator.state
+        one, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert perturb(f, 0.3, one).table == tuple(_perturb_reference(f, 0.3, reference))
+        assert one.bit_generator.state == reference.bit_generator.state
+        projected += np.count_nonzero(np.hypot(rows.real, rows.imag) == 0.6)
+    assert (projected > 0) == (max(map(abs, table)) + radii[0] > 0.6)
 
 
 def test_lift_preserves_values():

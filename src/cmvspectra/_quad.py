@@ -5,9 +5,9 @@ Band-edge integrands behave like dist^{-1/2} (equilibrium density) or worse
 large enough grading exponent m makes the transformed integrand bounded, after
 which plain Gauss-Legendre converges quickly.  The node offsets s^m are
 positive, but for large m the first one (about 1e-17 at m = 5, n = 48) lies
-below one ulp of theta, so edge + s^m rounds onto the edge itself; callers
-that evaluate next to an edge take the nodes from `graded_pairs` and keep
-(edge, offset) apart.
+below one ulp of theta, so edge + s^m rounds onto the edge itself.  So
+`graded_pairs` returns each node as (edge, offset), and the library's band
+integrands take their nodes in that form (`floquet._equilibrium_at`).
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ def graded_pairs(lo: float, hi: float, n: int, m: int):
     offsets, weights = s**m, (0.5 * smax * w) * (m * s ** (m - 1))
     return (np.repeat([lo, hi], n), np.concatenate([offsets, -offsets]),
             np.concatenate([weights, weights]))
-
-
-def integrate_graded(fn, lo: float, hi: float, n: int = 64, m: int = 2) -> float:
-    """Integrate fn over [lo, hi] with edge-graded Gauss-Legendre nodes."""
-    edges, offsets, weights = graded_pairs(lo, hi, n, m)
-    vals = np.array([fn(t) for t in edges + offsets], dtype=float)
-    return float(np.dot(vals, weights))
 
 
 def grading_exponent(t: float) -> int:

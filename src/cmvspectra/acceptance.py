@@ -167,8 +167,8 @@ def band_laws() -> CriterionResult:
             )
             arc_excess = band.width - TWO_PI / q
             mass_defect = abs(band.mass - 1.0 / q)
-            interior = [band.theta_lo + s * band.width for s in np.linspace(0.1, 0.9, 9)]
-            v_defect = max(0.0, max(1.0 / TWO_PI - v(th) for th in interior))
+            interior = v(np.full(9, band.theta_lo), np.linspace(0.1, 0.9, 9) * band.width)
+            v_defect = max(0.0, 1.0 / TWO_PI - float(interior.min()))
             # express every sub-check as a ratio to its own tolerance
             worst = max(
                 worst,

@@ -13,6 +13,11 @@ The discriminant is the trace of the monodromy, the product
 A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
 OPUC Part 2, ch. 11), multiplied out from their coefficients in z
 (`transfer.step_coeffs`); a `Discriminant` is just that Laurent polynomial.
+
+The equilibrium density V = |dpsi/dtheta| / (q pi), psi = arccos(Delta / 2),
+has one kernel, `_equilibrium_at`, which takes each point as (band edge,
+offset) to stay accurate where V blows up; the band masses and every density
+in `specmeasure` go through it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import integrate_graded
+from ._quad import graded_pairs
 from .cmv import band_columns, band_rows
 from .coeffs import PeriodicSeq
 from .transfer import step_coeffs
@@ -88,10 +93,6 @@ class Discriminant:
     def _powers(self) -> np.ndarray:
         return np.arange(self.q + 1) - self.q // 2
 
-    @functools.cached_property
-    def _deriv_coeffs(self) -> np.ndarray:
-        return 1j * self._powers * self.laurent_coeffs
-
     def eval(self, z: complex) -> complex:
         return np.dot(self.laurent_coeffs, z ** self._powers)
 
@@ -100,10 +101,6 @@ class Discriminant:
 
     def imag_defect(self, theta: float) -> float:
         return abs(self.eval(np.exp(1j * theta)).imag)
-
-    def deriv_real(self, theta: float) -> float:
-        """d/dtheta of the (real) circle restriction."""
-        return np.dot(self._deriv_coeffs, np.exp(1j * theta) ** self._powers).real
 
 
 def discriminant(seq: PeriodicSeq) -> Discriminant:
@@ -119,7 +116,7 @@ def discriminant(seq: PeriodicSeq) -> Discriminant:
     return Discriminant(seq.period, mono[:, 0, 0] + mono[:, 1, 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Band:
     """Closed arc [theta_lo, theta_lo + width] of the unit circle."""
 
@@ -148,7 +145,7 @@ def arc_chord(theta_lo: np.ndarray, theta_hi: np.ndarray) -> np.ndarray:
     return np.hypot(d.real, d.imag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gap:
     theta_lo: float
     theta_hi: float
@@ -240,43 +237,52 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
             if abs(disc.eval_real(mid)) < 2.0 - 1e-7:
                 raise BandDiagnosticError("gap midpoint classified inside the spectrum")
     if compute_masses:
-        bands = [
-            Band(b.theta_lo, b.theta_hi, b.increasing, mass=band_mass(disc, b))
-            for b in bands
-        ]
+        # one pass per band: all bands at once would hold 2 _MASS_NODES q (q + 1) terms
+        for i, b in enumerate(bands):
+            edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, _MASS_NODES, 2)
+            mass = float(np.dot(_equilibrium_at(disc, edges, offsets)[1], weights))
+            bands[i] = Band(b.theta_lo, b.theta_hi, b.increasing, mass)
     return BandStructure(seq.period, tuple(bands), tuple(gaps), disc)
 
 
-#: roundoff floor for 1 - (Delta/2)^2; below this the computed value is noise
-_S_FLOOR = 1e-15
-
-
-def density_factor(disc: Discriminant, theta: float) -> float:
-    """|dpsi/dtheta| / (q pi), evaluated with a roundoff floor on 1 - (Delta/2)^2.
-
-    Within ~1e-8 of a band edge the cancellation in 1 - (Delta/2)^2 leaves pure
-    roundoff; clamping at the floor keeps the value finite there, but not
-    accurate.  At the touching point of a closed gap the true density is
-    finite, yet both Delta' and 1 - (Delta/2)^2 are roundoff there, so the
-    value collapses: for constant alpha = 0.5 it reads 8.2e-10 at theta = pi
-    against 0.184 at pi +/- 1e-7.  specmeasure.density_distance evaluates
-    next to edges in edge-relative form instead.
-    """
-    half = 0.5 * disc.eval_real(theta)
-    s = max(1.0 - half * half, _S_FLOOR)
-    return abs(disc.deriv_real(theta)) / (2.0 * math.sqrt(s) * disc.q * math.pi)
-
-
-#: quadrature nodes per band for band_mass
+#: quadrature nodes per half-band for the band masses
 _MASS_NODES = 96
 
 
-def band_mass(disc: Discriminant, band: Band) -> float:
-    """Equilibrium mass of one band: integral of |dpsi/dtheta| / (q pi)."""
-    return integrate_graded(
-        lambda theta: density_factor(disc, theta), band.theta_lo, band.theta_hi,
-        n=_MASS_NODES, m=2,
-    )
+def _equilibrium_at(
+    disc: Discriminant, edges: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Floquet phase psi and equilibrium density V at theta = edge + offset.
+
+    V = |dpsi/dtheta| / (q pi) = |Delta'| / (2 q pi sin(psi)).  Each edge is a
+    band edge, where Delta = 2 sigma, and each offset the signed step from it
+    into the band; all nodes go in one numpy pass.  w = 1 - sigma Delta / 2 is
+    taken as sigma (Delta(edge) - Delta(theta)) / 2, summed term by term with
+    expm1(i k offset), so a node a few ulps from its edge keeps full relative
+    accuracy; then psi = 2 asin(sqrt(w / 2)) on a sigma = +1 edge.  Where
+    sin(psi) = 0, V takes the second-order limit sqrt(|Delta''| / 2) / (q pi),
+    exact at the touching point of a closed gap, where Delta' vanishes too;
+    next to an open gap V is unbounded, but a graded node's offset keeps
+    sin(psi) > 0 there.
+    """
+    q = disc.q
+    k = disc._powers
+    kd = np.multiply.outer(offsets, k)
+    expm1 = -2.0 * np.sin(0.5 * kd) ** 2 + 1j * np.sin(kd)
+    terms = disc.laurent_coeffs * np.exp(1j * np.multiply.outer(edges, k))
+    sigma = np.sign(terms.sum(axis=1).real)
+    w = np.clip(-0.5 * sigma * (terms * expm1).sum(axis=1).real, 0.0, 2.0)
+    psi = 2.0 * np.arcsin(np.sqrt(0.5 * w))
+    psi = np.where(sigma > 0, psi, math.pi - psi)
+    sin_psi = np.sqrt(w * (2.0 - w))
+    slope = np.abs((1j * k * terms * (1.0 + expm1)).sum(axis=1).real)
+    touching = sin_psi == 0
+    v = np.divide(slope, 2.0 * q * math.pi * sin_psi, out=np.zeros_like(slope),
+                  where=~touching)
+    if touching.any():
+        curv = (k * k * terms[touching] * (1.0 + expm1[touching])).sum(axis=1).real
+        v[touching] = np.sqrt(0.5 * np.abs(curv)) / (q * math.pi)
+    return psi, v
 
 
 def eigenangles(seq, theta) -> np.ndarray:

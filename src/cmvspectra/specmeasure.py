@@ -7,10 +7,13 @@ the eigenvectors of the 2x2 monodromy for e^{+/- i psi}, propagated over one
 period by the two-step transfer matrices (`transfer.step_coeffs`, evaluated by
 `transfer_at`).  One batched kernel, `_floquet_solutions`, builds them for N
 points at once, and `_amplitude_sum` forms the transform amplitudes from them;
-`floquet_solution` and `SpectralDensity.__call__` run both at N = 1, with psi
-from `psi_of`.  All band integrals use edge-graded quadrature since V blows
-up like dist^{-1/2} at band edges.  `density` and `density_distance` pass all
-nodes of a band to `_density_at` at once, each as an offset from a band edge.
+`floquet_solution` runs both at N = 1, with psi from `psi_of`.
+
+Every density takes its points as (band edge, offset into the band), with psi
+and V from `floquet._equilibrium_at`.  Band integrals use edge-graded
+quadrature, since V blows up like dist^{-1/2} at band edges, and pass all
+nodes of a band at once; `SpectralDensity.__call__` anchors its one point at
+the nearer edge of its band.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -21,17 +24,16 @@ metadata.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from ._quad import graded_pairs, grading_exponent, integrate_graded
+from ._quad import graded_pairs, grading_exponent
 from .coeffs import PeriodicSeq
-from .floquet import (TWO_PI, Band, BandStructure, Discriminant, band_structure,
-                      density_factor, discriminant)
+from .floquet import (TWO_PI, Band, BandStructure, Discriminant, _equilibrium_at,
+                      band_structure, discriminant)
 # unused here; perfbench/tests asserts that the span tracer patches this binding
 from .floquet import floquet_matrix  # noqa: F401
 from .transfer import step_coeffs, transfer_at
@@ -75,13 +77,29 @@ def floquet_solution(
     return FloquetSolution(complex(z), psi, phi[:, 0, 0], phi[:, 1, 0])
 
 
-def equilibrium_density(
-    seq: PeriodicSeq, bs: BandStructure | None = None
-) -> Callable[[float], float]:
-    """The band equilibrium density V(theta) = |dpsi/dtheta| / (q pi)."""
+#: a density on the bands, evaluated at theta = edge + offset for arrays of band edges and offsets
+EdgeField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def equilibrium_density(seq: PeriodicSeq, bs: BandStructure | None = None) -> EdgeField:
+    """The equilibrium density V = |dpsi/dtheta| / (q pi), as a function of (edges, offsets)."""
     if bs is None:
         bs = band_structure(seq, compute_masses=False)
-    return functools.partial(density_factor, bs.disc)
+    return lambda edges, offsets: _equilibrium_at(bs.disc, edges, offsets)[1]
+
+
+def _nearest_edge(
+    band: Band, anchors: np.ndarray, signed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point anchors + signed on band, as the nearer edge of band and the offset from it.
+
+    An anchor below theta_lo is taken a turn up: a band past 2 pi holds the points just above 0.
+    """
+    base = np.where(anchors < band.theta_lo, anchors + TWO_PI, anchors)
+    from_lo = (base - band.theta_lo) + signed
+    from_hi = (base - band.theta_hi) + signed
+    near_lo = from_lo <= -from_hi
+    return np.where(near_lo, band.theta_lo, band.theta_hi), np.where(near_lo, from_lo, from_hi)
 
 
 @dataclass(frozen=True)
@@ -98,15 +116,17 @@ class SpectralDensity:
     #: |mass at n nodes - mass at n/2 nodes|: an estimate of the quadrature error, not a bound
     quad_error_estimate: float = 0.0
 
+    def at(self, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """g at theta = edge + offset, for band edges and steps from them into their bands."""
+        return _density_at(self.disc, step_coeffs(self.seq.values), self.u, edges, offsets)
+
     def __call__(self, theta: float) -> float:
-        """g at one point, with psi from psi_of and V from density_factor."""
-        theta %= 2.0 * math.pi
-        if not any(b.contains(theta) for b in self.bands):
+        """g at one point, anchored at the nearer edge of its band; 0 off the bands."""
+        theta %= TWO_PI
+        band = next((b for b in self.bands if b.contains(theta)), None)
+        if band is None:
             return 0.0
-        z = np.exp(1j * theta)
-        psi = np.array([psi_of(z, self.disc)])
-        phi = _floquet_solutions(step_coeffs(self.seq.values), np.array([z]), psi)
-        return float(_amplitude_sum(phi, psi, self.u)[0]) * density_factor(self.disc, theta)
+        return float(self.at(*_nearest_edge(band, np.array([theta]), np.zeros(1)))[0])
 
     def to_json(self) -> dict:
         return {
@@ -155,7 +175,7 @@ def density(
 
 
 def lt_integral(
-    field: Callable[[float], float],
+    field: EdgeField,
     bands: tuple[Band, ...],
     t: float,
     n: int = 64,
@@ -163,7 +183,8 @@ def lt_integral(
     """Integral of |field|^t over the bands, with an error estimate from refinement.
 
     t must lie strictly in (1, 2): the integrand grows like dist^{-t/2} at band
-    edges, integrable only below t = 2.
+    edges, integrable only below t = 2.  field takes each band's graded nodes in
+    one call, as (edges, offsets): near t = 2, edge + offset rounds onto the edge.
     """
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
@@ -172,9 +193,8 @@ def lt_integral(
     def run(nodes: int) -> float:
         total = 0.0
         for b in bands:
-            total += integrate_graded(
-                lambda th: abs(field(th)) ** t, b.theta_lo, b.theta_hi, n=nodes, m=m
-            )
+            edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, nodes, m)
+            total += float(np.dot(np.abs(field(edges, offsets)) ** t, weights))
         return total
 
     fine = run(n)
@@ -199,30 +219,14 @@ def _density_at(
 ) -> np.ndarray:
     """The density of u at theta = edge + offset, for all nodes in one numpy pass.
 
-    disc and steps are the discriminant and step_coeffs of one sequence.
-    Each edge is a band edge of that sequence, where Delta = 2 sigma, and
-    each offset the signed step from it into the band.  w = 1 - sigma Delta / 2
-    is taken as sigma (Delta(edge) - Delta(theta)) / 2, summed term by term
-    with expm1(i k offset), so a node a few ulps from its edge keeps full
-    relative accuracy; then psi = 2 asin(sqrt(w / 2)) on a sigma = +1 edge.
-    A node with sin(psi) = 0, possible only on the touching point of a closed
-    gap to roundoff, gets density 0.
+    disc and steps are the discriminant and step_coeffs of one sequence, each
+    edge a band edge of it and each offset the signed step from that edge into
+    the band.  psi and V come from floquet._equilibrium_at, and the amplitudes
+    from the Floquet solutions at psi.
     """
-    q = disc.q
-    k = disc._powers
-    kd = np.multiply.outer(offsets, k)
-    expm1 = -2.0 * np.sin(0.5 * kd) ** 2 + 1j * np.sin(kd)
-    terms = disc.laurent_coeffs * np.exp(1j * np.multiply.outer(edges, k))
-    sigma = np.sign(terms.sum(axis=1).real)
-    w = np.clip(-0.5 * sigma * (terms * expm1).sum(axis=1).real, 0.0, 2.0)
-    psi = 2.0 * np.arcsin(np.sqrt(0.5 * w))
-    psi = np.where(sigma > 0, psi, math.pi - psi)
-    sin_psi = np.sqrt(w * (2.0 - w))
-    slope = np.abs((1j * k * terms * (1.0 + expm1)).sum(axis=1).real)
-    factor = np.divide(slope, 2.0 * q * math.pi * sin_psi,
-                       out=np.zeros_like(slope), where=sin_psi > 0)
+    psi, v = _equilibrium_at(disc, edges, offsets)
     phi = _floquet_solutions(steps, np.exp(1j * (edges + offsets)), psi)
-    return _amplitude_sum(phi, psi, u) * factor
+    return _amplitude_sum(phi, psi, u) * v
 
 
 def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -315,14 +319,10 @@ def density_distance(
             band = next((b for b in bs.bands if b.contains(mid)), None)
             if band is None:
                 continue
-            # the band's own frame: a band past 2 pi holds the cuts just above 0
-            base = anchors + (TWO_PI if lo < band.theta_lo else 0.0)
-            from_lo = (base - band.theta_lo) + signed
-            from_hi = (base - band.theta_hi) + signed
-            near_lo = from_lo <= -from_hi
             pieces.append(len(weights))
-            edges.append(np.where(near_lo, band.theta_lo, band.theta_hi))
-            offs.append(np.where(near_lo, from_lo, from_hi))
+            edge, offset = _nearest_edge(band, anchors, signed)
+            edges.append(edge)
+            offs.append(offset)
         weights.append(w)
     g = np.zeros((len(structures), len(weights), 2 * _DISTANCE_NODES))
     for gx, seq, bs, (pieces, edges, offs) in zip(g, (seq_a, seq_b), structures, on_bands):

@@ -11,6 +11,7 @@ from cmvspectra.construct import cantor_iterate
 from cmvspectra.floquet import (
     AllGapsClosedError,
     BandDiagnosticError,
+    _equilibrium_at,
     band_structure,
     discriminant,
     eigenangles,
@@ -129,6 +130,25 @@ def test_band_masses_are_equal_shares():
     for m in bs.band_masses:
         assert m == pytest.approx(1.0 / 4.0, abs=5e-6)
     assert sum(bs.band_masses) == pytest.approx(1.0, abs=2e-5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_thin_band_masses_are_equal_shares(seed):
+    # |alpha| <= 0.5 at q = 128 leaves bands 2e-8 .. 3e-7 wide
+    rng = np.random.default_rng([600, seed])
+    vals = 0.5 * np.sqrt(rng.uniform(0, 1, 128)) * np.exp(2j * np.pi * rng.uniform(0, 1, 128))
+    masses = band_structure(make_periodic(list(vals), 0.6)).band_masses
+    assert max(abs(m - 1.0 / 128) for m in masses) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_equilibrium_density_is_finite_at_a_closed_gap(alpha):
+    # constant alpha: Delta = 4 cos^2(theta / 2) / rho^2 - 2 touches -2 at theta = pi,
+    # where sin(psi) and Delta' vanish together and V = 1 / (2 pi rho)
+    bs = band_structure(constant_seq(alpha), compute_masses=False)
+    assert [g.theta_lo for g in bs.gaps if g.closed] == [math.pi]
+    _, v = _equilibrium_at(bs.disc, np.full(3, math.pi), np.array([0.0, 1e-6, -1e-6]))
+    assert v == pytest.approx(np.full(3, 1.0 / (TWO_PI * math.sqrt(1.0 - alpha**2))), rel=1e-10)
 
 
 def test_discriminant_bounded_by_two_inside_bands():

@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from cmvspectra import specmeasure
+from cmvspectra import acceptance, specmeasure
+from cmvspectra._quad import graded_pairs
+from cmvspectra.cmv import assemble_window
 from cmvspectra.coeffs import constant_seq, make_periodic
 from cmvspectra.construct import ac_iterate
-from cmvspectra.floquet import band_structure, density_factor, floquet_matrix
+from cmvspectra.floquet import band_structure, floquet_matrix
 from cmvspectra.odometer import make_sampling, to_periodic
 from cmvspectra.transfer import step_coeffs
 from cmvspectra.specmeasure import (
     EdgeProximityError,
     SpectralDensity,
+    _amplitude_sum,
     _density_at,
     density,
     density_distance,
@@ -59,8 +62,7 @@ def test_equilibrium_density_nonnegative():
     eq = equilibrium_density(constant_seq(0.5))
     bs = band_structure(constant_seq(0.5), compute_masses=False)
     for b in bs.bands:
-        for s in np.linspace(0.01, 0.99, 11):
-            assert eq(b.theta_lo + s * b.width) >= 0.0
+        assert np.all(eq(np.full(11, b.theta_lo), np.linspace(0.01, 0.99, 11) * b.width) >= 0.0)
 
 
 def test_delta_vector_mass_is_one():
@@ -86,7 +88,10 @@ def test_density_vanishes_in_gaps():
     seq = constant_seq(0.5)
     d = density(seq, {0: 1.0})
     assert d(0.0) == 0.0  # gap around theta = 0
-    assert d(math.pi) > 0.0
+    # theta = pi is the touching point of a closed gap: the density is finite
+    # and continuous there, not the roundoff of 0 / 0
+    for theta in (math.pi - 1e-7, math.pi, math.pi + 1e-7):
+        assert d(theta) == pytest.approx(0.1837763, rel=1e-6)
 
 
 def test_density_never_calls_the_per_node_solver(monkeypatch):
@@ -120,9 +125,33 @@ def test_lt_integral_finite_with_band_edges():
     seq = constant_seq(0.5)
     bs = band_structure(seq, compute_masses=False)
     d = density(seq, {0: 1.0}, bs)
-    val, err = lt_integral(d, bs.bands, 1.5)
+    val, err = lt_integral(d.at, bs.bands, 1.5)
     assert np.isfinite(val) and val > 0
     assert err < 1e-2 * max(val, 1.0)
+
+
+def test_lt_integral_calls_the_field_once_per_band_and_refinement():
+    seq = _random_seq(8, 311)
+    bs = band_structure(seq, compute_masses=False)
+    d = density(seq, THREE_SITES, bs)
+    sizes = []
+
+    def field(edges, offsets):
+        sizes.append(len(offsets))
+        return d.at(edges, offsets)
+
+    lt_integral(field, bs.bands, 1.5, n=32)
+    assert sizes == [64] * 8 + [32] * 8
+
+
+def test_lt_integral_converges_on_the_lt_finiteness_input():
+    # the criterion's own input; at t = 1.8 the nodes lie as close as 1e-17 to an edge
+    seq = acceptance._random_seq(np.random.default_rng(79), 4, scale=0.15, r=0.6)
+    bs = band_structure(seq, compute_masses=False)
+    v = equilibrium_density(seq, bs)
+    coarse, _ = lt_integral(v, bs.bands, 1.8, n=32)
+    fine, _ = lt_integral(v, bs.bands, 1.8, n=64)
+    assert abs(fine - coarse) <= 1e-5
 
 
 def test_density_distance_identical_is_zero():
@@ -149,6 +178,24 @@ def _random_seq(q, seed):
     return make_periodic(list(vals), 0.6)
 
 
+def _interior_v(disc, theta):
+    """V = |Delta'| / (q pi sqrt(4 - Delta^2)), formed directly from the Laurent coefficients.
+
+    A reference away from the band edges: near one, 4 - Delta^2 cancels.
+    """
+    k = np.arange(disc.q + 1) - disc.q // 2
+    terms = disc.laurent_coeffs * np.exp(1j * k * theta)
+    slope = abs((1j * k * terms).sum().real)
+    return slope / (disc.q * math.pi * math.sqrt(4.0 - terms.sum().real ** 2))
+
+
+def _per_node_density(seq, disc, u, theta):
+    """g at theta from psi_of, the per-node floquet_solution and _interior_v."""
+    sol = floquet_solution(seq, np.exp(1j * theta), disc)
+    phi = np.stack([sol.phi_plus, sol.phi_minus], axis=1)[:, :, None]
+    return float(_amplitude_sum(phi, np.array([sol.psi]), u)[0]) * _interior_v(disc, theta)
+
+
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
 def test_batched_density_matches_the_per_node_reference(q):
     seq = _random_seq(q, 300 + q)
@@ -161,11 +208,10 @@ def test_batched_density_matches_the_per_node_reference(q):
             offsets += [dist, -dist]
     steps = step_coeffs(seq.values)
     got = _density_at(bs.disc, steps, THREE_SITES, np.array(edges), np.array(offsets))
-    at_one_point = SpectralDensity(seq, THREE_SITES, bs.bands, bs.disc)
     for g, edge, offset in zip(got, edges, offsets):
         theta = edge + offset
-        ref = at_one_point(theta)
-        # the reference forms 1 - (Delta/2)^2 directly, so it carries that
+        ref = _per_node_density(seq, bs.disc, THREE_SITES, theta)
+        # the reference forms 4 - Delta^2 directly, so it carries that
         # subtraction's roundoff, about (q + 1) eps sum|c_k|, relative to it
         s = 1.0 - (0.5 * bs.disc.eval_real(theta)) ** 2
         own_roundoff = (q + 1) * np.finfo(float).eps * c_sum / s
@@ -196,7 +242,7 @@ def test_density_matches_the_floquet_matrix_eigenvectors(q):
                 evals, evecs = np.linalg.eig(floquet_matrix(seq, sign * psi))
                 phi = evecs[j, np.argmin(np.abs(evals - z))] * np.exp(1j * sign * l * psi)
                 amp2 += abs(np.vdot(phi, values)) ** 2
-            expected.append(0.5 * q * amp2 * density_factor(bs.disc, theta))
+            expected.append(0.5 * q * amp2 * _interior_v(bs.disc, theta))
             edges.append(b.theta_lo)
             offsets.append(s * b.width)
     expected = np.array(expected)
@@ -206,6 +252,33 @@ def test_density_matches_the_floquet_matrix_eigenvectors(q):
                           np.array(edges), np.array(offsets))
     assert pointwise == pytest.approx(expected, rel=1e-10, abs=0)
     assert batched == pytest.approx(expected, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("amax", [0.3, 0.6])
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_density_moments_match_powers_of_the_cmv_matrix(q, amax):
+    # an oracle without Floquet theory: int e^{ik theta} g(theta) d theta = <u, E^k u>,
+    # E on a window that E^k u never reaches the edge of; the sign of k pins that of theta
+    rng = np.random.default_rng([500, q, int(10 * amax)])
+    vals = amax * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    seq = make_periodic(list(vals), 0.7)
+    u = {n: complex(*rng.normal(size=2)) for n in range(-3, 4)}
+    d = density(seq, u)
+    moments = np.zeros(13, dtype=complex)
+    for b in d.bands:
+        edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, 64, 2)
+        g = d.at(edges, offsets)
+        moments += np.exp(1j * np.multiply.outer(np.arange(13), edges + offsets)) @ (weights * g)
+    # E^k u lies on sites -3 - 2k .. 3 + 2k, inside the window -40 .. 39 for k <= 12
+    E = assemble_window(seq.value_at, -40, 80)
+    vec = np.zeros(80, dtype=complex)
+    vec[[n + 40 for n in u]] = list(u.values())
+    powers = []
+    w = vec
+    for _ in range(13):
+        powers.append(np.vdot(vec, w))
+        w = E @ w
+    assert np.max(np.abs(moments - np.array(powers))) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])

@@ -16,7 +16,7 @@ import numpy as np
 from .cmv import cmv_entry, diff_norm_bound_seq
 from .coeffs import PeriodicSeq, constant_seq, make_periodic, rho
 from .construct import ac_iterate, cantor_iterate
-from .floquet import (band_distance, band_structure, discriminant, floquet_matrix,
+from .floquet import (TWO_PI, band_distance, band_structure, discriminant, floquet_matrix,
                       spectrum_displacement)
 from .gordon import (
     CoefficientWindow,
@@ -27,8 +27,6 @@ from .gordon import (
 from .odometer import make_sampling, sup_distance, to_periodic
 from .specmeasure import density, equilibrium_density, lt_integral
 from .transfer import build_A, build_A_unimodular, four_block
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def band_laws() -> CriterionResult:
         if len(bs.bands) != q:
             return CriterionResult("band-laws", False, float(len(bs.bands)), q,
                                    f"expected {q} bands")
-        v = equilibrium_density(seq, bs)
+        v = equilibrium_density(bs)
         for band in bs.bands:
             edge_defect = max(
                 abs(abs(bs.disc.eval_real(band.theta_lo)) - 2.0),
@@ -343,7 +341,7 @@ def lt_finiteness() -> CriterionResult:
     rng = np.random.default_rng(79)
     seq = _random_seq(rng, 4, scale=0.15, r=0.6)
     bs = band_structure(seq, compute_masses=False)
-    v = equilibrium_density(seq, bs)
+    v = equilibrium_density(bs)
     worst = 0.0
     for t in (1.2, 1.5, 1.8):
         coarse, _ = lt_integral(v, bs.bands, t, n=32)

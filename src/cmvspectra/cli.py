@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -19,15 +20,13 @@ import numpy as np
 
 from .acceptance import run_criteria
 from .coeffs import PeriodicSeq, complex_from_json
-from .construct import GapOpeningError, ac_iterate, cantor_iterate
-from .floquet import (AllGapsClosedError, BandDiagnosticError, BandStructure, Discriminant,
-                      band_structure, discriminant)
+from .construct import GapOpeningError, StageReport, ac_iterate, cantor_iterate
+from .floquet import (TWO_PI, AllGapsClosedError, BandDiagnosticError, BandStructure,
+                      Discriminant, band_structure, discriminant)
 from .gordon import CoefficientWindow, check_gordon
 from .odometer import SamplingFn, to_periodic
 from .specmeasure import EdgeProximityError, density
 from .transfer import estimate_lipschitz, gamma
-
-TWO_PI = 2.0 * math.pi
 
 #: the default source vector of density and construct --mode ac: delta_0
 _DEFAULT_U = '{"0": 1.0}'
@@ -311,17 +310,10 @@ def cmd_construct(args) -> int:
              "stages": [r.to_json() for r in reports],
              "final": final.to_json()}
     _atomic_write(os.path.join(out, "trail.json"), json.dumps(trail, indent=2) + "\n")
-    header = ("stage,period,s_norm,budget_eps,budget_move,movement,"
-              "min_gap_after,open_gap_count,band_measure,density_drift")
-    rows = [header]
+    # one column per StageReport field, as in trail.json; None is an empty cell
+    rows = [",".join(fld.name for fld in dataclasses.fields(StageReport))]
     for r in reports:
-        rows.append(",".join([
-            str(r.stage), str(r.period), _fmt(r.s_norm), _fmt(r.budget_eps),
-            "" if r.budget_move is None else _fmt(r.budget_move),
-            "" if r.movement is None else _fmt(r.movement),
-            _fmt(r.min_gap_after), str(r.open_gap_count), _fmt(r.band_measure),
-            "" if r.density_drift is None else _fmt(r.density_drift),
-        ]))
+        rows.append(",".join("" if v is None else _fmt(v) for v in r.to_json().values()))
     _atomic_write(os.path.join(out, "stages.csv"), "\n".join(rows) + "\n")
     # nested-band overlay: replaying the run for every stage spectrum is
     # wasteful, so draw the input (outer ring) and the final stage (inner ring)

@@ -17,8 +17,10 @@ while the linear schedule decays geometrically and keeps multi-stage runs
 above the gap-detection threshold.
 
 The AC variant additionally keeps the spectral-density drift of a chosen
-vector below 2^{-k} per stage.  Every stage emits a report from which the
-budget ledger is auditable without re-running the construction.
+vector below 2^{-k} per stage.  Each sequence a stage reads gets one band
+structure, which also carries its spectral density to the next stage.  Every
+stage emits a report from which the budget ledger is auditable without
+re-running the construction.
 
 A stage handles its candidates as one complex (N, q) array of coset tables
 from start to finish: one draw (odometer.perturbed_tables), one stacked gap
@@ -38,11 +40,8 @@ import numpy as np
 
 from .cmv import diff_norm_bound_seq
 from .floquet import CLOSED_GAP_CHORD, band_structure, gap_chords, min_gap
-from .odometer import SamplingFn, lift, perturbed_tables, to_periodic
-from .specmeasure import density_distance
-
-#: perturbation radii below this cannot move double-precision tables reliably
-_RADIUS_FLOOR = 1e-15
+from .odometer import RADIUS_FLOOR, SamplingFn, lift, perturbed_tables, to_periodic
+from .specmeasure import SpectralDensity, _source_vector, density_distance
 
 #: candidates per stage search; the radius halves every _HALVING_PERIOD attempts
 _MAX_ATTEMPTS = 48
@@ -115,7 +114,7 @@ def _search_candidates(
     f itself is tried before any draw and, if it passes, is the only candidate
     (the zero-perturbation case).  Otherwise up to _MAX_ATTEMPTS random
     candidates are drawn on a halving radius ladder, skipping radii below
-    _RADIUS_FLOOR, as one (N, q) array of coset tables.  All their gap chords
+    RADIUS_FLOOR, as one (N, q) array of coset tables.  All their gap chords
     come from one stacked eigensolve, and the gate takes the whole array too:
     it returns a boolean (N,) array of the rows it accepts and a tuple of (N,)
     arrays of the values it measured.  A row passes when all its gaps are open
@@ -126,7 +125,7 @@ def _search_candidates(
     none passes.
     """
     ladder = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
-    radii = [radius for radius in ladder if radius >= _RADIUS_FLOOR]
+    radii = [radius for radius in ladder if radius >= RADIUS_FLOOR]
     screened, closed = [], []
     # f alone first, so that a passing f draws nothing; then every draw at once
     for drawn in (False, True):
@@ -153,9 +152,14 @@ def _search_candidates(
     best_f = _Candidate(f, values[best] if best else None, ()).f
     bs = band_structure(to_periodic(best_f), compute_masses=False)
     closed_gaps = [g for g in bs.gaps if g.closed]
+    if closed_gaps:
+        why = (f"opened every gap within budget in {len(radii)} attempts "
+               f"({len(closed_gaps)} still closed)")
+    else:
+        why = (f"passed the stage's drift or movement gate in {len(radii)} attempts "
+               f"({np.count_nonzero(closed == 0)} of {len(closed)} candidates opened every gap)")
     raise GapOpeningError(
-        f"no perturbation within radius {radius_cap:.3e} opened every gap within "
-        f"budget in {len(radii)} attempts ({len(closed_gaps)} still closed)",
+        f"no perturbation within radius {radius_cap:.3e} {why}",
         best=best_f,
         closed_gaps=closed_gaps,
     )
@@ -186,7 +190,7 @@ def _run_stages(
     Stage 0 works at level max(f.level, 1), the level of the sequence f induces.
     """
     reports: list[StageReport] = []
-    current, prev_seq, b_k = lift(f, max(f.level, 1)), None, None
+    current, prev_seq, prev_density, b_k = lift(f, max(f.level, 1)), None, None, None
     for k in range(K + 1):
         budget_eps = (eps / 2.0**k) ** 2 / 72.0
         if k == 0:
@@ -215,15 +219,19 @@ def _run_stages(
             raise GapOpeningError(
                 f"stage {k}: {exc}", exc.best, exc.closed_gaps, trail=reports
             ) from None
-        # only the candidates read here become sampling functions and sequences
-        drift = None
+        # only the candidates read here become sampling functions, sequences and
+        # band structures, one each
+        drift = stage_density = None
         for cand in passing:
             g = cand.f
             seq = to_periodic(g)
-            if density is None or prev_seq is None:
+            bs = band_structure(seq, compute_masses=False)
+            if density is not None:
+                u, t = density
+                stage_density = SpectralDensity(seq, u, bs.bands, bs.disc)
+            if stage_density is None or prev_density is None:
                 break
-            u, t = density
-            drift = density_distance(prev_seq, seq, u, t)
+            drift = density_distance(prev_density, stage_density, t)
             if drift ** (1.0 / t) <= 2.0**-k:
                 break
         else:
@@ -234,7 +242,6 @@ def _run_stages(
                 closed_gaps=[],
                 trail=reports,
             )
-        bs = band_structure(seq, compute_masses=False)
         gap = min_gap(bs)
         reports.append(
             StageReport(
@@ -251,7 +258,7 @@ def _run_stages(
                 density_drift=drift,
             )
         )
-        current, prev_seq = g, seq
+        current, prev_seq, prev_density = g, seq, stage_density
         b_k = gap if b_k is None else min(b_k, gap)
     return reports, current
 
@@ -285,20 +292,19 @@ def ac_iterate(
 ) -> tuple[list[StageReport], SamplingFn]:
     """cantor_iterate with the per-stage spectral-density drift cap 2^{-k}.
 
-    The drift of stage k is density_distance(f_{k-1}, f_k, u, t); its 1/t
-    power must stay below 2^{-k}.  The cap is checked on the stage's gated
-    candidates in descending-gap order and the first that meets it wins, which
-    is feasible because the drift vanishes with the perturbation size; if none
-    meets it, DensityConstraintError carries the completed stages.
+    The drift of stage k is the density_distance between the spectral
+    densities of u for f_{k-1} and f_k; its 1/t power must stay below 2^{-k}.
+    The cap is checked on the stage's gated candidates in descending-gap order
+    and the first that meets it wins, which is feasible because the drift
+    vanishes with the perturbation size; if none meets it,
+    DensityConstraintError carries the completed stages.
     """
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
-    if not u:
-        raise ValueError("source vector must have nonempty support")
+    u = _source_vector(u)
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    u = {int(n): complex(v) for n, v in u.items()}
     rng = np.random.default_rng(seed)
     return _run_stages(f, eps, K, rng, density=(u, t))

@@ -17,11 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coeffs import PeriodicSeq, check_radius
-from .odometer import SamplingFn, lift, perturb, sup_distance, to_periodic
+from .odometer import RADIUS_FLOOR, SamplingFn, lift, perturb, sup_distance, to_periodic
 from .transfer import build_A_unimodular, four_block, gamma
-
-#: stage perturbations below this are absorbed by floating point and infeasible
-_FEASIBILITY_FLOOR = 1e-15
 
 
 class WindowTooShortError(ValueError):
@@ -187,7 +184,7 @@ def construct_gordon_approximant(
         delta = 0.4 * eps * 2.0 ** (-j)
         for k in range(1, j):
             delta = min(delta, 0.4 * budgets[k] * 2.0 ** (-(j - k)))
-        if delta < _FEASIBILITY_FLOOR:
+        if delta < RADIUS_FLOOR:
             raise InfeasibleBudgetError(
                 f"stage {j} perturbation budget {delta:.3e} is below the "
                 f"floating-point floor; deepest achievable scale is {j - 1}",

@@ -113,6 +113,10 @@ def make_sampling(table, r: float) -> SamplingFn:
     return SamplingFn(tuple(validate_alpha(v) for v in table), float(r))
 
 
+#: perturbation radii below this cannot move double-precision tables reliably
+RADIUS_FLOOR = 1e-15
+
+
 def perturbed_tables(f: SamplingFn, radii, rng: np.random.Generator) -> np.ndarray:
     """Coset tables of N perturbations of f, one per radius: an (N, f.period) array.
 

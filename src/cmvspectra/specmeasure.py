@@ -24,6 +24,7 @@ metadata.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -66,13 +67,9 @@ class FloquetSolution:
     phi_minus: np.ndarray
 
 
-def floquet_solution(
-    seq: PeriodicSeq, z: complex, disc: Discriminant | None = None
-) -> FloquetSolution:
+def floquet_solution(seq: PeriodicSeq, z: complex) -> FloquetSolution:
     """The two quasiperiodic solutions at z on the spectrum, normalized over one period."""
-    if disc is None:
-        disc = discriminant(seq)
-    psi = psi_of(z, disc)
+    psi = psi_of(z, discriminant(seq))
     phi = _floquet_solutions(step_coeffs(seq.values), np.array([z]), np.array([psi]))
     return FloquetSolution(complex(z), psi, phi[:, 0, 0], phi[:, 1, 0])
 
@@ -81,10 +78,8 @@ def floquet_solution(
 EdgeField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def equilibrium_density(seq: PeriodicSeq, bs: BandStructure | None = None) -> EdgeField:
+def equilibrium_density(bs: BandStructure) -> EdgeField:
     """The equilibrium density V = |dpsi/dtheta| / (q pi), as a function of (edges, offsets)."""
-    if bs is None:
-        bs = band_structure(seq, compute_masses=False)
     return lambda edges, offsets: _equilibrium_at(bs.disc, edges, offsets)[1]
 
 
@@ -102,9 +97,23 @@ def _nearest_edge(
     return np.where(near_lo, band.theta_lo, band.theta_hi), np.where(near_lo, from_lo, from_hi)
 
 
+def _source_vector(u: Mapping[int, complex]) -> dict[int, complex]:
+    """u as {site: value}; raises ValueError if it is empty or a value is not finite."""
+    u = {int(n): complex(v) for n, v in u.items()}
+    if not u:
+        raise ValueError("source vector must have nonempty support")
+    if not all(cmath.isfinite(v) for v in u.values()):
+        raise ValueError("source vector values must be finite")
+    return u
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Sampled density g of the spectral measure of a finite-support vector."""
+    """Density g of the spectral measure of a finite-support vector u.
+
+    bands and disc are those of seq's band structure; density() also samples g
+    into grid and integrates its mass.
+    """
 
     seq: PeriodicSeq
     u: dict[int, complex]
@@ -137,18 +146,10 @@ class SpectralDensity:
         }
 
 
-def density(
-    seq: PeriodicSeq,
-    u: Mapping[int, complex],
-    bs: BandStructure | None = None,
-    n: int = 64,
-) -> SpectralDensity:
+def density(seq: PeriodicSeq, u: Mapping[int, complex], n: int = 64) -> SpectralDensity:
     """Spectral density of u with per-band edge-graded sampling and its total mass."""
-    if not u:
-        raise ValueError("source vector must have nonempty support")
-    u = {int(k): complex(v) for k, v in u.items()}
-    if bs is None:
-        bs = band_structure(seq, compute_masses=False)
+    u = _source_vector(u)
+    bs = band_structure(seq, compute_masses=False)
     steps = step_coeffs(seq.values)
     samples = []
     mass = 0.0
@@ -286,37 +287,33 @@ def _amplitude_sum(phi: np.ndarray, psi: np.ndarray, u: Mapping[int, complex]) -
     return 0.5 * q * (np.abs(amp) ** 2).sum(axis=0)
 
 
-def density_distance(
-    seq_a: PeriodicSeq,
-    seq_b: PeriodicSeq,
-    u: Mapping[int, complex],
-    t: float,
-) -> float:
+def density_distance(a: SpectralDensity, b: SpectralDensity, t: float) -> float:
     """Integral of |g_a - g_b|^t over the union of the two band sets.
 
-    Each density is evaluated at its own period and vanishes off its own
-    bands.  The union is cut at every band edge of either; each piece gets
-    edge-graded nodes, and every node is handed to each density as an offset
-    from that density's nearest band edge, so no node rounds onto an edge.
-    Returns the raw integral; take the 1/t power for the metric form.
+    Each density is evaluated at its own period, from the bands and
+    discriminant it holds, and vanishes off its own bands.  The union is cut
+    at every band edge of either; each piece gets edge-graded nodes, and every
+    node is handed to each density as an offset from that density's nearest
+    band edge, so no node rounds onto an edge.  Returns the raw integral; take
+    the 1/t power for the metric form.
     """
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
-    structures = [band_structure(s, compute_masses=False) for s in (seq_a, seq_b)]
-    cuts = sorted({e % TWO_PI for bs in structures for b in bs.bands
-                   for e in (b.theta_lo, b.theta_hi)})
+    densities = (a, b)
+    cuts = sorted({e % TWO_PI for d in densities for band in d.bands
+                   for e in (band.theta_lo, band.theta_hi)})
     m = grading_exponent(t)
     weights = []
     # per density: the pieces on its bands, and each node's nearest edge and offset from it
-    on_bands = [([], [], []) for _ in structures]
+    on_bands = [([], [], []) for _ in densities]
     for i, lo in enumerate(cuts):
         hi = cuts[i + 1] if i + 1 < len(cuts) else cuts[0] + TWO_PI
         if hi - lo < 1e-13:
             continue
         mid = 0.5 * (lo + hi)
         anchors, signed, w = graded_pairs(lo, hi, _DISTANCE_NODES, m)
-        for bs, (pieces, edges, offs) in zip(structures, on_bands):
-            band = next((b for b in bs.bands if b.contains(mid)), None)
+        for d, (pieces, edges, offs) in zip(densities, on_bands):
+            band = next((band for band in d.bands if band.contains(mid)), None)
             if band is None:
                 continue
             pieces.append(len(weights))
@@ -324,12 +321,12 @@ def density_distance(
             edges.append(edge)
             offs.append(offset)
         weights.append(w)
-    g = np.zeros((len(structures), len(weights), 2 * _DISTANCE_NODES))
-    for gx, seq, bs, (pieces, edges, offs) in zip(g, (seq_a, seq_b), structures, on_bands):
-        steps = step_coeffs(seq.values)
-        chunk = max(1, _BATCH_SIZE // (bs.q * g.shape[2]))
+    g = np.zeros((len(densities), len(weights), 2 * _DISTANCE_NODES))
+    for gx, d, (pieces, edges, offs) in zip(g, densities, on_bands):
+        steps = step_coeffs(d.seq.values)
+        chunk = max(1, _BATCH_SIZE // (d.disc.q * g.shape[2]))
         for start in range(0, len(pieces), chunk):
             part = slice(start, start + chunk)
-            vals = _density_at(bs.disc, steps, u, np.ravel(edges[part]), np.ravel(offs[part]))
+            vals = _density_at(d.disc, steps, d.u, np.ravel(edges[part]), np.ravel(offs[part]))
             gx[pieces[part]] = vals.reshape(-1, g.shape[2])
     return float(np.sum(np.array(weights) * np.abs(g[0] - g[1]) ** t))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from cmvspectra import cli
 from cmvspectra.cli import main
 from cmvspectra.coeffs import make_periodic
+from cmvspectra.construct import StageReport
 from cmvspectra.floquet import AllGapsClosedError, BandDiagnosticError, band_structure
 from cmvspectra.specmeasure import EdgeProximityError
 
@@ -107,6 +109,26 @@ def test_construct_ac_mode(tmp_path, samp_file):
     assert rc == 0
     trail = json.loads((out / "trail.json").read_text())
     assert trail["stages"][1]["density_drift"] is not None
+
+
+def test_stages_csv_has_one_column_per_stage_report_field(tmp_path, samp_file):
+    out = tmp_path / "out"
+    rc = main(["construct", "--input", samp_file, "--out", str(out), "--mode", "ac",
+               "--eps", "0.9", "--stages", "2", "--seed", "7"])
+    assert rc == 0
+    header, *rows = (out / "stages.csv").read_text().strip().splitlines()
+    names = [f.name for f in dataclasses.fields(StageReport)]
+    assert header.split(",") == names
+    stages = json.loads((out / "trail.json").read_text())["stages"]
+    assert len(rows) == len(stages) == 3
+    for row, stage in zip(rows, stages):
+        cells = dict(zip(names, row.split(",")))
+        assert list(stage) == names
+        for name, value in stage.items():
+            if value is None:
+                assert cells[name] == ""
+            else:
+                assert float(cells[name]) == pytest.approx(value, rel=1e-11, abs=0)
 
 
 def test_construct_ac_drift_failure_writes_completed_stages(tmp_path, samp_file, monkeypatch,

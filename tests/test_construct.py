@@ -214,11 +214,11 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeypatch):
-    structures = _count_calls(monkeypatch, construct, "band_structure")
-    discriminants = _count_calls(monkeypatch, floquet, "discriminant")
-    sequences = _count_calls(monkeypatch, construct, "to_periodic")
-    screened = []
+def _count_stage_work(monkeypatch, run) -> dict:
+    """Run the construction and count its band structures, discriminants, sequences and screens."""
+    counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
+        (construct, "band_structure"), (floquet, "discriminant"), (construct, "to_periodic"))}
+    screened = counts["screened"] = []
     gap_chords = construct.gap_chords
 
     def screen(values):
@@ -226,12 +226,35 @@ def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeyp
         return gap_chords(values)
 
     monkeypatch.setattr(construct, "gap_chords", screen)
-    reports, _ = cantor_iterate(make_sampling([0.3, 0.3], 0.6), 0.9, 3, seed=7)
-    assert len(reports) == 4
-    assert len(structures) == 4 and len(discriminants) == 4
+    counts["reports"] = run(make_sampling([0.3, 0.3], 0.6))[0]
+    return counts
+
+
+def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeypatch):
+    counts = _count_stage_work(monkeypatch, lambda f: cantor_iterate(f, 0.9, 3, seed=7))
+    assert len(counts["reports"]) == 4
+    assert len(counts["band_structure"]) == 4 and len(counts["discriminant"]) == 4
     # every stage still screens f and its 48 draws, and only its winner becomes a sequence
-    assert screened == [1, 48] * 4
-    assert len(sequences) == 4
+    assert counts["screened"] == [1, 48] * 4
+    assert len(counts["to_periodic"]) == 4
+
+
+def test_ac_stages_build_one_band_structure_per_sequence(monkeypatch):
+    # the drift gate compares the densities the stages carry; it rebuilds no band structure
+    counts = _count_stage_work(
+        monkeypatch, lambda f: ac_iterate(f, 0.9, 2, {0: 1.0}, 1.5, seed=7))
+    assert [r.density_drift is not None for r in counts["reports"]] == [False, True, True]
+    assert len(counts["band_structure"]) == 3 and len(counts["discriminant"]) == 3
+    assert counts["screened"] == [1, 48] * 3
+    assert len(counts["to_periodic"]) == 3
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf)])
+def test_ac_iterate_rejects_a_source_that_is_not_finite(monkeypatch, value):
+    screens = _count_calls(monkeypatch, construct, "gap_chords")
+    with pytest.raises(ValueError, match="finite"):
+        ac_iterate(make_sampling([0.3, 0.1], 0.6), 0.9, 2, {0: value}, 1.5, seed=7)
+    assert screens == []  # rejected before any candidate is screened
 
 
 def test_a_passing_f_draws_nothing():
@@ -251,6 +274,20 @@ def test_gap_opening_failure_keeps_the_first_least_closed_candidate():
     # every draw opens both gaps, so the first draw is the least closed, not f
     assert info.value.closed_gaps == []
     assert info.value.best == perturb(f, 0.1, np.random.default_rng(1))
+
+
+def test_a_budget_that_rejects_every_candidate_is_not_blamed_on_closed_gaps():
+    # eps^2 / 72 underflows to 0 at eps = 1e-300: f has every gap open, but no
+    # candidate, f included, meets a drift budget of 0
+    f = make_sampling([0.3, 0.1], 0.6)
+    with pytest.raises(GapOpeningError) as info:
+        cantor_iterate(f, 1e-300, 1, seed=7)
+    assert str(info.value) == (
+        "stage 0: no perturbation within radius 0.000e+00 passed the stage's drift or "
+        "movement gate in 0 attempts (1 of 1 candidates opened every gap)"
+    )
+    assert info.value.closed_gaps == []
+    assert info.value.best == f
 
 
 def test_gap_opening_failure_counts_only_the_screened_draws():

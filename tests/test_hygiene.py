@@ -1,6 +1,7 @@
 """Library modules import only at module level and use every name they import, or say why
 not; every private module-level name of the library is used somewhere in the library, so
-code that only tests call cannot linger in it."""
+code that only tests call cannot linger in it; and no module-level name is defined in two
+library modules, so a shared constant or helper has one definition."""
 
 import ast
 from pathlib import Path
@@ -68,8 +69,8 @@ def test_the_check_sees_nested_imports():
     assert _nested_imports(source) == ["line 3", "line 6", "line 8"]
 
 
-def _private_definitions(source: str) -> list[str]:
-    """Module-level functions, classes and constants whose names start with one underscore."""
+def _definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants the source defines, imports aside."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -77,7 +78,12 @@ def _private_definitions(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def _private_definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants whose names start with one underscore."""
+    return [n for n in _definitions(source) if n.startswith("_") and not n.startswith("__")]
 
 
 def _references(source: str) -> set[str]:
@@ -136,3 +142,25 @@ def test_the_check_sees_unreferenced_private_names():
     defined = _private_definitions(source)
     assert defined == ["_A", "_B", "_f", "_g", "_C"]
     assert [n for n in defined if n not in _references(source)] == ["_B", "_f", "_C"]
+
+
+def _names_defined_twice(package: Path) -> list[str]:
+    """Module-level names that two or more of the package's modules define, with those modules."""
+    where: dict[str, list[str]] = {}
+    for p in sorted(package.glob("*.py")):
+        if p.name != "__init__.py":
+            for name in dict.fromkeys(_definitions(p.read_text())):
+                where.setdefault(name, []).append(p.stem)
+    return [f"{name}: {', '.join(stems)}" for name, stems in where.items() if len(stems) > 1]
+
+
+def test_no_name_is_defined_in_two_modules():
+    assert _names_defined_twice(SRC) == []
+
+
+def test_the_check_sees_a_name_defined_in_two_modules(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import TAU\nTAU = 6.28\n")
+    (tmp_path / "a.py").write_text("import math\nTAU = 2 * math.pi\n\ndef f():\n    return 1\n")
+    (tmp_path / "b.py").write_text("from .a import TAU, f\n\ndef g():\n    return f()\n")
+    (tmp_path / "c.py").write_text("TAU: float = 6.28\n\nclass f:\n    pass\n")
+    assert _names_defined_twice(tmp_path) == ["TAU: a, c", "f: a, c"]

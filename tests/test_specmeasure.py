@@ -37,7 +37,7 @@ def test_floquet_solutions_solve_the_restrictions_up_to_band_edges(q):
     for b in bs.bands:
         for theta in (b.theta_lo + 1e-12, 0.5 * (b.theta_lo + b.theta_hi), b.theta_hi - 1e-12):
             z = np.exp(1j * theta)
-            sol = floquet_solution(seq, z, bs.disc)
+            sol = floquet_solution(seq, z)
             for phi, phase in ((sol.phi_plus, sol.psi), (sol.phi_minus, -sol.psi)):
                 E = floquet_matrix(seq, phase)
                 assert np.linalg.norm(E @ phi - z * phi) <= 1e-10
@@ -59,8 +59,8 @@ def test_equilibrium_density_band_masses():
 
 
 def test_equilibrium_density_nonnegative():
-    eq = equilibrium_density(constant_seq(0.5))
     bs = band_structure(constant_seq(0.5), compute_masses=False)
+    eq = equilibrium_density(bs)
     for b in bs.bands:
         assert np.all(eq(np.full(11, b.theta_lo), np.linspace(0.01, 0.99, 11) * b.width) >= 0.0)
 
@@ -109,12 +109,18 @@ def test_density_rejects_empty_source():
         density(constant_seq(0.5), {})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf)])
+def test_density_rejects_a_source_that_is_not_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        density(make_periodic([0.3, 0.2], 0.6), {0: 1.0, 2: value})
+
+
 def test_lt_integral_free_case_oracle():
     # equilibrium density of the free case is 1/(2 pi); its L^t integral over
     # the full circle is (2 pi)^{1 - t}
     seq = make_periodic([0.0, 0.0], 0.5)
     bs = band_structure(seq, compute_masses=False)
-    eq = equilibrium_density(seq, bs)
+    eq = equilibrium_density(bs)
     t = 1.5
     val, err = lt_integral(eq, bs.bands, t)
     assert val == pytest.approx(TWO_PI ** (1 - t), abs=1e-6)
@@ -122,25 +128,21 @@ def test_lt_integral_free_case_oracle():
 
 
 def test_lt_integral_finite_with_band_edges():
-    seq = constant_seq(0.5)
-    bs = band_structure(seq, compute_masses=False)
-    d = density(seq, {0: 1.0}, bs)
-    val, err = lt_integral(d.at, bs.bands, 1.5)
+    d = density(constant_seq(0.5), {0: 1.0})
+    val, err = lt_integral(d.at, d.bands, 1.5)
     assert np.isfinite(val) and val > 0
     assert err < 1e-2 * max(val, 1.0)
 
 
 def test_lt_integral_calls_the_field_once_per_band_and_refinement():
-    seq = _random_seq(8, 311)
-    bs = band_structure(seq, compute_masses=False)
-    d = density(seq, THREE_SITES, bs)
+    d = density(_random_seq(8, 311), THREE_SITES)
     sizes = []
 
     def field(edges, offsets):
         sizes.append(len(offsets))
         return d.at(edges, offsets)
 
-    lt_integral(field, bs.bands, 1.5, n=32)
+    lt_integral(field, d.bands, 1.5, n=32)
     assert sizes == [64] * 8 + [32] * 8
 
 
@@ -148,24 +150,21 @@ def test_lt_integral_converges_on_the_lt_finiteness_input():
     # the criterion's own input; at t = 1.8 the nodes lie as close as 1e-17 to an edge
     seq = acceptance._random_seq(np.random.default_rng(79), 4, scale=0.15, r=0.6)
     bs = band_structure(seq, compute_masses=False)
-    v = equilibrium_density(seq, bs)
+    v = equilibrium_density(bs)
     coarse, _ = lt_integral(v, bs.bands, 1.8, n=32)
     fine, _ = lt_integral(v, bs.bands, 1.8, n=64)
     assert abs(fine - coarse) <= 1e-5
 
 
 def test_density_distance_identical_is_zero():
-    c = constant_seq(0.5)
-    assert density_distance(c, c, {0: 1.0}, 1.5) == pytest.approx(0.0, abs=1e-12)
+    c = density(constant_seq(0.5), {0: 1.0})
+    assert density_distance(c, c, 1.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_density_distance_positive_and_shrinking():
-    base = constant_seq(0.5)
-    near = constant_seq(0.505)
-    far = constant_seq(0.55)
-    u = {0: 1.0}
-    d_near = density_distance(base, near, u, 1.5)
-    d_far = density_distance(base, far, u, 1.5)
+    base, near, far = (density(constant_seq(a), {0: 1.0}) for a in (0.5, 0.505, 0.55))
+    d_near = density_distance(base, near, 1.5)
+    d_far = density_distance(base, far, 1.5)
     assert 0 < d_near < d_far
 
 
@@ -191,7 +190,7 @@ def _interior_v(disc, theta):
 
 def _per_node_density(seq, disc, u, theta):
     """g at theta from psi_of, the per-node floquet_solution and _interior_v."""
-    sol = floquet_solution(seq, np.exp(1j * theta), disc)
+    sol = floquet_solution(seq, np.exp(1j * theta))
     phi = np.stack([sol.phi_plus, sol.phi_minus], axis=1)[:, :, None]
     return float(_amplitude_sum(phi, np.array([sol.psi]), u)[0]) * _interior_v(disc, theta)
 
@@ -317,34 +316,49 @@ def seed7_stages():
     return [to_periodic(ac_iterate(f, 0.9, k, {0: 1.0}, 1.5, seed=7)[1]) for k in range(3)]
 
 
+def _delta_0_densities(seqs):
+    """The spectral densities of delta_0 for seqs, without sampling, as ac_iterate builds them."""
+    out = []
+    for seq in seqs:
+        bs = band_structure(seq, compute_masses=False)
+        out.append(SpectralDensity(seq, {0: 1.0}, bs.bands, bs.disc))
+    return out
+
+
 def test_density_distance_never_calls_the_per_node_solver(monkeypatch, seed7_stages):
     def per_node(*args, **kwargs):
         raise AssertionError("density_distance evaluated a node through floquet_solution")
 
     monkeypatch.setattr(specmeasure, "floquet_solution", per_node)
-    seq_a, seq_b = seed7_stages[1:]
-    assert seq_b.period == 8
-    assert density_distance(seq_a, seq_b, {0: 1.0}, 1.5) > 0
+    a, b = _delta_0_densities(seed7_stages[1:])
+    assert b.seq.period == 8
+    assert density_distance(a, b, 1.5) > 0
+
+
+def test_density_distance_never_builds_a_band_structure(monkeypatch, seed7_stages):
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("density_distance rebuilt a band structure")
+
+    a, b = _delta_0_densities(seed7_stages[1:])
+    monkeypatch.setattr(specmeasure, "band_structure", rebuilt)
+    monkeypatch.setattr(specmeasure, "discriminant", rebuilt)
+    assert density_distance(a, b, 1.5) > 0
+
+
+def _shifted(d, s):
+    """d with every band edge moved by s."""
+    bands = tuple(dataclasses.replace(b, theta_lo=b.theta_lo + s, theta_hi=b.theta_hi + s)
+                  for b in d.bands)
+    return dataclasses.replace(d, bands=bands)
 
 
 @pytest.mark.parametrize("shift_a, shift_b", [(1e-14, 1e-14), (-1e-14, -1e-14),
                                               (1e-14, -1e-14), (-1e-14, 1e-14)])
-def test_density_distance_is_stable_under_edge_shifts(monkeypatch, seed7_stages,
-                                                      shift_a, shift_b):
-    exact = band_structure
-    for seq_a, seq_b in zip(seed7_stages, seed7_stages[1:]):
-        base = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
-
-        def shifted(seq, compute_masses=True):
-            bs = exact(seq, compute_masses=compute_masses)
-            s = shift_a if seq is seq_a else shift_b
-            bands = tuple(dataclasses.replace(b, theta_lo=b.theta_lo + s, theta_hi=b.theta_hi + s)
-                          for b in bs.bands)
-            return dataclasses.replace(bs, bands=bands)
-
-        monkeypatch.setattr(specmeasure, "band_structure", shifted)
-        moved = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
-        monkeypatch.undo()
+def test_density_distance_is_stable_under_edge_shifts(seed7_stages, shift_a, shift_b):
+    densities = _delta_0_densities(seed7_stages)
+    for a, b in zip(densities, densities[1:]):
+        base = density_distance(a, b, 1.5)
+        moved = density_distance(_shifted(a, shift_a), _shifted(b, shift_b), 1.5)
         assert moved == pytest.approx(base, rel=1e-8, abs=0)
 
 
@@ -353,7 +367,7 @@ def test_density_distance_is_invariant_under_rotation(seed7_stages, stage):
     # alpha_n -> lam^(n+1) alpha_n with lam^q = 1 rotates the spectrum and the
     # spectral measure of delta_0 by arg(lam); some rotations put a band across 2 pi
     seq_a, seq_b = seed7_stages[stage - 1:stage + 1]
-    base = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+    base = density_distance(*_delta_0_densities([seq_a, seq_b]), 1.5)
 
     def rotated(seq, lam):
         return dataclasses.replace(
@@ -361,14 +375,16 @@ def test_density_distance_is_invariant_under_rotation(seed7_stages, stage):
 
     for j in range(1, seq_a.period):
         lam = np.exp(2j * np.pi * j / seq_a.period)
-        moved = density_distance(rotated(seq_a, lam), rotated(seq_b, lam), {0: 1.0}, 1.5)
+        moved = density_distance(
+            *_delta_0_densities([rotated(seq_a, lam), rotated(seq_b, lam)]), 1.5)
         assert moved == pytest.approx(base, rel=1e-8, abs=0)
 
 
 def test_density_distance_converges_in_the_node_count(monkeypatch, seed7_stages):
-    for seq_a, seq_b in zip(seed7_stages, seed7_stages[1:]):
-        coarse = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+    densities = _delta_0_densities(seed7_stages)
+    for a, b in zip(densities, densities[1:]):
+        coarse = density_distance(a, b, 1.5)
         monkeypatch.setattr(specmeasure, "_DISTANCE_NODES", 2 * specmeasure._DISTANCE_NODES)
-        fine = density_distance(seq_a, seq_b, {0: 1.0}, 1.5)
+        fine = density_distance(a, b, 1.5)
         monkeypatch.undo()
         assert fine == pytest.approx(coarse, rel=1e-4, abs=0)

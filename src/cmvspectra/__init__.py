@@ -7,7 +7,7 @@ extended CMV matrices (cmv), transfer matrices and the perturbation modulus
 iterations (construct), the acceptance suite (acceptance), and the CLI (cli).
 """
 
-from .cmv import assemble_window, cmv_entry, diff_norm_bound, diff_norm_bound_seq
+from .cmv import assemble_window, cmv_entry, diff_norm_bound_seq
 from .coeffs import PeriodicSeq, constant_seq, make_periodic, rho, validate_alpha
 from .construct import (
     DensityConstraintError,
@@ -90,7 +90,6 @@ __all__ = [
     "construct_gordon_approximant",
     "density",
     "density_distance",
-    "diff_norm_bound",
     "diff_norm_bound_seq",
     "discriminant",
     "eigenangles",

@@ -8,7 +8,6 @@ directory.  Exit codes: 0 success, 1 criterion/stage failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import json
 import math
@@ -25,7 +24,7 @@ from .floquet import (TWO_PI, AllGapsClosedError, BandDiagnosticError, BandStruc
                       Discriminant, band_structure, discriminant)
 from .gordon import CoefficientWindow, check_gordon
 from .odometer import SamplingFn, to_periodic
-from .specmeasure import EdgeProximityError, density
+from .specmeasure import EdgeProximityError, _source_vector, density
 from .transfer import estimate_lipschitz, gamma
 
 #: the default source vector of density and construct --mode ac: delta_0
@@ -90,7 +89,10 @@ def _as_sampling(obj) -> SamplingFn:
 
 
 def _parse_u(spec: str) -> dict[int, complex]:
-    """Parse --u: inline JSON mapping or @file; values are numbers or [re, im]."""
+    """Parse --u: inline JSON mapping or @file; values are numbers or [re, im].
+
+    The mapping is checked as the library checks any source vector.
+    """
     if spec.startswith("@"):
         try:
             with open(spec[1:]) as fh:
@@ -103,12 +105,7 @@ def _parse_u(spec: str) -> dict[int, complex]:
         except json.JSONDecodeError as exc:
             raise InputError(f"--u is not valid JSON: {exc}")
     try:
-        out = {int(k): complex_from_json(v) for k, v in obj.items()}
-        if not out:
-            raise ValueError("empty support")
-        if not all(cmath.isfinite(v) for v in out.values()):
-            raise ValueError("values must be finite")
-        return out
+        return _source_vector({int(k): complex_from_json(v) for k, v in obj.items()})
     except (ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"invalid --u mapping: {exc}")
 

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .coeffs import PeriodicSeq, rho, validate_alpha
-from .odometer import SamplingFn, to_periodic
 
 AlphaFn = Callable[[int], complex]
 
@@ -129,8 +128,3 @@ def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq | np.ndarray) -> float 
     norms = np.linalg.norm(d[..., 0, :], axis=-1)
     bound = norms[..., 0::2].max(axis=-1) + norms[..., 1::2].max(axis=-1)
     return float(bound) if bound.ndim == 0 else bound
-
-
-def diff_norm_bound(f: SamplingFn, g: SamplingFn) -> float:
-    """Upper bound on the operator norm of E_f - E_g for sampling functions."""
-    return diff_norm_bound_seq(to_periodic(f), to_periodic(g))

@@ -39,7 +39,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cmv import diff_norm_bound_seq
-from .floquet import CLOSED_GAP_CHORD, band_structure, gap_chords, min_gap
+from .floquet import CLOSED_GAP_CHORD, arc_gaps, band_arcs, band_structure, gap_chords, min_gap
 from .odometer import RADIUS_FLOOR, SamplingFn, lift, perturbed_tables, to_periodic
 from .specmeasure import SpectralDensity, _source_vector, density_distance
 
@@ -115,14 +115,14 @@ def _search_candidates(
     (the zero-perturbation case).  Otherwise up to _MAX_ATTEMPTS random
     candidates are drawn on a halving radius ladder, skipping radii below
     RADIUS_FLOOR, as one (N, q) array of coset tables.  All their gap chords
-    come from one stacked eigensolve, and the gate takes the whole array too:
-    it returns a boolean (N,) array of the rows it accepts and a tuple of (N,)
-    arrays of the values it measured.  A row passes when all its gaps are open
-    and the gate accepts it; ties in the minimal gap go to the earlier draw.
-    f has level >= 1, so its table is the period it induces.  No sampling
-    function is built here: a candidate's f is built when it is read.  Raises
-    GapOpeningError carrying the least-closed candidate seen, f included, if
-    none passes.
+    come from one stacked eigensolve per phase, and the gate takes the whole
+    array too: it returns a boolean (N,) array of the rows it accepts and a
+    tuple of (N,) arrays of the values it measured.  A row passes when all its
+    gaps are open and the gate accepts it; ties in the minimal gap go to the
+    earlier draw.  f has level >= 1, so its table is the period it induces.
+    No sampling function is built here: a candidate's f is built when it is
+    read.  Raises GapOpeningError carrying the least-closed candidate seen, f
+    included, and that row's closed gaps, if none passes.
     """
     ladder = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
     radii = [radius for radius in ladder if radius >= RADIUS_FLOOR]
@@ -149,9 +149,9 @@ def _search_candidates(
         closed.append(n_closed)
     values, closed = np.concatenate(screened), np.concatenate(closed)
     best = int(np.argmin(closed))
-    best_f = _Candidate(f, values[best] if best else None, ()).f
-    bs = band_structure(to_periodic(best_f), compute_masses=False)
-    closed_gaps = [g for g in bs.gaps if g.closed]
+    # the least-closed row's gaps, from its own arcs: no discriminant is needed to list them
+    lo, hi, band, _ = band_arcs(values[best])
+    closed_gaps = [g for g in arc_gaps(lo, hi, band) if g.closed]
     if closed_gaps:
         why = (f"opened every gap within budget in {len(radii)} attempts "
                f"({len(closed_gaps)} still closed)")
@@ -160,7 +160,7 @@ def _search_candidates(
                f"({np.count_nonzero(closed == 0)} of {len(closed)} candidates opened every gap)")
     raise GapOpeningError(
         f"no perturbation within radius {radius_cap:.3e} {why}",
-        best=best_f,
+        best=_Candidate(f, values[best] if best else None, ()).f,
         closed_gaps=closed_gaps,
     )
 

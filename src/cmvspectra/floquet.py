@@ -7,7 +7,9 @@ eigenangles at phases 0 and pi, which a normal-matrix eigensolve delivers to
 near machine precision; this is what lets the construction iterations certify
 gaps far below any sampling grid's resolution.  The angles are used as
 returned: a Newton step on the discriminant would divide its roundoff by
-|Delta'|, which vanishes at exactly those narrow gaps.
+|Delta'|, which vanishes at exactly those narrow gaps.  `band_arcs` labels
+them into bands and gaps, for one period or a stack, and is the only place
+band edges are derived.
 
 The discriminant is the trace of the monodromy, the product
 A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
@@ -205,31 +207,42 @@ def label_arcs(
     return lo, hi, band, rising
 
 
+def band_arcs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """label_arcs of the phase-0 and phase-pi eigenangles of one period (q,) or a stack (N, q).
+
+    Each phase is its own eigensolve: stacking the two would hold both sets of
+    restrictions at once for no gain in accuracy.
+    """
+    return label_arcs(eigenangles(values, 0.0), eigenangles(values, math.pi))
+
+
+def arc_gaps(lo: np.ndarray, hi: np.ndarray, band: np.ndarray) -> list[Gap]:
+    """The gaps among one period's arcs from band_arcs, in angular order."""
+    gap = ~band
+    return [Gap(a, b, c) for a, b, c in zip(lo[gap], hi[gap], arc_chord(lo[gap], hi[gap]))]
+
+
 def gap_chords(values: np.ndarray) -> np.ndarray:
     """Chords of the q gaps of each period in an (N, q) stack, in angular order: (N, q).
 
-    Every period is folded at phases 0 and pi in one pass, and all 2N
-    restrictions go through one eigensolve.  These are band_structure's gaps
-    without the discriminant, so without its midpoint check: the cheap screen
-    for many candidate periods at once.
+    These are band_structure's gaps without the discriminant, so without its
+    midpoint check: the cheap screen for many candidate periods at once.
     """
-    plus, minus = eigenangles(values, np.array([[0.0], [math.pi]]))
-    lo, hi, band, _ = label_arcs(plus, minus)
+    lo, hi, band, _ = band_arcs(values)
     return arc_chord(lo[~band], hi[~band]).reshape(len(values), -1)
 
 
 def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructure:
     """Bands and gaps from the eigenangles of the phase-0 and phase-pi restrictions.
 
-    label_arcs cuts the circle at the 2q angles.  Each arc takes its endpoints
+    band_arcs cuts the circle at the 2q angles.  Each arc takes its endpoints
     straight from those angles, so every band shares both endpoints with its
     neighbouring gaps.
     """
     disc = discriminant(seq)
-    lo, hi, band, rising = label_arcs(eigenangles(seq, 0.0), eigenangles(seq, math.pi))
-    gap = ~band
+    lo, hi, band, rising = band_arcs(seq.values)
     bands = [Band(a, b, bool(r)) for a, b, r in zip(lo[band], hi[band], rising[band])]
-    gaps = [Gap(a, b, c) for a, b, c in zip(lo[gap], hi[gap], arc_chord(lo[gap], hi[gap]))]
+    gaps = arc_gaps(lo, hi, band)
     # sanity: open gap interiors must lie outside the spectrum
     for g in gaps:
         if not g.closed and g.width > 1e-7:

@@ -131,10 +131,10 @@ def check_gordon(window: CoefficientWindow, schedule: list[tuple[int, int]]) -> 
     return GordonCertificate(window.r, tuple(checks))
 
 
-def growth_ratio(seq: PeriodicSeq, z, q_k: int, u0=(1.0, 0.0)) -> float:
+def growth_ratio(seq: PeriodicSeq, z, q_k: int) -> float:
     """max over a = +/-1, +/-2 of ||phi(a q_k + 1)|| / ||phi(1)||.
 
-    phi is the solution with (u_1, u_2) = u0, propagated by powers of the
+    phi is the solution with (u_1, u_2) = (1, 0), propagated by powers of the
     q_k-step monodromy (the ordered product of two-step transfer matrices over
     odd indices 1, 3, ..., q_k - 1).  When q_k is a multiple of the period the
     monodromy is unimodular and the four-block bound makes this >= 1/2 on the
@@ -142,17 +142,13 @@ def growth_ratio(seq: PeriodicSeq, z, q_k: int, u0=(1.0, 0.0)) -> float:
     """
     if q_k < 2 or q_k % 2 != 0:
         raise ValueError(f"q_k must be a positive even integer, got {q_k}")
-    u = np.array(u0, dtype=complex)
-    nu = np.linalg.norm(u)
-    if nu == 0:
-        raise ValueError("initial condition (u_1, u_2) must be nonzero")
     # the triples repeat with the period, so one period's matrices serve every step
     steps = [build_A_unimodular(seq.value_at(n), seq.value_at(n + 1), seq.value_at(n + 2), z)
              for n in range(1, min(q_k, seq.period), 2)]
     mono = np.eye(2, dtype=complex)
     for j in range(q_k // 2):
         mono = steps[j % len(steps)] @ mono
-    return float(four_block(mono, u / nu))
+    return float(four_block(mono, np.array([1.0, 0.0], dtype=complex)))
 
 
 def construct_gordon_approximant(

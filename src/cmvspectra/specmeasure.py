@@ -13,7 +13,9 @@ Every density takes its points as (band edge, offset into the band), with psi
 and V from `floquet._equilibrium_at`.  Band integrals use edge-graded
 quadrature, since V blows up like dist^{-1/2} at band edges, and pass all
 nodes of a band at once; `SpectralDensity.__call__` anchors its one point at
-the nearer edge of its band.
+the nearer edge of its band.  `SpectralDensity.at` is the one density
+evaluator: it computes its sequence's step coefficients once, and `density`,
+`density_distance` and the pointwise call all go through it.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -25,8 +27,9 @@ metadata.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -125,9 +128,20 @@ class SpectralDensity:
     #: |mass at n nodes - mass at n/2 nodes|: an estimate of the quadrature error, not a bound
     quad_error_estimate: float = 0.0
 
+    @functools.cached_property
+    def _steps(self) -> np.ndarray:
+        return step_coeffs(self.seq.values)
+
     def at(self, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """g at theta = edge + offset, for band edges and steps from them into their bands."""
-        return _density_at(self.disc, step_coeffs(self.seq.values), self.u, edges, offsets)
+        """g at theta = edge + offset, for band edges and steps from them into their bands.
+
+        All nodes go in one numpy pass: psi and V come from
+        floquet._equilibrium_at, and the amplitudes from the Floquet solutions
+        at psi.
+        """
+        psi, v = _equilibrium_at(self.disc, edges, offsets)
+        phi = _floquet_solutions(self._steps, np.exp(1j * (edges + offsets)), psi)
+        return _amplitude_sum(phi, psi, self.u) * v
 
     def __call__(self, theta: float) -> float:
         """g at one point, anchored at the nearer edge of its band; 0 off the bands."""
@@ -150,37 +164,28 @@ def density(seq: PeriodicSeq, u: Mapping[int, complex], n: int = 64) -> Spectral
     """Spectral density of u with per-band edge-graded sampling and its total mass."""
     u = _source_vector(u)
     bs = band_structure(seq, compute_masses=False)
-    steps = step_coeffs(seq.values)
+    d = SpectralDensity(seq, u, bs.bands, bs.disc)
     samples = []
     mass = 0.0
     mass_coarse = 0.0
-    for b in bs.bands:
+    for b in d.bands:
         edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, n, 2)
         e2, o2, w2 = graded_pairs(b.theta_lo, b.theta_hi, max(8, n // 2), 2)
         # the band's n fine and n/2 coarse nodes in one pass
-        vals = _density_at(bs.disc, steps, u, np.concatenate([edges, e2]),
-                           np.concatenate([offsets, o2]))
+        vals = d.at(np.concatenate([edges, e2]), np.concatenate([offsets, o2]))
         fine, coarse = vals[:len(weights)], vals[len(weights):]
         mass += float(np.dot(fine, weights))
         mass_coarse += float(np.dot(coarse, w2))
         samples.append(np.column_stack([edges + offsets, fine]))
-    return SpectralDensity(
-        seq,
-        u,
-        bs.bands,
-        bs.disc,
-        grid=np.concatenate(samples),
-        total_mass=mass,
-        quad_error_estimate=abs(mass - mass_coarse),
-    )
+    return replace(d, grid=np.concatenate(samples), total_mass=mass,
+                   quad_error_estimate=abs(mass - mass_coarse))
 
 
-def lt_integral(
-    field: EdgeField,
-    bands: tuple[Band, ...],
-    t: float,
-    n: int = 64,
-) -> tuple[float, float]:
+#: quadrature nodes per half-band for lt_integral; its error estimate halves them
+_LT_NODES = 64
+
+
+def lt_integral(field: EdgeField, bands: tuple[Band, ...], t: float) -> tuple[float, float]:
     """Integral of |field|^t over the bands, with an error estimate from refinement.
 
     t must lie strictly in (1, 2): the integrand grows like dist^{-t/2} at band
@@ -198,36 +203,17 @@ def lt_integral(
             total += float(np.dot(np.abs(field(edges, offsets)) ** t, weights))
         return total
 
-    fine = run(n)
-    coarse = run(max(8, n // 2))
+    fine = run(_LT_NODES)
+    coarse = run(_LT_NODES // 2)
     return fine, abs(fine - coarse)
 
 
 #: quadrature nodes per half-interval for density_distance
 _DISTANCE_NODES = 48
 
-#: nodes times period per batch of _density_at; bounds its O(N q) temporaries,
+#: nodes times period per batch of SpectralDensity.at; bounds its O(N q) temporaries,
 #: to about 0.7 MiB at q = 8
 _BATCH_SIZE = 1 << 11
-
-
-def _density_at(
-    disc: Discriminant,
-    steps: np.ndarray,
-    u: Mapping[int, complex],
-    edges: np.ndarray,
-    offsets: np.ndarray,
-) -> np.ndarray:
-    """The density of u at theta = edge + offset, for all nodes in one numpy pass.
-
-    disc and steps are the discriminant and step_coeffs of one sequence, each
-    edge a band edge of it and each offset the signed step from that edge into
-    the band.  psi and V come from floquet._equilibrium_at, and the amplitudes
-    from the Floquet solutions at psi.
-    """
-    psi, v = _equilibrium_at(disc, edges, offsets)
-    phi = _floquet_solutions(steps, np.exp(1j * (edges + offsets)), psi)
-    return _amplitude_sum(phi, psi, u) * v
 
 
 def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -323,10 +309,9 @@ def density_distance(a: SpectralDensity, b: SpectralDensity, t: float) -> float:
         weights.append(w)
     g = np.zeros((len(densities), len(weights), 2 * _DISTANCE_NODES))
     for gx, d, (pieces, edges, offs) in zip(g, densities, on_bands):
-        steps = step_coeffs(d.seq.values)
         chunk = max(1, _BATCH_SIZE // (d.disc.q * g.shape[2]))
         for start in range(0, len(pieces), chunk):
             part = slice(start, start + chunk)
-            vals = _density_at(d.disc, steps, d.u, np.ravel(edges[part]), np.ravel(offs[part]))
+            vals = d.at(np.ravel(edges[part]), np.ravel(offs[part]))
             gx[pieces[part]] = vals.reshape(-1, g.shape[2])
     return float(np.sum(np.array(weights) * np.abs(g[0] - g[1]) ** t))

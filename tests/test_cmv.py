@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from cmvspectra.cmv import (
     assemble_window,
     cmv_entry,
-    diff_norm_bound,
     diff_norm_bound_seq,
     theta_blocks,
 )
 from cmvspectra.coeffs import make_periodic
-from cmvspectra.odometer import make_sampling
+from cmvspectra.odometer import make_sampling, to_periodic
 
 
 def _random_alpha(seed, scale=0.4):
@@ -145,7 +144,7 @@ def test_closed_form_bound_brackets_sampled_norm(entry_parts, q, size):
 def test_diff_norm_bound_scales_with_perturbation(delta):
     f = make_sampling((0.1, -0.2), 0.5)
     g = make_sampling((0.1 + delta, -0.2), 0.5)
-    b = diff_norm_bound(f, g)
+    b = diff_norm_bound_seq(to_periodic(f), to_periodic(g))
     # a rank-controlled banded difference: norm between delta and a small multiple
     assert delta * 0.5 <= b <= 10 * delta
 

@@ -276,6 +276,18 @@ def test_gap_opening_failure_keeps_the_first_least_closed_candidate():
     assert info.value.best == perturb(f, 0.1, np.random.default_rng(1))
 
 
+def test_gap_opening_failure_lists_closed_gaps_without_a_discriminant(monkeypatch):
+    # the least-closed row's gaps come from its own arcs, not from a band structure
+    f = make_sampling((0.0, 0.0), 0.5)  # both gaps closed
+    discriminants = _count_calls(monkeypatch, floquet, "discriminant")
+    band_structures = _count_calls(monkeypatch, construct, "band_structure")
+    with pytest.raises(GapOpeningError):
+        construct._search_candidates(
+            f, 0.1, np.random.default_rng(1), gate=lambda values: (np.zeros(len(values), bool), ())
+        )
+    assert discriminants == [] and band_structures == []
+
+
 def test_a_budget_that_rejects_every_candidate_is_not_blamed_on_closed_gaps():
     # eps^2 / 72 underflows to 0 at eps = 1e-300: f has every gap open, but no
     # candidate, f included, meets a drift budget of 0

@@ -100,8 +100,6 @@ def test_growth_ratio_validates_arguments():
     seq = make_periodic([0.1, -0.2], 0.5)
     with pytest.raises(ValueError):
         growth_ratio(seq, 1.0, 3)
-    with pytest.raises(ValueError):
-        growth_ratio(seq, 1.0, 4, u0=(0.0, 0.0))
 
 
 def test_approximant_passes_and_stays_close():

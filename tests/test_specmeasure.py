@@ -11,12 +11,10 @@ from cmvspectra.coeffs import constant_seq, make_periodic
 from cmvspectra.construct import ac_iterate
 from cmvspectra.floquet import band_structure, floquet_matrix
 from cmvspectra.odometer import make_sampling, to_periodic
-from cmvspectra.transfer import step_coeffs
 from cmvspectra.specmeasure import (
     EdgeProximityError,
     SpectralDensity,
     _amplitude_sum,
-    _density_at,
     density,
     density_distance,
     equilibrium_density,
@@ -142,8 +140,8 @@ def test_lt_integral_calls_the_field_once_per_band_and_refinement():
         sizes.append(len(offsets))
         return d.at(edges, offsets)
 
-    lt_integral(field, d.bands, 1.5, n=32)
-    assert sizes == [64] * 8 + [32] * 8
+    lt_integral(field, d.bands, 1.5)
+    assert sizes == [128] * 8 + [64] * 8
 
 
 def test_lt_integral_converges_on_the_lt_finiteness_input():
@@ -151,9 +149,8 @@ def test_lt_integral_converges_on_the_lt_finiteness_input():
     seq = acceptance._random_seq(np.random.default_rng(79), 4, scale=0.15, r=0.6)
     bs = band_structure(seq, compute_masses=False)
     v = equilibrium_density(bs)
-    coarse, _ = lt_integral(v, bs.bands, 1.8, n=32)
-    fine, _ = lt_integral(v, bs.bands, 1.8, n=64)
-    assert abs(fine - coarse) <= 1e-5
+    _, err = lt_integral(v, bs.bands, 1.8)
+    assert err <= 1e-5
 
 
 def test_density_distance_identical_is_zero():
@@ -205,8 +202,8 @@ def test_batched_density_matches_the_per_node_reference(q):
         for dist in (1e-9, 1e-6, 1e-3, 0.1 * b.width, 0.3 * b.width, 0.5 * b.width):
             edges += [b.theta_lo, b.theta_hi]
             offsets += [dist, -dist]
-    steps = step_coeffs(seq.values)
-    got = _density_at(bs.disc, steps, THREE_SITES, np.array(edges), np.array(offsets))
+    got = SpectralDensity(seq, THREE_SITES, bs.bands, bs.disc).at(np.array(edges),
+                                                                  np.array(offsets))
     for g, edge, offset in zip(got, edges, offsets):
         theta = edge + offset
         ref = _per_node_density(seq, bs.disc, THREE_SITES, theta)
@@ -247,8 +244,7 @@ def test_density_matches_the_floquet_matrix_eigenvectors(q):
     expected = np.array(expected)
     at_one_point = SpectralDensity(seq, SPREAD_SITES, bs.bands, bs.disc)
     pointwise = np.array([at_one_point(e + o) for e, o in zip(edges, offsets)])
-    batched = _density_at(bs.disc, step_coeffs(seq.values), SPREAD_SITES,
-                          np.array(edges), np.array(offsets))
+    batched = at_one_point.at(np.array(edges), np.array(offsets))
     assert pointwise == pytest.approx(expected, rel=1e-10, abs=0)
     assert batched == pytest.approx(expected, rel=1e-10, abs=0)
 
@@ -286,10 +282,10 @@ def test_batched_density_resolves_nodes_below_one_ulp_of_an_edge(q):
     seq = _random_seq(q, 300 + q)
     bs = band_structure(seq, compute_masses=False)
     offsets = np.array([1e-17, 1e-15, 1e-13, 1e-11])
-    steps = step_coeffs(seq.values)
+    d = SpectralDensity(seq, THREE_SITES, bs.bands, bs.disc)
     for b in bs.bands:
         for edge, sign in ((b.theta_lo, 1.0), (b.theta_hi, -1.0)):
-            g = _density_at(bs.disc, steps, THREE_SITES, np.full(4, edge), sign * offsets)
+            g = d.at(np.full(4, edge), sign * offsets)
             scaled = g * np.sqrt(offsets)
             assert np.ptp(scaled) <= 1e-6 * scaled.max()
 
@@ -299,14 +295,14 @@ def test_batched_density_of_the_free_case():
     # monodromy diag(1/z, z) has one vanishing eigenvector candidate off z = +/-1
     # and equals the identity at z = 1
     seq = make_periodic([0.0, 0.0], 0.5)
-    disc = band_structure(seq, compute_masses=False).disc
+    bs = band_structure(seq, compute_masses=False)
+    d = SpectralDensity(seq, {0: 1.0}, bs.bands, bs.disc)
     edges = np.array([0.0, 0.0, math.pi, math.pi, TWO_PI])
     offsets = np.array([0.3, 1.2, -0.5, 1.0, -0.7])
-    steps = step_coeffs(seq.values)
-    g = _density_at(disc, steps, {0: 1.0}, edges, offsets)
+    g = d.at(edges, offsets)
     assert g == pytest.approx(np.full(5, 1.0 / TWO_PI), rel=1e-12)
     with pytest.raises(EdgeProximityError):
-        _density_at(disc, steps, {0: 1.0}, np.array([0.0]), np.array([0.0]))
+        d.at(np.array([0.0]), np.array([0.0]))
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +339,16 @@ def test_density_distance_never_builds_a_band_structure(monkeypatch, seed7_stage
     monkeypatch.setattr(specmeasure, "band_structure", rebuilt)
     monkeypatch.setattr(specmeasure, "discriminant", rebuilt)
     assert density_distance(a, b, 1.5) > 0
+
+
+def test_a_density_computes_its_step_coefficients_once(monkeypatch, seed7_stages):
+    a, b = _delta_0_densities(seed7_stages[1:])
+    calls = []
+    original = specmeasure.step_coeffs
+    monkeypatch.setattr(specmeasure, "step_coeffs", lambda v: calls.append(None) or original(v))
+    first = density_distance(a, b, 1.5)
+    assert density_distance(a, b, 1.5) == first
+    assert len(calls) == 2  # once per density, not once per density per call
 
 
 def _shifted(d, s):

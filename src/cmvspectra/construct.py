@@ -39,7 +39,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cmv import diff_norm_bound_seq
-from .floquet import CLOSED_GAP_CHORD, arc_gaps, band_arcs, band_structure, gap_chords, min_gap
+from .floquet import (CLOSED_GAP_CHORD, band_arcs, band_structure, bands_and_gaps, gap_chords,
+                      min_gap)
 from .odometer import RADIUS_FLOOR, SamplingFn, lift, perturbed_tables, to_periodic
 from .specmeasure import SpectralDensity, _source_vector, density_distance
 
@@ -150,8 +151,7 @@ def _search_candidates(
     values, closed = np.concatenate(screened), np.concatenate(closed)
     best = int(np.argmin(closed))
     # the least-closed row's gaps, from its own arcs: no discriminant is needed to list them
-    lo, hi, band, _ = band_arcs(values[best])
-    closed_gaps = [g for g in arc_gaps(lo, hi, band) if g.closed]
+    closed_gaps = [g for g in bands_and_gaps(*band_arcs(values[best]))[1] if g.closed]
     if closed_gaps:
         why = (f"opened every gap within budget in {len(radii)} attempts "
                f"({len(closed_gaps)} still closed)")

@@ -19,7 +19,8 @@ OPUC Part 2, ch. 11), multiplied out from their coefficients in z
 The equilibrium density V = |dpsi/dtheta| / (q pi), psi = arccos(Delta / 2),
 has one kernel, `_equilibrium_at`, which takes each point as (band edge,
 offset) to stay accurate where V blows up; the band masses and every density
-in `specmeasure` go through it.
+in `specmeasure` go through it.  It forms the exponentials e^{i k edge} once
+per distinct edge, so a band's pass pays for its two edges, not for each node.
 """
 
 from __future__ import annotations
@@ -84,21 +85,35 @@ def floquet_matrix(seq, theta) -> np.ndarray:
     return B
 
 
-@dataclass(frozen=True)
+# one read-only array per period, shared by its discriminants rather than held by each
+@functools.lru_cache(maxsize=64)
+def _laurent_powers(q: int) -> np.ndarray:
+    k = np.arange(q + 1) - q // 2
+    k.flags.writeable = False
+    return k
+
+
+@dataclass(frozen=True, eq=False)
 class Discriminant:
-    """Laurent polynomial z^{-q/2} .. z^{q/2}, real-valued on the unit circle."""
+    """Laurent polynomial z^{-q/2} .. z^{q/2}, real-valued on the unit circle.
+
+    Compared by identity: it is derived from a sequence, and the structures
+    holding one compare that sequence's bands instead.
+    """
 
     q: int
     laurent_coeffs: np.ndarray  # index j corresponds to power j - q/2
 
-    @functools.cached_property
+    @property
     def _powers(self) -> np.ndarray:
-        return np.arange(self.q + 1) - self.q // 2
+        return _laurent_powers(self.q)
 
-    def eval(self, z: complex) -> complex:
-        return np.dot(self.laurent_coeffs, z ** self._powers)
+    def eval(self, z):
+        """Delta at a point z, or at each point of an array of them."""
+        return np.power.outer(z, self._powers) @ self.laurent_coeffs
 
-    def eval_real(self, theta: float) -> float:
+    def eval_real(self, theta):
+        """Re Delta(e^{i theta}) at an angle, or at each angle of an array of them."""
         return self.eval(np.exp(1j * theta)).real
 
     def imag_defect(self, theta: float) -> float:
@@ -167,7 +182,7 @@ class BandStructure:
     q: int
     bands: tuple[Band, ...]
     gaps: tuple[Gap, ...]
-    disc: Discriminant = field(repr=False)
+    disc: Discriminant = field(repr=False, compare=False)
 
     @property
     def band_masses(self) -> tuple[float, ...]:
@@ -216,10 +231,23 @@ def band_arcs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return label_arcs(eigenangles(values, 0.0), eigenangles(values, math.pi))
 
 
-def arc_gaps(lo: np.ndarray, hi: np.ndarray, band: np.ndarray) -> list[Gap]:
-    """The gaps among one period's arcs from band_arcs, in angular order."""
-    gap = ~band
-    return [Gap(a, b, c) for a, b, c in zip(lo[gap], hi[gap], arc_chord(lo[gap], hi[gap]))]
+def bands_and_gaps(
+    lo: np.ndarray, hi: np.ndarray, band: np.ndarray, rising: np.ndarray
+) -> tuple[list[Band], list[Gap]]:
+    """The bands and the gaps among one period's arcs from band_arcs, each in angular order.
+
+    Each cut is one float, shared by the band and the gap that meet there, so
+    a band structure holds 2q + 1 endpoints rather than 4q.
+    """
+    cuts = lo.tolist() + hi[-1:].tolist()
+    chords = iter(arc_chord(lo[~band], hi[~band]).tolist())
+    bands, gaps = [], []
+    for i, (is_band, r) in enumerate(zip(band.tolist(), rising.tolist())):
+        if is_band:
+            bands.append(Band(cuts[i], cuts[i + 1], r))
+        else:
+            gaps.append(Gap(cuts[i], cuts[i + 1], next(chords)))
+    return bands, gaps
 
 
 def gap_chords(values: np.ndarray) -> np.ndarray:
@@ -237,18 +265,14 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
 
     band_arcs cuts the circle at the 2q angles.  Each arc takes its endpoints
     straight from those angles, so every band shares both endpoints with its
-    neighbouring gaps.
+    neighbouring gaps (bands_and_gaps).
     """
     disc = discriminant(seq)
-    lo, hi, band, rising = band_arcs(seq.values)
-    bands = [Band(a, b, bool(r)) for a, b, r in zip(lo[band], hi[band], rising[band])]
-    gaps = arc_gaps(lo, hi, band)
+    bands, gaps = bands_and_gaps(*band_arcs(seq.values))
     # sanity: open gap interiors must lie outside the spectrum
-    for g in gaps:
-        if not g.closed and g.width > 1e-7:
-            mid = 0.5 * (g.theta_lo + g.theta_hi)
-            if abs(disc.eval_real(mid)) < 2.0 - 1e-7:
-                raise BandDiagnosticError("gap midpoint classified inside the spectrum")
+    mids = [0.5 * (g.theta_lo + g.theta_hi) for g in gaps if not g.closed and g.width > 1e-7]
+    if np.any(np.abs(disc.eval_real(np.array(mids))) < 2.0 - 1e-7):
+        raise BandDiagnosticError("gap midpoint classified inside the spectrum")
     if compute_masses:
         # one pass per band: all bands at once would hold 2 _MASS_NODES q (q + 1) terms
         for i, b in enumerate(bands):
@@ -277,23 +301,36 @@ def _equilibrium_at(
     exact at the touching point of a closed gap, where Delta' vanishes too;
     next to an open gap V is unbounded, but a graded node's offset keeps
     sin(psi) > 0 there.
+
+    The terms c_k e^{i k edge}, sigma and the slope factors i k c_k e^{i k edge}
+    are formed once per distinct edge (a band's nodes share two) and gathered
+    per node; expm1 is written as its real part -2 sin^2(k offset / 2) and
+    imaginary part sin(k offset), with the sines taken for k >= 0 only, since
+    expm1 at -k is their conjugate.  Each node's result is bit-identical to
+    evaluating every term on the full node x power grid.
     """
     q = disc.q
     k = disc._powers
-    kd = np.multiply.outer(offsets, k)
-    expm1 = -2.0 * np.sin(0.5 * kd) ** 2 + 1j * np.sin(kd)
-    terms = disc.laurent_coeffs * np.exp(1j * np.multiply.outer(edges, k))
-    sigma = np.sign(terms.sum(axis=1).real)
-    w = np.clip(-0.5 * sigma * (terms * expm1).sum(axis=1).real, 0.0, 2.0)
+    h = q // 2  # k runs over -h .. h
+    kd = np.multiply.outer(offsets, k[h:])
+    expm1 = np.empty((len(offsets), q + 1), dtype=complex)
+    expm1.real[:, h:] = -2.0 * np.sin(0.5 * kd) ** 2
+    expm1.imag[:, h:] = np.sin(kd)
+    np.conjugate(expm1[:, :h:-1], out=expm1[:, :h])
+    distinct, of_node = np.unique(edges, return_inverse=True)
+    terms = disc.laurent_coeffs * np.exp(1j * np.multiply.outer(distinct, k))
+    sigma = np.sign(terms.sum(axis=1).real)[of_node]
+    w = np.clip(-0.5 * sigma * (terms[of_node] * expm1).sum(axis=1).real, 0.0, 2.0)
     psi = 2.0 * np.arcsin(np.sqrt(0.5 * w))
     psi = np.where(sigma > 0, psi, math.pi - psi)
     sin_psi = np.sqrt(w * (2.0 - w))
-    slope = np.abs((1j * k * terms * (1.0 + expm1)).sum(axis=1).real)
+    turn = np.add(expm1, 1.0, out=expm1)  # e^{i k offset}, in place of expm1
+    slope = np.abs(((1j * k * terms)[of_node] * turn).sum(axis=1).real)
     touching = sin_psi == 0
     v = np.divide(slope, 2.0 * q * math.pi * sin_psi, out=np.zeros_like(slope),
                   where=~touching)
     if touching.any():
-        curv = (k * k * terms[touching] * (1.0 + expm1[touching])).sum(axis=1).real
+        curv = ((k * k * terms)[of_node[touching]] * turn[touching]).sum(axis=1).real
         v[touching] = np.sqrt(0.5 * np.abs(curv)) / (q * math.pi)
     return psi, v
 

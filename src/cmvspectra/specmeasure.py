@@ -121,7 +121,7 @@ class SpectralDensity:
     seq: PeriodicSeq
     u: dict[int, complex]
     bands: tuple[Band, ...]
-    disc: Discriminant = field(repr=False)
+    disc: Discriminant = field(repr=False, compare=False)
     #: sampled (theta, g) pairs, one row each
     grid: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), compare=False)
     total_mass: float = 0.0
@@ -177,8 +177,11 @@ def density(seq: PeriodicSeq, u: Mapping[int, complex], n: int = 64) -> Spectral
         mass += float(np.dot(fine, weights))
         mass_coarse += float(np.dot(coarse, w2))
         samples.append(np.column_stack([edges + offsets, fine]))
-    return replace(d, grid=np.concatenate(samples), total_mass=mass,
-                   quad_error_estimate=abs(mass - mass_coarse))
+    sampled = replace(d, grid=np.concatenate(samples), total_mass=mass,
+                      quad_error_estimate=abs(mass - mass_coarse))
+    # replace builds a new instance, which would compute its step coefficients again
+    sampled.__dict__["_steps"] = d._steps
+    return sampled
 
 
 #: quadrature nodes per half-band for lt_integral; its error estimate halves them

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmvspectra import floquet
+from cmvspectra._quad import graded_pairs
 from cmvspectra.cmv import diff_norm_bound_seq
 from cmvspectra.coeffs import constant_seq, make_periodic
 from cmvspectra.construct import cantor_iterate
 from cmvspectra.floquet import (
     AllGapsClosedError,
     BandDiagnosticError,
+    Discriminant,
     _equilibrium_at,
     band_structure,
     discriminant,
@@ -149,6 +152,75 @@ def test_equilibrium_density_is_finite_at_a_closed_gap(alpha):
     assert [g.theta_lo for g in bs.gaps if g.closed] == [math.pi]
     _, v = _equilibrium_at(bs.disc, np.full(3, math.pi), np.array([0.0, 1e-6, -1e-6]))
     assert v == pytest.approx(np.full(3, 1.0 / (TWO_PI * math.sqrt(1.0 - alpha**2))), rel=1e-10)
+
+
+def _reference_equilibrium(disc, edges, offsets):
+    """The equilibrium kernel evaluated on the full node x power grid: every term per node."""
+    q = disc.q
+    k = disc._powers
+    kd = np.multiply.outer(offsets, k)
+    expm1 = -2.0 * np.sin(0.5 * kd) ** 2 + 1j * np.sin(kd)
+    terms = disc.laurent_coeffs * np.exp(1j * np.multiply.outer(edges, k))
+    sigma = np.sign(terms.sum(axis=1).real)
+    w = np.clip(-0.5 * sigma * (terms * expm1).sum(axis=1).real, 0.0, 2.0)
+    psi = 2.0 * np.arcsin(np.sqrt(0.5 * w))
+    psi = np.where(sigma > 0, psi, math.pi - psi)
+    sin_psi = np.sqrt(w * (2.0 - w))
+    slope = np.abs((1j * k * terms * (1.0 + expm1)).sum(axis=1).real)
+    touching = sin_psi == 0
+    v = np.divide(slope, 2.0 * q * math.pi * sin_psi, out=np.zeros_like(slope),
+                  where=~touching)
+    if touching.any():
+        curv = (k * k * terms[touching] * (1.0 + expm1[touching])).sum(axis=1).real
+        v[touching] = np.sqrt(0.5 * np.abs(curv)) / (q * math.pi)
+    return psi, v
+
+
+@pytest.mark.parametrize("q", [2, 16, 64, "closed-gap"])
+def test_equilibrium_kernel_matches_the_full_grid_reference(q):
+    # nodes of every band, shuffled, so each node's edge is one of many and out of order
+    rng = np.random.default_rng(900 if q == "closed-gap" else 900 + q)
+    if q == "closed-gap":
+        seq = constant_seq(0.5)  # its two bands touch at theta = pi
+    else:
+        vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+        seq = make_periodic(list(vals), 0.6)
+    bs = band_structure(seq, compute_masses=False)
+    pairs = [graded_pairs(b.theta_lo, b.theta_hi, 8, 2) for b in bs.bands]
+    edges = np.concatenate([e for e, _, _ in pairs])
+    offsets = np.concatenate([o for _, o, _ in pairs])
+    if q == "closed-gap":
+        edges, offsets = np.append(edges, math.pi), np.append(offsets, 0.0)
+    order = rng.permutation(len(edges))
+    psi, v = _equilibrium_at(bs.disc, edges[order], offsets[order])
+    ref_psi, ref_v = _reference_equilibrium(bs.disc, edges[order], offsets[order])
+    assert np.array_equal(psi, ref_psi)
+    assert np.array_equal(v, ref_v)
+    if q == "closed-gap":
+        assert v[np.argmax(order)] == pytest.approx(1.0 / (TWO_PI * math.sqrt(0.75)), rel=1e-10)
+
+
+def test_band_structures_compare_by_their_bands_and_gaps():
+    seq = make_periodic([0.3, 0.2], 0.6)
+    assert band_structure(seq) == band_structure(seq)
+    assert band_structure(seq) != band_structure(make_periodic([0.3, 0.1], 0.6))
+
+
+def test_a_band_and_its_neighbouring_gap_hold_one_float_per_cut():
+    bs = band_structure(make_periodic([0.2, -0.1, 0.15j, 0.05], 0.5))
+    assert bs.open_gap_count() == 4
+    arcs = sorted(bs.bands + bs.gaps, key=lambda arc: arc.theta_lo)
+    for arc, nxt in zip(arcs, arcs[1:]):
+        assert arc.theta_hi is nxt.theta_lo
+    assert len({id(t) for arc in arcs for t in (arc.theta_lo, arc.theta_hi)}) == 2 * 4 + 1
+
+
+def test_band_structure_rejects_a_gap_midpoint_inside_the_spectrum(monkeypatch):
+    # Delta = 0 everywhere puts every open gap's midpoint inside the spectrum
+    monkeypatch.setattr(floquet, "discriminant",
+                        lambda seq: Discriminant(seq.period, np.zeros(seq.period + 1, complex)))
+    with pytest.raises(BandDiagnosticError, match="gap midpoint"):
+        band_structure(make_periodic([0.3, 0.2], 0.6), compute_masses=False)
 
 
 def test_discriminant_bounded_by_two_inside_bands():

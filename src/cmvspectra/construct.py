@@ -23,18 +23,22 @@ stage emits a report from which the budget ledger is auditable without
 re-running the construction.
 
 A stage handles its candidates as one complex (N, q) array of coset tables
-from start to finish: one draw (odometer.perturbed_tables), one stacked gap
-screen (floquet.gap_chords), and the drift and movement gates as row-wise
-array operations (cmv.diff_norm_bound_seq takes the stack).  Sampling
-functions and periodic sequences are built only for the stage winner, for the
-candidates the density-drift cap actually tries, and for the least-closed
-candidate a GapOpeningError carries.
+from start to finish: one draw (odometer.perturbed_tables), a stacked gap
+screen (floquet.gap_chords) per rung of the radius ladder, and the drift and
+movement gates as row-wise array operations (cmv.diff_norm_bound_seq takes the
+stack).  The rungs are screened lazily, largest radius first, and the stage
+takes the widest minimal gap within the first rung that has a passing row; a
+later rung is screened only if no row of the earlier ones passed (or, in ac
+mode, none of them met the density-drift cap).  Sampling functions and
+periodic sequences are built only for the stage winner, for the candidates the
+density-drift cap actually tries, and for the least-closed candidate a
+GapOpeningError carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +48,8 @@ from .floquet import (CLOSED_GAP_CHORD, band_arcs, band_structure, bands_and_gap
 from .odometer import RADIUS_FLOOR, SamplingFn, lift, perturbed_tables, to_periodic
 from .specmeasure import SpectralDensity, _source_vector, density_distance
 
-#: candidates per stage search; the radius halves every _HALVING_PERIOD attempts
+#: candidates per stage search; the radius halves every _HALVING_PERIOD attempts, and
+#: each such rung of the ladder is screened in turn
 _MAX_ATTEMPTS = 48
 _HALVING_PERIOD = 12
 
@@ -67,11 +72,12 @@ class GapOpeningError(RuntimeError):
 class DensityConstraintError(GapOpeningError):
     """Candidates passed every other gate of a stage, but none met the density-drift cap.
 
-    best is the widest-gap one of them, and closed_gaps is empty.
+    best is the first of them the cap tried: the widest-gap one within the
+    first rung that had a passing row.  closed_gaps is empty.
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageReport:
     """Auditable record of one construction stage."""
 
@@ -109,45 +115,59 @@ def _search_candidates(
     radius_cap: float,
     rng: np.random.Generator,
     gate: Callable[[np.ndarray], tuple[np.ndarray, tuple]] | None = None,
-) -> list[_Candidate]:
-    """Perturbations of f that open every gap and pass the gate, widest minimal gap first.
+) -> Iterator[_Candidate]:
+    """Perturbations of f that open every gap and pass the gate, one radius rung at a time.
 
     f itself is tried before any draw and, if it passes, is the only candidate
-    (the zero-perturbation case).  Otherwise up to _MAX_ATTEMPTS random
-    candidates are drawn on a halving radius ladder, skipping radii below
-    RADIUS_FLOOR, as one (N, q) array of coset tables.  All their gap chords
-    come from one stacked eigensolve per phase, and the gate takes the whole
-    array too: it returns a boolean (N,) array of the rows it accepts and a
-    tuple of (N,) arrays of the values it measured.  A row passes when all its
-    gaps are open and the gate accepts it; ties in the minimal gap go to the
-    earlier draw.  f has level >= 1, so its table is the period it induces.
-    No sampling function is built here: a candidate's f is built when it is
-    read.  Raises GapOpeningError carrying the least-closed candidate seen, f
-    included, and that row's closed gaps, if none passes.
+    (the zero-perturbation case).  Otherwise _MAX_ATTEMPTS random candidates
+    are drawn at once on a radius ladder that halves every _HALVING_PERIOD
+    draws, skipping radii below RADIUS_FLOOR, as one (N, q) array of coset
+    tables.  The ladder's rungs are screened lazily, largest radius first: a
+    rung's gap chords come from one stacked eigensolve per phase, and the gate
+    takes the rung's rows too: it returns a boolean array of the rows it
+    accepts and a tuple of arrays of the values it measured.  A row passes
+    when all its gaps are open and the gate accepts it.  Each rung's passing
+    rows are yielded widest minimal gap first, ties to the earlier draw, so
+    the first candidate is the widest within the first rung that has a passing
+    row, and the next rung is screened only when the consumer asks for more.
+    f has level >= 1, so its table is the period it induces.  No sampling
+    function is built here: a candidate's f is built when it is read.  Raises
+    GapOpeningError carrying the least-closed row seen, f included, and that
+    row's closed gaps, once every rung is screened and no row passed.
     """
     ladder = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
     radii = [radius for radius in ladder if radius >= RADIUS_FLOOR]
     screened, closed = [], []
-    # f alone first, so that a passing f draws nothing; then every draw at once
-    for drawn in (False, True):
-        if drawn and not radii:
-            break
-        values = perturbed_tables(f, radii, rng) if drawn else np.array([f.table])
+
+    def screen(values: np.ndarray) -> list[tuple[int, tuple]]:
+        """The passing rows of values and what the gate measured, widest minimal gap first."""
         chords = gap_chords(values)
         n_closed = np.count_nonzero(chords <= CLOSED_GAP_CHORD, axis=-1)
         passed, measured = n_closed == 0, ()
         if gate is not None and passed.any():
             accepted, measured = gate(values)
             passed &= accepted
-        if passed.any():
-            min_gaps = chords.min(axis=-1)
-            order = np.flatnonzero(passed)[np.argsort(-min_gaps[passed], kind="stable")]
-            return [
-                _Candidate(f, values[i] if drawn else None, tuple(float(m[i]) for m in measured))
-                for i in order
-            ]
         screened.append(values)
         closed.append(n_closed)
+        min_gaps = chords.min(axis=-1)
+        order = np.flatnonzero(passed)[np.argsort(-min_gaps[passed], kind="stable")]
+        return [(i, tuple(float(m[i]) for m in measured)) for i in order]
+
+    # f alone first, so that a passing f draws nothing
+    passing = screen(np.array([f.table]))
+    if passing:
+        yield _Candidate(f, None, passing[0][1])
+        return
+    drawn = perturbed_tables(f, radii, rng) if radii else None
+    passed_any = False
+    # the floor drops whole rungs, so every rung is a slice of the draws
+    for start in range(0, len(radii), _HALVING_PERIOD):
+        rung = drawn[start:start + _HALVING_PERIOD]
+        for i, measured in screen(rung):
+            passed_any = True
+            yield _Candidate(f, rung[i], measured)
+    if passed_any:
+        return
     values, closed = np.concatenate(screened), np.concatenate(closed)
     best = int(np.argmin(closed))
     # the least-closed row's gaps, from its own arcs: no discriminant is needed to list them
@@ -175,7 +195,7 @@ def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     rng = np.random.default_rng(seed)
-    return _search_candidates(lift(f, max(f.level, 1)), 0.5 * eps, rng)[0].f
+    return next(_search_candidates(lift(f, max(f.level, 1)), 0.5 * eps, rng)).f
 
 
 def _run_stages(
@@ -213,32 +233,35 @@ def _run_stages(
             movement = diff_norm_bound_seq(prev_seq, values)
             return (s_norm < budget_eps) & (movement < budget_move), (s_norm, movement)
 
+        # only the candidates read here become sampling functions, sequences and
+        # band structures, one each; a rung whose rows all miss the density-drift
+        # cap lets the search screen the next rung
+        drift = stage_density = winner = None
+        tried = []
         try:
-            passing = _search_candidates(base, radius, rng, gate)
+            for cand in _search_candidates(base, radius, rng, gate):
+                tried.append(cand)
+                g = cand.f
+                seq = to_periodic(g)
+                bs = band_structure(seq, compute_masses=False)
+                if density is not None:
+                    u, t = density
+                    stage_density = SpectralDensity(seq, u, bs.bands, bs.disc)
+                if stage_density is not None and prev_density is not None:
+                    drift = density_distance(prev_density, stage_density, t)
+                    if drift ** (1.0 / t) > 2.0**-k:
+                        continue
+                winner = cand
+                break
         except GapOpeningError as exc:
             raise GapOpeningError(
                 f"stage {k}: {exc}", exc.best, exc.closed_gaps, trail=reports
             ) from None
-        # only the candidates read here become sampling functions, sequences and
-        # band structures, one each
-        drift = stage_density = None
-        for cand in passing:
-            g = cand.f
-            seq = to_periodic(g)
-            bs = band_structure(seq, compute_masses=False)
-            if density is not None:
-                u, t = density
-                stage_density = SpectralDensity(seq, u, bs.bands, bs.disc)
-            if stage_density is None or prev_density is None:
-                break
-            drift = density_distance(prev_density, stage_density, t)
-            if drift ** (1.0 / t) <= 2.0**-k:
-                break
-        else:
+        if winner is None:
             raise DensityConstraintError(
-                f"stage {k}: none of the {len(passing)} candidates within the sup-norm "
+                f"stage {k}: none of the {len(tried)} candidates within the sup-norm "
                 f"and movement budgets met the density-drift cap 2^-{k}",
-                best=passing[0].f,
+                best=tried[0].f,
                 closed_gaps=[],
                 trail=reports,
             )
@@ -247,10 +270,10 @@ def _run_stages(
             StageReport(
                 stage=k,
                 period=g.period,
-                s_norm=cand.measured[0],
+                s_norm=winner.measured[0],
                 budget_eps=budget_eps,
                 budget_move=budget_move,
-                movement=cand.measured[1] if k else None,
+                movement=winner.measured[1] if k else None,
                 min_gap_before=b_k,
                 min_gap_after=gap,
                 open_gap_count=bs.open_gap_count(),
@@ -294,9 +317,10 @@ def ac_iterate(
 
     The drift of stage k is the density_distance between the spectral
     densities of u for f_{k-1} and f_k; its 1/t power must stay below 2^{-k}.
-    The cap is checked on the stage's gated candidates in descending-gap order
+    The cap is checked on the stage's gated candidates one radius rung at a
+    time, largest radius first and each rung's rows widest minimal gap first,
     and the first that meets it wins, which is feasible because the drift
-    vanishes with the perturbation size; if none meets it,
+    vanishes with the perturbation size; if none on the whole ladder meets it,
     DensityConstraintError carries the completed stages.
     """
     if not (1.0 < t < 2.0):

@@ -114,7 +114,9 @@ class Discriminant:
 
     def eval_real(self, theta):
         """Re Delta(e^{i theta}) at an angle, or at each angle of an array of them."""
-        return self.eval(np.exp(1j * theta)).real
+        # e^{i k theta} directly: z ** k leaves numpy's repeated squaring for |k| >= 100,
+        # which makes it slower than this from q = 256 on
+        return (np.exp(1j * np.multiply.outer(theta, self._powers)) @ self.laurent_coeffs).real
 
     def imag_defect(self, theta: float) -> float:
         return abs(self.eval(np.exp(1j * theta)).imag)

@@ -61,7 +61,7 @@ def translate(omega: OdometerPoint, steps: int) -> OdometerPoint:
     return OdometerPoint.from_index(omega.index + steps, omega.level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplingFn:
     """Level-k sampling function given by its 2^k coset table of disk values."""
 

@@ -15,7 +15,8 @@ from cmvspectra.construct import (
     open_all_gaps,
 )
 from cmvspectra.floquet import band_structure
-from cmvspectra.odometer import make_sampling, perturb, sup_distance, to_periodic
+from cmvspectra.odometer import (make_sampling, perturb, perturbed_tables, sup_distance,
+                                 to_periodic)
 
 
 def test_open_all_gaps_from_free_case():
@@ -214,11 +215,9 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def _count_stage_work(monkeypatch, run) -> dict:
-    """Run the construction and count its band structures, discriminants, sequences and screens."""
-    counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
-        (construct, "band_structure"), (floquet, "discriminant"), (construct, "to_periodic"))}
-    screened = counts["screened"] = []
+def _count_screens(monkeypatch) -> list:
+    """Record the number of rows of every gap screen the construction runs."""
+    screened = []
     gap_chords = construct.gap_chords
 
     def screen(values):
@@ -226,6 +225,14 @@ def _count_stage_work(monkeypatch, run) -> dict:
         return gap_chords(values)
 
     monkeypatch.setattr(construct, "gap_chords", screen)
+    return screened
+
+
+def _count_stage_work(monkeypatch, run) -> dict:
+    """Run the construction and count its band structures, discriminants, sequences and screens."""
+    counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
+        (construct, "band_structure"), (floquet, "discriminant"), (construct, "to_periodic"))}
+    counts["screened"] = _count_screens(monkeypatch)
     counts["reports"] = run(make_sampling([0.3, 0.3], 0.6))[0]
     return counts
 
@@ -234,8 +241,9 @@ def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeyp
     counts = _count_stage_work(monkeypatch, lambda f: cantor_iterate(f, 0.9, 3, seed=7))
     assert len(counts["reports"]) == 4
     assert len(counts["band_structure"]) == 4 and len(counts["discriminant"]) == 4
-    # every stage still screens f and its 48 draws, and only its winner becomes a sequence
-    assert counts["screened"] == [1, 48] * 4
+    # every stage screens f and the first rung of its draws, and only its winner
+    # becomes a sequence
+    assert counts["screened"] == [1, 12] * 4
     assert len(counts["to_periodic"]) == 4
 
 
@@ -245,7 +253,7 @@ def test_ac_stages_build_one_band_structure_per_sequence(monkeypatch):
         monkeypatch, lambda f: ac_iterate(f, 0.9, 2, {0: 1.0}, 1.5, seed=7))
     assert [r.density_drift is not None for r in counts["reports"]] == [False, True, True]
     assert len(counts["band_structure"]) == 3 and len(counts["discriminant"]) == 3
-    assert counts["screened"] == [1, 48] * 3
+    assert counts["screened"] == [1, 12] * 3
     assert len(counts["to_periodic"]) == 3
 
 
@@ -265,12 +273,63 @@ def test_a_passing_f_draws_nothing():
     assert rng.bit_generator.state == state
 
 
+def test_a_gate_that_rejects_the_first_rung_takes_the_second_rungs_widest_row(monkeypatch):
+    f = make_sampling((0.0, 0.0), 0.5)  # both gaps closed, so the search draws
+    screened = _count_screens(monkeypatch)
+    gated = []
+
+    def gate(values):
+        # every row of the first rung is rejected, every later row accepted
+        gated.append(len(values))
+        return np.full(len(values), len(gated) > 1), ()
+
+    cand = next(construct._search_candidates(f, 0.1, np.random.default_rng(1), gate))
+    assert screened == [1, 12, 12] and gated == [12, 12]
+    ladder = [0.1 * 0.5 ** (i // construct._HALVING_PERIOD) for i in range(construct._MAX_ATTEMPTS)]
+    second = perturbed_tables(f, ladder, np.random.default_rng(1))[12:24]
+    widest = np.argmax(floquet.gap_chords(second).min(axis=-1))
+    assert np.array_equal(cand.table, second[widest])
+
+
+def test_a_search_without_a_passing_row_screens_every_rung(monkeypatch):
+    f = make_sampling((0.0, 0.0), 0.5)
+    screened = _count_screens(monkeypatch)
+    reject = lambda values: (np.zeros(len(values), bool), ())  # noqa: E731
+    with pytest.raises(GapOpeningError, match="in 48 attempts"):
+        next(construct._search_candidates(f, 0.1, np.random.default_rng(1), reject))
+    assert screened == [1, 12, 12, 12, 12]
+
+
+def test_a_density_cap_that_rejects_a_rung_moves_the_search_to_the_next(monkeypatch):
+    # ac K=1: f passes stage 0 alone; stage 1 screens its lifted f, then its draws
+    screened = _count_screens(monkeypatch)
+    drifts = []
+
+    def distance(*args):
+        drifts.append(len(screened))
+        return 1.0 if len(screened) == 3 else 0.0  # rejects stage 1's first rung
+
+    monkeypatch.setattr(construct, "density_distance", distance)
+    f = make_sampling((0.3, 0.0), 0.6)
+    reports, _ = ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)
+    assert screened == [1, 1, 12, 12]
+    assert drifts == [3] * 12 + [4] and reports[1].density_drift == 0.0
+
+    # a cap that rejects every row screens the whole ladder before it raises
+    screened.clear()
+    drifts.clear()
+    monkeypatch.setattr(construct, "density_distance", lambda *args: drifts.append(1) or 1.0)
+    with pytest.raises(DensityConstraintError, match="none of the 48 candidates"):
+        ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)
+    assert screened == [1, 1, 12, 12, 12, 12] and len(drifts) == 48
+
+
 def test_gap_opening_failure_keeps_the_first_least_closed_candidate():
     f = make_sampling((0.0, 0.0), 0.5)  # both gaps closed
     with pytest.raises(GapOpeningError) as info:
-        construct._search_candidates(
+        next(construct._search_candidates(
             f, 0.1, np.random.default_rng(1), gate=lambda values: (np.zeros(len(values), bool), ())
-        )
+        ))
     # every draw opens both gaps, so the first draw is the least closed, not f
     assert info.value.closed_gaps == []
     assert info.value.best == perturb(f, 0.1, np.random.default_rng(1))
@@ -282,9 +341,9 @@ def test_gap_opening_failure_lists_closed_gaps_without_a_discriminant(monkeypatc
     discriminants = _count_calls(monkeypatch, floquet, "discriminant")
     band_structures = _count_calls(monkeypatch, construct, "band_structure")
     with pytest.raises(GapOpeningError):
-        construct._search_candidates(
+        next(construct._search_candidates(
             f, 0.1, np.random.default_rng(1), gate=lambda values: (np.zeros(len(values), bool), ())
-        )
+        ))
     assert discriminants == [] and band_structures == []
 
 
@@ -306,7 +365,7 @@ def test_gap_opening_failure_counts_only_the_screened_draws():
     # every radius of the ladder lies below the floor, so nothing is drawn
     f = make_sampling((0.0, 0.0), 0.5)
     with pytest.raises(GapOpeningError, match="in 0 attempts") as info:
-        construct._search_candidates(f, 1e-16, np.random.default_rng(1))
+        next(construct._search_candidates(f, 1e-16, np.random.default_rng(1)))
     assert info.value.best == f
 
 

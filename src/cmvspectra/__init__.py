@@ -43,7 +43,6 @@ from .odometer import (
     SamplingFn,
     lift,
     make_sampling,
-    sample_sequence,
     sup_distance,
     to_periodic,
     translate,
@@ -106,7 +105,6 @@ __all__ = [
     "min_gap",
     "open_all_gaps",
     "rho",
-    "sample_sequence",
     "spectrum_displacement",
     "sup_distance",
     "to_periodic",

@@ -124,12 +124,13 @@ def floquet_determinant() -> CriterionResult:
         disc = discriminant(seq)
         rp = seq.rho_product()
         for _ in range(50):
-            z = np.exp(1j * rng.uniform(0, TWO_PI))
+            phi = rng.uniform(0, TWO_PI)
+            z = np.exp(1j * phi)
             theta = rng.uniform(0.05, math.pi - 0.05)
             if rng.uniform() < 0.5:
                 theta += math.pi
             lhs = np.linalg.det(z * np.eye(q) - floquet_matrix(seq, theta))
-            rhs = rp * z ** (q // 2) * (disc.eval(z) - 2.0 * math.cos(theta))
+            rhs = rp * z ** (q // 2) * (disc.eval_real(phi) - 2.0 * math.cos(theta))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             worst = max(worst, abs(lhs - rhs) / scale)
     return CriterionResult("floquet-determinant", worst < 1e-9, worst, 1e-9)

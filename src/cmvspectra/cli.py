@@ -326,13 +326,13 @@ def cmd_gamma(args) -> int:
         raise InputError("--r must lie in (0, 1)")
     if k < 1 or q < 1:
         raise InputError("--k and --q must be positive")
-    mod = estimate_lipschitz(r)
+    L = estimate_lipschitz(r)
     val = gamma(k, q, r)
-    obj = {"k": k, "q": q, "r": r, "lipschitz": mod.L, "gamma": val}
+    obj = {"k": k, "q": q, "r": r, "lipschitz": L, "gamma": val}
     if args.json:
         print(json.dumps(obj, indent=2))
     else:
-        print(f"gamma({k}, {q}, {r}) = {val:.6e}  (Lipschitz modulus {mod.L:.4f})")
+        print(f"gamma({k}, {q}, {r}) = {val:.6e}  (Lipschitz modulus {L:.4f})")
     if args.out:
         out = _ensure_out(args)
         _atomic_write(os.path.join(out, "gamma.json"), json.dumps(obj, indent=2) + "\n")

@@ -38,7 +38,7 @@ GapOpeningError carries.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -97,25 +97,12 @@ class StageReport:
         return asdict(self)
 
 
-class _Candidate(NamedTuple):
-    base: SamplingFn  # the function the search perturbed
-    table: np.ndarray | None  # the candidate's coset table; None for base itself
-    measured: tuple  # what the gate measured; () without a gate
-
-    @property
-    def f(self) -> SamplingFn:
-        """The candidate as a sampling function, built on each access."""
-        if self.table is None:
-            return self.base
-        return SamplingFn(tuple(self.table.tolist()), self.base.r)
-
-
 def _search_candidates(
     f: SamplingFn,
     radius_cap: float,
     rng: np.random.Generator,
     gate: Callable[[np.ndarray], tuple[np.ndarray, tuple]] | None = None,
-) -> Iterator[_Candidate]:
+) -> Iterator[tuple[SamplingFn, tuple]]:
     """Perturbations of f that open every gap and pass the gate, one radius rung at a time.
 
     f itself is tried before any draw and, if it passes, is the only candidate
@@ -130,8 +117,9 @@ def _search_candidates(
     rows are yielded widest minimal gap first, ties to the earlier draw, so
     the first candidate is the widest within the first rung that has a passing
     row, and the next rung is screened only when the consumer asks for more.
-    f has level >= 1, so its table is the period it induces.  No sampling
-    function is built here: a candidate's f is built when it is read.  Raises
+    f has level >= 1, so its table is the period it induces.  Each candidate
+    comes as (sampling function, what the gate measured), and a sampling
+    function is built only for a candidate the consumer asks for.  Raises
     GapOpeningError carrying the least-closed row seen, f included, and that
     row's closed gaps, once every rung is screened and no row passed.
     """
@@ -156,7 +144,7 @@ def _search_candidates(
     # f alone first, so that a passing f draws nothing
     passing = screen(np.array([f.table]))
     if passing:
-        yield _Candidate(f, None, passing[0][1])
+        yield f, passing[0][1]
         return
     drawn = perturbed_tables(f, radii, rng) if radii else None
     passed_any = False
@@ -165,7 +153,7 @@ def _search_candidates(
         rung = drawn[start:start + _HALVING_PERIOD]
         for i, measured in screen(rung):
             passed_any = True
-            yield _Candidate(f, rung[i], measured)
+            yield SamplingFn(tuple(rung[i].tolist()), f.r), measured
     if passed_any:
         return
     values, closed = np.concatenate(screened), np.concatenate(closed)
@@ -180,7 +168,7 @@ def _search_candidates(
                f"({np.count_nonzero(closed == 0)} of {len(closed)} candidates opened every gap)")
     raise GapOpeningError(
         f"no perturbation within radius {radius_cap:.3e} {why}",
-        best=_Candidate(f, values[best] if best else None, ()).f,
+        best=SamplingFn(tuple(values[best].tolist()), f.r) if best else f,
         closed_gaps=closed_gaps,
     )
 
@@ -195,7 +183,7 @@ def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     rng = np.random.default_rng(seed)
-    return next(_search_candidates(lift(f, max(f.level, 1)), 0.5 * eps, rng)).f
+    return next(_search_candidates(lift(f, max(f.level, 1)), 0.5 * eps, rng))[0]
 
 
 def _run_stages(
@@ -209,6 +197,10 @@ def _run_stages(
 
     Stage 0 works at level max(f.level, 1), the level of the sequence f induces.
     """
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if K < 0:
+        raise ValueError("K must be nonnegative")
     reports: list[StageReport] = []
     current, prev_seq, prev_density, b_k = lift(f, max(f.level, 1)), None, None, None
     for k in range(K + 1):
@@ -239,9 +231,8 @@ def _run_stages(
         drift = stage_density = winner = None
         tried = []
         try:
-            for cand in _search_candidates(base, radius, rng, gate):
-                tried.append(cand)
-                g = cand.f
+            for g, measured in _search_candidates(base, radius, rng, gate):
+                tried.append(g)
                 seq = to_periodic(g)
                 bs = band_structure(seq, compute_masses=False)
                 if density is not None:
@@ -251,7 +242,7 @@ def _run_stages(
                     drift = density_distance(prev_density, stage_density, t)
                     if drift ** (1.0 / t) > 2.0**-k:
                         continue
-                winner = cand
+                winner = measured
                 break
         except GapOpeningError as exc:
             raise GapOpeningError(
@@ -261,7 +252,7 @@ def _run_stages(
             raise DensityConstraintError(
                 f"stage {k}: none of the {len(tried)} candidates within the sup-norm "
                 f"and movement budgets met the density-drift cap 2^-{k}",
-                best=tried[0].f,
+                best=tried[0],
                 closed_gaps=[],
                 trail=reports,
             )
@@ -270,10 +261,10 @@ def _run_stages(
             StageReport(
                 stage=k,
                 period=g.period,
-                s_norm=winner.measured[0],
+                s_norm=winner[0],
                 budget_eps=budget_eps,
                 budget_move=budget_move,
-                movement=winner.measured[1] if k else None,
+                movement=winner[1] if k else None,
                 min_gap_before=b_k,
                 min_gap_after=gap,
                 open_gap_count=bs.open_gap_count(),
@@ -297,10 +288,6 @@ def cantor_iterate(
     (1/2^k) B_k / 3, and every gap of the doubled period is open.  Total
     coefficient drift stays below eps^2/54 (geometric sum of stage budgets).
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
     rng = np.random.default_rng(seed)
     return _run_stages(f, eps, K, rng)
 
@@ -326,9 +313,5 @@ def ac_iterate(
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
     u = _source_vector(u)
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
     rng = np.random.default_rng(seed)
     return _run_stages(f, eps, K, rng, density=(u, t))

@@ -108,18 +108,19 @@ class Discriminant:
     def _powers(self) -> np.ndarray:
         return _laurent_powers(self.q)
 
-    def eval(self, z):
-        """Delta at a point z, or at each point of an array of them."""
-        return np.power.outer(z, self._powers) @ self.laurent_coeffs
+    def _at(self, theta):
+        """Delta(e^{i theta}), complex, at an angle or at each angle of an array of them."""
+        # e^{i k theta} directly: z ** k leaves numpy's repeated squaring for |k| >= 100,
+        # which makes it slower than this from q = 256 on
+        return np.exp(1j * np.multiply.outer(theta, self._powers)) @ self.laurent_coeffs
 
     def eval_real(self, theta):
         """Re Delta(e^{i theta}) at an angle, or at each angle of an array of them."""
-        # e^{i k theta} directly: z ** k leaves numpy's repeated squaring for |k| >= 100,
-        # which makes it slower than this from q = 256 on
-        return (np.exp(1j * np.multiply.outer(theta, self._powers)) @ self.laurent_coeffs).real
+        return self._at(theta).real
 
     def imag_defect(self, theta: float) -> float:
-        return abs(self.eval(np.exp(1j * theta)).imag)
+        """|Im Delta(e^{i theta})|: zero in exact arithmetic, so a roundoff measure."""
+        return abs(self._at(theta).imag)
 
 
 def discriminant(seq: PeriodicSeq) -> Discriminant:
@@ -216,10 +217,14 @@ def label_arcs(
     rising = np.argsort(angles, axis=-1, kind="stable") >= q
     band = rising != np.concatenate((rising[..., 1:], rising[..., :1]), axis=-1)
     counts = np.count_nonzero(band, axis=-1)
-    if np.any(counts != q):
-        n = int(counts[counts != q].flat[0])
+    bad = counts != q
+    if np.any(bad):
+        n = int(counts[bad].flat[0])
+        thin = np.count_nonzero((hi - lo)[bad][0] < CLOSED_GAP_CHORD)
         raise BandDiagnosticError(
-            f"band/gap count mismatch: {n} bands, {2 * q - n} gaps for period {q}"
+            f"band/gap count mismatch: {n} bands, {2 * q - n} gaps for period {q}: the phase-0 "
+            f"and phase-pi edges do not interlace, as {thin} of {2 * q} sorted edge spacings "
+            f"are below {CLOSED_GAP_CHORD:g}; the bands are thinner than the eigensolve resolves"
         )
     return lo, hi, band, rising
 

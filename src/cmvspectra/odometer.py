@@ -41,16 +41,6 @@ class OdometerPoint:
         value %= 1 << level
         return cls(tuple((value >> i) & 1 for i in range(level)))
 
-    def to_json(self) -> dict:
-        return {"level": self.level, "digits": "".join(str(d) for d in self.digits)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OdometerPoint":
-        digits = tuple(int(c) for c in obj["digits"])
-        if len(digits) != obj["level"]:
-            raise ValueError("level field disagrees with digit string length")
-        return cls(digits)
-
 
 def zero(level: int) -> OdometerPoint:
     return OdometerPoint((0,) * level)
@@ -150,13 +140,6 @@ def perturb(f: SamplingFn, radius: float, rng: np.random.Generator) -> SamplingF
     projected radially back onto its boundary.
     """
     return SamplingFn(tuple(perturbed_tables(f, [radius], rng)[0].tolist()), f.r)
-
-
-def sample_sequence(f: SamplingFn, omega: OdometerPoint, n_min: int, n_max: int) -> list[complex]:
-    """Coefficients alpha(n) = f(T^n omega) for n in [n_min, n_max] inclusive."""
-    _check_level(f, omega)
-    base = omega.index
-    return [f.table[(base + n) % f.period] for n in range(n_min, n_max + 1)]
 
 
 def lift(f: SamplingFn, k_new: int) -> SamplingFn:

@@ -14,8 +14,8 @@ and V from `floquet._equilibrium_at`.  Band integrals use edge-graded
 quadrature, since V blows up like dist^{-1/2} at band edges, and pass all
 nodes of a band at once; `SpectralDensity.__call__` anchors its one point at
 the nearer edge of its band.  `SpectralDensity.at` is the one density
-evaluator: it computes its sequence's step coefficients once, and `density`,
-`density_distance` and the pointwise call all go through it.
+evaluator: `density`, `density_distance` and the pointwise call all go
+through it.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -51,7 +51,7 @@ class EdgeProximityError(RuntimeError):
 
 def psi_of(z: complex, disc: Discriminant) -> float:
     """Floquet phase arccos(Delta(z)/2) in [0, pi] for z on the spectrum."""
-    val = disc.eval(z).real
+    val = disc.eval_real(cmath.phase(z))
     if abs(val) > 2.0 + 1e-9:
         raise ValueError(f"|Delta(z)| = {abs(val)} > 2; z is off the spectrum")
     return math.acos(min(1.0, max(-1.0, 0.5 * val)))
@@ -177,11 +177,8 @@ def density(seq: PeriodicSeq, u: Mapping[int, complex], n: int = 64) -> Spectral
         mass += float(np.dot(fine, weights))
         mass_coarse += float(np.dot(coarse, w2))
         samples.append(np.column_stack([edges + offsets, fine]))
-    sampled = replace(d, grid=np.concatenate(samples), total_mass=mass,
-                      quad_error_estimate=abs(mass - mass_coarse))
-    # replace builds a new instance, which would compute its step coefficients again
-    sampled.__dict__["_steps"] = d._steps
-    return sampled
+    return replace(d, grid=np.concatenate(samples), total_mass=mass,
+                   quad_error_estimate=abs(mass - mass_coarse))
 
 
 #: quadrature nodes per half-band for lt_integral; its error estimate halves them

@@ -7,14 +7,14 @@ entries are written once, as Laurent coefficients in z (`step_laurent`,
 elementwise); `step_coeffs` fills them for a period, which the discriminant
 multiplies into the monodromy, and `transfer_at` evaluates them at z for
 `build_A`, its determinant-1 variant, the Lipschitz sampler and the Floquet
-solutions and densities.  The sampled Lipschitz modulus of the entries over a
-coefficient polydisk supports the Gordon perturbation budgets.
+solutions and densities.  `estimate_lipschitz`, a sampled estimate of the
+entries' Lipschitz constant over a coefficient polydisk, supports the Gordon
+perturbation budgets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -114,18 +114,8 @@ def four_block(A: np.ndarray, x: np.ndarray) -> float:
     )
 
 
-@dataclass(frozen=True)
-class LipschitzModulus:
-    """Entry-sensitivity bound: perturbing the triple by delta (componentwise,
-    within the r-polydisk) changes the transfer matrix by at most L * delta in
-    spectral norm, uniformly over |z| = 1."""
-
-    r: float
-    L: float
-
-
 @lru_cache(maxsize=64)
-def _estimate_lipschitz_cached(r_key: float) -> LipschitzModulus:
+def _estimate_lipschitz_cached(r_key: float) -> float:
     r = r_key
     rng = np.random.default_rng(271828)
     worst = 0.0
@@ -154,11 +144,14 @@ def _estimate_lipschitz_cached(r_key: float) -> LipschitzModulus:
         a2 = transfer_at(step_laurent(*tri2.tolist()), z)
         worst = max(worst, float(np.linalg.norm(a - a2, 2)) / dist)
     # safety factor 2 over the sampled finite-difference quotients
-    return LipschitzModulus(r, 2.0 * worst)
+    return 2.0 * worst
 
 
-def estimate_lipschitz(r: float) -> LipschitzModulus:
-    """Grid/sample estimate of the entry Lipschitz constant over the r-polydisk."""
+def estimate_lipschitz(r: float) -> float:
+    """Sampled estimate of the L with which perturbing the triple by delta (componentwise,
+    within the r-polydisk) moves the transfer matrix by at most L * delta in spectral
+    norm, uniformly over |z| = 1: twice the largest of a seeded sample of finite-difference
+    quotients, so an estimate, not a proven bound."""
     if not (0.0 < r < 1.0):
         raise ValueError("r must lie in (0, 1)")
     return _estimate_lipschitz_cached(round(float(r), 6))
@@ -169,5 +162,4 @@ def gamma(k: int, q: int, r: float) -> float:
     other give transfer matrices within k^{-q} in spectral norm."""
     if k < 1 or q < 1:
         raise ValueError("k and q must be positive integers")
-    L = estimate_lipschitz(r).L
-    return float(k) ** (-q) / L
+    return float(k) ** (-q) / estimate_lipschitz(r)

@@ -28,3 +28,11 @@ def _entry_parts(seq):
 @pytest.fixture
 def entry_parts():
     return _entry_parts
+
+
+@pytest.fixture
+def thin_band_values():
+    """A seeded period of 256 values, |alpha| <= 0.7, with bands thinner than the
+    eigensolve resolves: its phase-0 and phase-pi edges do not interlace."""
+    rng = np.random.default_rng(256002)
+    return 0.7 * np.sqrt(rng.uniform(0, 1, 256)) * np.exp(2j * np.pi * rng.uniform(0, 1, 256))

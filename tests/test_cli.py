@@ -341,6 +341,17 @@ def test_library_errors_exit_1_with_one_line(tmp_path, seq_file, capsys, monkeyp
     assert err.count("\n") == 1 and "diagnostic failed" in err
 
 
+def test_edges_the_eigensolve_cannot_resolve_exit_1_naming_the_cause(
+    tmp_path, capsys, thin_band_values
+):
+    p = tmp_path / "thin.json"
+    p.write_text(json.dumps({"values": [[v.real, v.imag] for v in thin_band_values], "r": 0.7}))
+    rc = main(["bands", "--input", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "thinner than the eigensolve resolves" in err
+
+
 def test_density_grid_below_sixteen_is_kept(tmp_path, seq_file):
     out = tmp_path / "out"
     assert main(["density", "--input", seq_file, "--out", str(out), "--grid", "5"]) == 0

@@ -269,7 +269,7 @@ def test_a_passing_f_draws_nothing():
     f = make_sampling((0.3, 0.0), 0.6)  # both gaps already open
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert [c.f for c in construct._search_candidates(f, 0.1, rng)] == [f]
+    assert [g for g, _ in construct._search_candidates(f, 0.1, rng)] == [f]
     assert rng.bit_generator.state == state
 
 
@@ -283,12 +283,12 @@ def test_a_gate_that_rejects_the_first_rung_takes_the_second_rungs_widest_row(mo
         gated.append(len(values))
         return np.full(len(values), len(gated) > 1), ()
 
-    cand = next(construct._search_candidates(f, 0.1, np.random.default_rng(1), gate))
+    g, _ = next(construct._search_candidates(f, 0.1, np.random.default_rng(1), gate))
     assert screened == [1, 12, 12] and gated == [12, 12]
     ladder = [0.1 * 0.5 ** (i // construct._HALVING_PERIOD) for i in range(construct._MAX_ATTEMPTS)]
     second = perturbed_tables(f, ladder, np.random.default_rng(1))[12:24]
     widest = np.argmax(floquet.gap_chords(second).min(axis=-1))
-    assert np.array_equal(cand.table, second[widest])
+    assert np.array_equal(g.table, second[widest])
 
 
 def test_a_search_without_a_passing_row_screens_every_rung(monkeypatch):

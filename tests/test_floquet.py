@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,34 @@ def test_band_structure_rejects_a_gap_midpoint_inside_the_spectrum(monkeypatch):
                         lambda seq: Discriminant(seq.period, np.zeros(seq.period + 1, complex)))
     with pytest.raises(BandDiagnosticError, match="gap midpoint"):
         band_structure(make_periodic([0.3, 0.2], 0.6), compute_masses=False)
+
+
+@pytest.mark.parametrize("q", [16, 64, 128])
+def test_eval_real_is_within_its_rounding_bound_of_a_40_digit_sum(q):
+    """eval_real, which psi_of and imag_defect share, against the same Laurent
+    coefficients summed to 40 digits: within 4 u sum_k |c_k| (1 + |k theta|)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1700 + q)
+    thetas = rng.uniform(0.0, TWO_PI, 40)
+    for _ in range(3):
+        vals = 0.3 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+        disc = discriminant(make_periodic(list(vals), 0.3))
+        c, k = disc.laurent_coeffs, disc._powers
+        got = disc.eval_real(thetas)
+        with mpmath.workdps(40):
+            for theta, value in zip(thetas, got):
+                t = mpmath.mpf(theta)
+                exact = mpmath.fsum(mpmath.mpc(a) * mpmath.expj(int(n) * t) for a, n in zip(c, k))
+                bound = 4 * 2.0**-53 * float(np.sum(np.abs(c) * (1 + np.abs(k * theta))))
+                assert abs(float(value) - float(exact.real)) <= bound
+
+
+def test_edges_thinner_than_the_eigensolve_resolves_are_named_as_the_cause(thin_band_values):
+    with pytest.raises(BandDiagnosticError, match="do not interlace") as exc:
+        band_structure(make_periodic(list(thin_band_values), 0.7), compute_masses=False)
+    thin = re.search(r"(\d+) of 512 sorted edge spacings are below 1e-09; the bands are "
+                     r"thinner than the eigensolve resolves", str(exc.value))
+    assert thin and int(thin.group(1)) > 0
 
 
 def test_discriminant_bounded_by_two_inside_bands():

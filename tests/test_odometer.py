@@ -12,7 +12,6 @@ from cmvspectra.odometer import (
     make_sampling,
     perturb,
     perturbed_tables,
-    sample_sequence,
     sup_distance,
     to_periodic,
     translate,
@@ -30,11 +29,6 @@ def test_orbit_of_zero_visits_every_coset():
     level = 4
     seen = {translate(zero(level), n).index for n in range(1 << level)}
     assert seen == set(range(1 << level))
-
-
-def test_point_json_roundtrip():
-    p = OdometerPoint.from_index(11, 5)
-    assert OdometerPoint.from_json(p.to_json()) == p
 
 
 def test_sampling_table_must_be_power_of_two():
@@ -123,14 +117,6 @@ def test_sup_distance_brute_force_oracle():
     assert sup_distance(f, g) == pytest.approx(expected)
     assert sup_distance(f, g) == sup_distance(g, f)
     assert sup_distance(f, f) == 0.0
-
-
-def test_sample_sequence_matches_orbit():
-    f = make_sampling((0.1, -0.2, 0.3j, 0.05), 0.5)
-    omega = OdometerPoint.from_index(3, 2)
-    vals = sample_sequence(f, omega, -5, 5)
-    for n, v in zip(range(-5, 6), vals):
-        assert v == f(translate(omega, n))
 
 
 def test_to_periodic_induced_sequence():

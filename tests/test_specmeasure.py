@@ -351,15 +351,6 @@ def test_a_density_computes_its_step_coefficients_once(monkeypatch, seed7_stages
     assert len(calls) == 2  # once per density, not once per density per call
 
 
-def test_a_sampled_density_keeps_its_step_coefficients(monkeypatch):
-    calls = []
-    original = specmeasure.step_coeffs
-    monkeypatch.setattr(specmeasure, "step_coeffs", lambda v: calls.append(None) or original(v))
-    d = density(make_periodic([0.3, 0.2], 0.6), {0: 1.0})
-    lt_integral(d.at, d.bands, 1.5)
-    assert len(calls) == 1
-
-
 def test_densities_compare_by_value():
     seq = make_periodic([0.3, 0.2], 0.6)
     assert density(seq, {0: 1.0}) == density(seq, {0: 1.0})

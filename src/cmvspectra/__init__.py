@@ -15,7 +15,6 @@ from .construct import (
     StageReport,
     ac_iterate,
     cantor_iterate,
-    open_all_gaps,
 )
 from .floquet import (
     AllGapsClosedError,
@@ -39,14 +38,11 @@ from .gordon import (
     growth_ratio,
 )
 from .odometer import (
-    OdometerPoint,
     SamplingFn,
     lift,
     make_sampling,
     sup_distance,
     to_periodic,
-    translate,
-    zero,
 )
 from .specmeasure import (
     EdgeProximityError,
@@ -72,7 +68,6 @@ __all__ = [
     "GordonCertificate",
     "GordonCheck",
     "InfeasibleBudgetError",
-    "OdometerPoint",
     "PeriodicSeq",
     "SamplingFn",
     "SpectralDensity",
@@ -103,12 +98,9 @@ __all__ = [
     "make_periodic",
     "make_sampling",
     "min_gap",
-    "open_all_gaps",
     "rho",
     "spectrum_displacement",
     "sup_distance",
     "to_periodic",
-    "translate",
     "validate_alpha",
-    "zero",
 ]

@@ -186,10 +186,8 @@ def theta_union() -> CriterionResult:
     bs = band_structure(seq, compute_masses=False)
 
     def hausdorff(n_grid: int) -> float:
-        points = []
-        for theta in np.linspace(0, TWO_PI, n_grid, endpoint=False):
-            points.append(np.linalg.eigvals(floquet_matrix(seq, theta)))
-        points = np.concatenate(points)
+        thetas = np.linspace(0, TWO_PI, n_grid, endpoint=False)
+        points = np.linalg.eigvals(floquet_matrix(seq, thetas)).ravel()
         # direction 1: every union point lies in (or at) a band
         d1 = max(band_distance(bs.bands, a) for a in np.angle(points[::7]) % TWO_PI)
         # direction 2: every band point is near a union point
@@ -215,10 +213,8 @@ def constant_gap() -> CriterionResult:
     lo = gap.theta_lo % TWO_PI
     hi = gap.theta_hi % TWO_PI
     # brute-force oracle: union of eigenangles over a dense Theta grid
-    angles = []
-    for theta in np.linspace(0, TWO_PI, 4000, endpoint=False):
-        angles.extend(np.angle(np.linalg.eigvals(floquet_matrix(seq, theta))) % TWO_PI)
-    angles = np.sort(np.array(angles))
+    thetas = np.linspace(0, TWO_PI, 4000, endpoint=False)
+    angles = np.sort(np.angle(np.linalg.eigvals(floquet_matrix(seq, thetas))).ravel() % TWO_PI)
     interior = angles[(angles > 0.02) & (angles < math.pi / 3 + 0.3)]
     oracle_edge = float(interior.min())
     # the grid oracle resolves the edge only to ~ grid spacing; 1e-6 applies to

@@ -79,13 +79,6 @@ class PeriodicSeq:
             p *= rho(v)
         return p
 
-    def to_json(self) -> dict:
-        return {
-            "period": self.period,
-            "values": [[v.real, v.imag] for v in self.values],
-            "r": self.r,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodicSeq":
         values = [complex_from_json(v) for v in obj["values"]]

@@ -101,7 +101,7 @@ def _search_candidates(
     f: SamplingFn,
     radius_cap: float,
     rng: np.random.Generator,
-    gate: Callable[[np.ndarray], tuple[np.ndarray, tuple]] | None = None,
+    gate: Callable[[np.ndarray], tuple[np.ndarray, tuple]],
 ) -> Iterator[tuple[SamplingFn, tuple]]:
     """Perturbations of f that open every gap and pass the gate, one radius rung at a time.
 
@@ -132,7 +132,7 @@ def _search_candidates(
         chords = gap_chords(values)
         n_closed = np.count_nonzero(chords <= CLOSED_GAP_CHORD, axis=-1)
         passed, measured = n_closed == 0, ()
-        if gate is not None and passed.any():
+        if passed.any():
             accepted, measured = gate(values)
             passed &= accepted
         screened.append(values)
@@ -171,19 +171,6 @@ def _search_candidates(
         best=SamplingFn(tuple(values[best].tolist()), f.r) if best else f,
         closed_gaps=closed_gaps,
     )
-
-
-def open_all_gaps(f: SamplingFn, eps: float, seed: int = 0) -> SamplingFn:
-    """Return f-hat with sup_distance(f, f-hat) < eps and every gap open.
-
-    If f already has all gaps open it is returned unchanged.  A level-0 f is
-    lifted to level 1 first: a level-0 table induces a constant sequence, and
-    at period 2 that always has a closed gap.
-    """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    rng = np.random.default_rng(seed)
-    return next(_search_candidates(lift(f, max(f.level, 1)), 0.5 * eps, rng))[0]
 
 
 def _run_stages(

@@ -1,10 +1,11 @@
 """Dyadic odometer group, its finite quotients, and coset-table sampling functions.
 
 The group is the inverse limit of Z/2^k with the +1 (add-with-carry)
-translation.  A level-k point represents a coset of the index-2^k subgroup;
-a level-k sampling function is constant on those cosets, so the coefficient
-sequence alpha(n) = f(T^n omega) it induces is 2^k-periodic.  Everything here
-is exact: tables are finite, no function approximation is involved.
+translation.  A level-k sampling function is constant on the cosets of the
+index-2^k subgroup, so it reads a hull point only mod 2^k; hull points are
+integers here, which meet every coset.  The sequence alpha(n) = f(T^n omega)
+f induces is 2^k-periodic.  Everything here is exact: tables are finite, no
+function approximation is involved.
 """
 
 from __future__ import annotations
@@ -15,40 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import PeriodicSeq, check_radius, complex_from_json, validate_alpha
-
-
-@dataclass(frozen=True)
-class OdometerPoint:
-    """Group element truncated to level k, stored as k binary digits, least significant first."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d not in (0, 1) for d in self.digits):
-            raise ValueError("digits must be 0 or 1")
-
-    @property
-    def level(self) -> int:
-        return len(self.digits)
-
-    @property
-    def index(self) -> int:
-        """Integer in [0, 2^k) with the digits as its binary expansion."""
-        return sum(d << i for i, d in enumerate(self.digits))
-
-    @classmethod
-    def from_index(cls, value: int, level: int) -> "OdometerPoint":
-        value %= 1 << level
-        return cls(tuple((value >> i) & 1 for i in range(level)))
-
-
-def zero(level: int) -> OdometerPoint:
-    return OdometerPoint((0,) * level)
-
-
-def translate(omega: OdometerPoint, steps: int) -> OdometerPoint:
-    """Apply the +1 odometer `steps` times (negative steps invert)."""
-    return OdometerPoint.from_index(omega.index + steps, omega.level)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +39,6 @@ class SamplingFn:
     def period(self) -> int:
         return len(self.table)
 
-    def __call__(self, omega: OdometerPoint) -> complex:
-        _check_level(self, omega)
-        return self.table[omega.index % self.period]
-
     def to_json(self) -> dict:
         return {
             "level": self.level,
@@ -89,14 +52,6 @@ class SamplingFn:
         if len(table) != 1 << obj["level"]:
             raise ValueError("level field disagrees with table size")
         return cls(table, obj["r"])
-
-
-def _check_level(f: SamplingFn, omega: OdometerPoint) -> None:
-    """f is constant on the cosets of omega's level only if that level is at least f's."""
-    if omega.level < f.level:
-        raise ValueError(
-            f"point at level {omega.level} is coarser than sampling function level {f.level}"
-        )
 
 
 def make_sampling(table, r: float) -> SamplingFn:
@@ -151,8 +106,7 @@ def lift(f: SamplingFn, k_new: int) -> SamplingFn:
         raise ValueError(f"cannot lift level-{f.level} function down to level {k_new}")
     if k_new == f.level:
         return f
-    size = 1 << k_new
-    return SamplingFn(tuple(f.table[i % f.period] for i in range(size)), f.r)
+    return SamplingFn(f.table * (1 << (k_new - f.level)), f.r)
 
 
 def sup_distance(f: SamplingFn, g: SamplingFn) -> float:
@@ -163,16 +117,12 @@ def sup_distance(f: SamplingFn, g: SamplingFn) -> float:
     return max(abs(a - b) for a, b in zip(tf, tg))
 
 
-def to_periodic(f: SamplingFn, omega: OdometerPoint | None = None) -> PeriodicSeq:
+def to_periodic(f: SamplingFn, omega: int = 0) -> PeriodicSeq:
     """Induced periodic sequence alpha(n) = f(T^n omega), of period 2^k and at least 2.
 
-    omega defaults to the zero point; like f itself, it must not be coarser
-    than f.  The values are f's table, lifted to level 1 at least, rotated to
-    start at omega.
+    The values are f's table, lifted to level 1 at least, rotated to start at
+    the hull point omega, an integer read mod the period.
     """
     table = lift(f, max(f.level, 1)).table
-    start = 0
-    if omega is not None:
-        _check_level(f, omega)
-        start = omega.index % len(table)
+    start = omega % len(table)
     return PeriodicSeq(table[start:] + table[:start], f.r)

@@ -115,8 +115,7 @@ def four_block(A: np.ndarray, x: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=64)
-def _estimate_lipschitz_cached(r_key: float) -> float:
-    r = r_key
+def _estimate_lipschitz_cached(r: float) -> float:
     rng = np.random.default_rng(271828)
     worst = 0.0
     n_samples = 4000
@@ -154,7 +153,7 @@ def estimate_lipschitz(r: float) -> float:
     quotients, so an estimate, not a proven bound."""
     if not (0.0 < r < 1.0):
         raise ValueError("r must lie in (0, 1)")
-    return _estimate_lipschitz_cached(round(float(r), 6))
+    return _estimate_lipschitz_cached(float(r))
 
 
 def gamma(k: int, q: int, r: float) -> float:

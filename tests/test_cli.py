@@ -187,6 +187,12 @@ def test_gamma_json(capsys):
     assert obj["gamma"] > 0
 
 
+@pytest.mark.parametrize("r", ["1e-7", "0.9999996"])
+def test_gamma_at_radii_near_either_end_of_the_disk_exits_0(r, capsys):
+    assert main(["gamma", "--r", r]) == 0
+    assert "gamma(1, 2, " in capsys.readouterr().out
+
+
 def test_verify_single_criterion(capsys):
     rc = main(["verify", "--filter", "free-discriminant"])
     assert rc == 0

@@ -12,38 +12,31 @@ from cmvspectra.construct import (
     GapOpeningError,
     ac_iterate,
     cantor_iterate,
-    open_all_gaps,
 )
 from cmvspectra.floquet import band_structure
 from cmvspectra.odometer import (make_sampling, perturb, perturbed_tables, sup_distance,
                                  to_periodic)
 
 
-def test_open_all_gaps_from_free_case():
+def test_stage_zero_opens_every_gap_of_the_free_case():
     f = make_sampling((0.0, 0.0), 0.5)  # all gaps closed
     eps = 0.2
-    g = open_all_gaps(f, eps, seed=1)
-    assert sup_distance(f, g) < eps
+    _, g = cantor_iterate(f, eps, 0, seed=1)
+    assert sup_distance(f, g) < eps**2 / 72
     bs = band_structure(to_periodic(g), compute_masses=False)
     assert bs.open_gap_count() == bs.q
 
 
-def test_open_all_gaps_short_circuits_when_already_open():
+def test_stage_zero_short_circuits_when_already_open():
     f = make_sampling((0.3, 0.0), 0.6)  # both gaps already open
-    assert open_all_gaps(f, 0.1, seed=3) is f
+    assert cantor_iterate(f, 0.1, 0, seed=3)[1] is f
 
 
-def test_open_all_gaps_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        open_all_gaps(make_sampling((0.3, 0.0), 0.6), 0.0)
-
-
-@pytest.mark.parametrize("eps", [math.nan, math.inf])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
 @pytest.mark.parametrize("run", [
-    lambda f, eps: open_all_gaps(f, eps),
     lambda f, eps: cantor_iterate(f, eps, K=1),
     lambda f, eps: ac_iterate(f, eps, 1, u={0: 1.0}, t=1.5),
-], ids=["open_all_gaps", "cantor_iterate", "ac_iterate"])
+], ids=["cantor_iterate", "ac_iterate"])
 def test_constructions_reject_eps_that_is_not_finite(run, eps):
     with pytest.raises(ValueError, match="eps"):
         run(make_sampling((0.3, 0.0), 0.6), eps)
@@ -54,8 +47,8 @@ def test_level_zero_table_is_lifted_before_stage_zero():
     # stays closed under every level-0 perturbation
     f0 = make_sampling((0.3,), 0.6)
     f1 = make_sampling((0.3, 0.3), 0.6)
-    g = open_all_gaps(f0, 0.2, seed=1)
-    assert g.level == 1 and sup_distance(f0, g) < 0.2
+    _, g = cantor_iterate(f0, 0.2, 0, seed=1)
+    assert g.level == 1 and sup_distance(f0, g) < 0.2**2 / 72
     assert band_structure(to_periodic(g), compute_masses=False).open_gap_count() == 2
     for run in (lambda f: cantor_iterate(f, 0.9, K=1, seed=7),
                 lambda f: ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)):
@@ -265,11 +258,15 @@ def test_ac_iterate_rejects_a_source_that_is_not_finite(monkeypatch, value):
     assert screens == []  # rejected before any candidate is screened
 
 
+def _accept_all(values):
+    return np.ones(len(values), bool), ()
+
+
 def test_a_passing_f_draws_nothing():
     f = make_sampling((0.3, 0.0), 0.6)  # both gaps already open
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert [g for g, _ in construct._search_candidates(f, 0.1, rng)] == [f]
+    assert [g for g, _ in construct._search_candidates(f, 0.1, rng, _accept_all)] == [f]
     assert rng.bit_generator.state == state
 
 
@@ -365,7 +362,7 @@ def test_gap_opening_failure_counts_only_the_screened_draws():
     # every radius of the ladder lies below the floor, so nothing is drawn
     f = make_sampling((0.0, 0.0), 0.5)
     with pytest.raises(GapOpeningError, match="in 0 attempts") as info:
-        next(construct._search_candidates(f, 1e-16, np.random.default_rng(1)))
+        next(construct._search_candidates(f, 1e-16, np.random.default_rng(1), _accept_all))
     assert info.value.best == f
 
 

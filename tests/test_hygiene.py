@@ -1,7 +1,8 @@
 """Library modules import only at module level and use every name they import, or say why
-not; every private module-level name of the library is used somewhere in the library, so
-code that only tests call cannot linger in it; and no module-level name is defined in two
-library modules, so a shared constant or helper has one definition."""
+not; every private module-level name of the library is used somewhere in the library, and
+every public name it exports is used by a library module other than the package's
+__init__, so code that only tests call cannot linger in it; and no module-level name is
+defined in two library modules, so a shared constant or helper has one definition."""
 
 import ast
 from pathlib import Path
@@ -121,6 +122,46 @@ def test_a_private_name_referenced_only_from_tests_is_unreferenced(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_core.py").write_text("from pkg.core import _test_only\n")
     assert _unreferenced_private_names(package) == ["core._test_only"]
+
+
+def _exported_names(package: Path) -> list[str]:
+    """The names listed in the package's __all__."""
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _unreferenced_public_names(package: Path) -> list[str]:
+    """Exported names that no module of the package but its __init__ references."""
+    used = set().union(*(_references(p.read_text()) for p in package.glob("*.py")
+                         if p.name != "__init__.py"))
+    return [name for name in _exported_names(package) if name not in used]
+
+
+#: exported for the tests: the two-sided operator they check the Floquet folding against
+_EXPORTED_FOR_TESTS = ["assemble_window"]
+
+
+def test_every_public_name_is_referenced_by_the_library():
+    assert _unreferenced_public_names(SRC) == _EXPORTED_FOR_TESTS
+
+
+def test_a_public_name_referenced_only_from_tests_and_init_is_unreferenced(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .core import shared, test_only\n__all__ = ['shared', 'test_only']\n"
+        "test_only()\n"
+    )
+    (package / "core.py").write_text("def shared():\n    return 1\n\ndef test_only():\n"
+                                     "    return 2\n")
+    (package / "cli.py").write_text("from .core import shared\n\nprint(shared())\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_core.py").write_text("from pkg import test_only\n")
+    assert _unreferenced_public_names(package) == ["test_only"]
 
 
 def test_the_check_sees_unreferenced_private_names():

@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cmvspectra.odometer import (
-    OdometerPoint,
     SamplingFn,
     lift,
     make_sampling,
@@ -14,21 +11,7 @@ from cmvspectra.odometer import (
     perturbed_tables,
     sup_distance,
     to_periodic,
-    translate,
-    zero,
 )
-
-
-@given(st.integers(min_value=0, max_value=255), st.integers(-500, 500), st.integers(1, 8))
-def test_translate_is_addition_mod_2k(start, steps, level):
-    p = OdometerPoint.from_index(start, level)
-    assert translate(p, steps).index == (start + steps) % (1 << level)
-
-
-def test_orbit_of_zero_visits_every_coset():
-    level = 4
-    seen = {translate(zero(level), n).index for n in range(1 << level)}
-    assert seen == set(range(1 << level))
 
 
 def test_sampling_table_must_be_power_of_two():
@@ -94,8 +77,7 @@ def test_lift_preserves_values():
     g = lift(f, 4)
     assert g.period == 16
     assert sup_distance(f, g) == 0.0
-    for n in range(16):
-        assert g(OdometerPoint.from_index(n, 4)) == f(OdometerPoint.from_index(n, 1))
+    assert g.table == tuple(f.table[n % 2] for n in range(16))
 
 
 def test_lift_to_own_level_is_identity():
@@ -124,7 +106,7 @@ def test_to_periodic_induced_sequence():
     seq = to_periodic(f)
     assert seq.period == 4
     for n in range(-8, 8):
-        assert seq.value_at(n) == f(translate(zero(2), n))
+        assert seq.value_at(n) == f.table[n % 4]
 
 
 def test_to_periodic_level_zero_has_period_two():
@@ -136,30 +118,20 @@ def test_to_periodic_level_zero_has_period_two():
 
 def test_to_periodic_respects_base_point():
     f = make_sampling((0.1, -0.2, 0.3j, 0.05), 0.5)
-    omega = OdometerPoint.from_index(2, 2)
-    seq = to_periodic(f, omega)
-    for n in range(4):
-        assert seq.value_at(n) == f(translate(omega, n))
+    for omega in range(-8, 9):
+        seq = to_periodic(f, omega)
+        for n in range(4):
+            assert seq.value_at(n) == f.table[(omega + n) % 4]
 
 
 @pytest.mark.parametrize("start", range(8))
 def test_to_periodic_from_a_finer_base_point(start):
+    # a base point given mod 8 lies in the coset start mod 4 of f's level
     f = make_sampling((0.1, -0.2, 0.3j, 0.05), 0.5)
-    omega = OdometerPoint.from_index(start, 3)
-    seq = to_periodic(f, omega)
+    seq = to_periodic(f, start)
     assert seq.period == 4
     for n in range(-4, 8):
-        assert seq.value_at(n) == f(translate(omega, n))
-
-
-def test_to_periodic_rejects_a_coarser_base_point():
-    f = make_sampling((0.1, -0.2, 0.3j, 0.05), 0.5)
-    omega = OdometerPoint.from_index(1, 1)
-    with pytest.raises(ValueError, match="coarser") as from_call:
-        f(omega)
-    with pytest.raises(ValueError) as from_periodic:
-        to_periodic(f, omega)
-    assert str(from_periodic.value) == str(from_call.value)
+        assert seq.value_at(n) == f.table[(start + n) % 4]
 
 
 def test_sampling_json_roundtrip():

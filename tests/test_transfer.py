@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -104,6 +106,19 @@ def test_gamma_decreases_in_k_and_q():
     assert gamma(3, 8, 0.5) < gamma(2, 8, 0.5)
     assert gamma(2, 16, 0.5) < gamma(2, 8, 0.5)
     assert gamma(1, 4, 0.5) > 0
+
+
+@pytest.mark.parametrize("r", [1e-7, 0.9999996])
+def test_gamma_is_finite_at_radii_near_either_end_of_the_disk(r):
+    # rounded to six decimals these radii are 0 and 1, where L = 0 divides gamma
+    # by zero and the transfer matrix divides by rho = 0: each must be sampled as given
+    g = gamma(1, 2, r)
+    assert math.isfinite(g) and g > 0
+
+
+def test_lipschitz_modulus_at_six_decimal_radii_is_pinned():
+    assert estimate_lipschitz(0.5) == 12.40136333199199
+    assert estimate_lipschitz(0.6) == 18.915467335744687
 
 
 def test_gamma_rejects_bad_arguments():

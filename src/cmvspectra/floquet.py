@@ -3,13 +3,14 @@
 The q x q restriction of the extended CMV operator to phase-quasiperiodic
 vectors (u_{m+q} = e^{iT} u_m) is unitary; its eigenvalues are the circle
 points where the discriminant equals 2 cos(T).  Band edges are the
-eigenangles at phases 0 and pi, which a normal-matrix eigensolve delivers to
-near machine precision; this is what lets the construction iterations certify
-gaps far below any sampling grid's resolution.  The angles are used as
-returned: a Newton step on the discriminant would divide its roundoff by
+eigenangles at phases 0 and pi.  `eigenangles` takes them from a Hermitian
+eigensolve of the Cayley transform of the restriction, to an error of order
+q u (u the unit roundoff); this is what lets the construction iterations
+certify gaps far below any sampling grid's resolution.  The angles are used
+as returned: a Newton step on the discriminant would divide its roundoff by
 |Delta'|, which vanishes at exactly those narrow gaps.  `band_arcs` labels
 them into bands and gaps, for one period or a stack, and is the only place
-band edges are derived.
+band edges are derived; a `BandStructure` holds its arcs as arrays.
 
 The discriminant is the trace of the monodromy, the product
 A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,22 +181,77 @@ class Gap:
         return self.chord <= CLOSED_GAP_CHORD
 
 
-@dataclass(frozen=True)
 class BandStructure:
-    q: int
-    bands: tuple[Band, ...]
-    gaps: tuple[Gap, ...]
-    disc: Discriminant = field(repr=False, compare=False)
+    """Bands and gaps of one period, held as arrays.
+
+    The 2q arcs run from _cuts[i] to _cuts[i + 1] in angular order, the last
+    one past 2 pi, so each cut is stored once, shared by the band and the gap
+    that meet there.  _band marks the arcs that are bands, _rising the bands
+    that start at a phase-pi angle, and _masses holds the band masses in
+    angular order (zeros unless computed).  bands and gaps are built from
+    these once, on first read.  BandStructure(q, bands, gaps, disc) builds one
+    from Band and Gap objects that tile the circle.
+    """
+
+    def __init__(self, q: int, bands, gaps, disc: Discriminant):
+        arcs = sorted((*bands, *gaps), key=lambda arc: (arc.theta_lo, arc.theta_hi))
+        self.q, self.disc = q, disc
+        self._cuts = np.array([arc.theta_lo for arc in arcs] + [arcs[-1].theta_hi])
+        self._band = np.array([isinstance(arc, Band) for arc in arcs])
+        self._rising = np.array([isinstance(arc, Band) and arc.increasing for arc in arcs])
+        self._masses = np.array([b.mass for b in bands], dtype=float)
+
+    @classmethod
+    def _of_arrays(cls, q: int, cuts: np.ndarray, band: np.ndarray, rising: np.ndarray,
+                   masses: np.ndarray, disc: Discriminant) -> BandStructure:
+        bs = cls.__new__(cls)
+        bs.q, bs.disc = q, disc
+        bs._cuts, bs._band, bs._rising, bs._masses = cuts, band, rising, masses
+        return bs
+
+    def _ends(self, mask: np.ndarray) -> tuple[list[float], list[float]]:
+        """The two ends of the arcs under mask, as lists of floats in angular order."""
+        return self._cuts[:-1][mask].tolist(), self._cuts[1:][mask].tolist()
+
+    def _band_ends(self) -> tuple[list[float], list[float]]:
+        """theta_lo and theta_hi of the bands, without building them."""
+        return self._ends(self._band)
+
+    def _chords(self) -> np.ndarray:
+        """arc_chord of each gap's two ends, in angular order."""
+        return arc_chord(self._cuts[:-1][~self._band], self._cuts[1:][~self._band])
+
+    @functools.cached_property
+    def bands(self) -> tuple[Band, ...]:
+        rising = self._rising[self._band].tolist()
+        return tuple(map(Band, *self._band_ends(), rising, self._masses.tolist()))
+
+    @functools.cached_property
+    def gaps(self) -> tuple[Gap, ...]:
+        return tuple(map(Gap, *self._ends(~self._band), self._chords().tolist()))
 
     @property
     def band_masses(self) -> tuple[float, ...]:
-        return tuple(b.mass for b in self.bands)
+        return tuple(self._masses.tolist())
 
     def total_band_measure(self) -> float:
-        return sum(b.width for b in self.bands)
+        # a Python sum in angular order, as over the bands' widths
+        return sum((self._cuts[1:] - self._cuts[:-1])[self._band].tolist())
 
     def open_gap_count(self) -> int:
-        return sum(1 for g in self.gaps if not g.closed)
+        return int(np.count_nonzero(self._chords() > CLOSED_GAP_CHORD))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BandStructure):
+            return NotImplemented
+        return self.q == other.q and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("_cuts", "_band", "_rising", "_masses"))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"BandStructure(q={self.q}, bands={self.bands!r}, gaps={self.gaps!r})"
 
 
 def label_arcs(
@@ -232,39 +288,23 @@ def label_arcs(
 def band_arcs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """label_arcs of the phase-0 and phase-pi eigenangles of one period (q,) or a stack (N, q).
 
-    Each phase is its own eigensolve: stacking the two would hold both sets of
-    restrictions at once for no gain in accuracy.
+    Each phase is its own eigensolve (eigenangles: the Cayley transform about a
+    point w = e^{i phi} at least 1 / (q + 1) from that phase's spectrum), so
+    each edge carries an error of order q u; stacking the two phases would
+    hold both sets of restrictions at once for no gain in accuracy.  A stacked
+    row's arcs equal a single solve's bit for bit.  An edge at z = 1 may read
+    0.0 or 2 pi - eps, and label_arcs takes either.
     """
     return label_arcs(eigenangles(values, 0.0), eigenangles(values, math.pi))
 
 
-def bands_and_gaps(
-    lo: np.ndarray, hi: np.ndarray, band: np.ndarray, rising: np.ndarray
-) -> tuple[list[Band], list[Gap]]:
-    """The bands and the gaps among one period's arcs from band_arcs, each in angular order.
-
-    Each cut is one float, shared by the band and the gap that meet there, so
-    a band structure holds 2q + 1 endpoints rather than 4q.
-    """
-    cuts = lo.tolist() + hi[-1:].tolist()
-    chords = iter(arc_chord(lo[~band], hi[~band]).tolist())
-    bands, gaps = [], []
-    for i, (is_band, r) in enumerate(zip(band.tolist(), rising.tolist())):
-        if is_band:
-            bands.append(Band(cuts[i], cuts[i + 1], r))
-        else:
-            gaps.append(Gap(cuts[i], cuts[i + 1], next(chords)))
-    return bands, gaps
-
-
-def gap_chords(values: np.ndarray) -> np.ndarray:
-    """Chords of the q gaps of each period in an (N, q) stack, in angular order: (N, q).
+def gap_chords(lo: np.ndarray, hi: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Chords of the q gaps of each row of band_arcs of an (N, q) stack, in angular order: (N, q).
 
     These are band_structure's gaps without the discriminant, so without its
     midpoint check: the cheap screen for many candidate periods at once.
     """
-    lo, hi, band, _ = band_arcs(values)
-    return arc_chord(lo[~band], hi[~band]).reshape(len(values), -1)
+    return arc_chord(lo[~band], hi[~band]).reshape(len(lo), -1)
 
 
 def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructure:
@@ -272,21 +312,35 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
 
     band_arcs cuts the circle at the 2q angles.  Each arc takes its endpoints
     straight from those angles, so every band shares both endpoints with its
-    neighbouring gaps (bands_and_gaps).
+    neighbouring gaps.
     """
+    return _structure_of_arcs(seq, band_arcs(seq.values), compute_masses)
+
+
+def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
+                       compute_masses: bool) -> BandStructure:
+    """The band structure of seq from its band_arcs (lo, hi, band, rising), each (2q,).
+
+    The arcs may be one row of a stack labelled at once, which equals a single
+    solve bit for bit; the structure copies what it keeps, so it does not hold
+    the stack.
+    """
+    lo, hi, band, rising = arcs
     disc = discriminant(seq)
-    bands, gaps = bands_and_gaps(*band_arcs(seq.values))
+    gap = ~band
     # sanity: open gap interiors must lie outside the spectrum
-    mids = [0.5 * (g.theta_lo + g.theta_hi) for g in gaps if not g.closed and g.width > 1e-7]
-    if np.any(np.abs(disc.eval_real(np.array(mids))) < 2.0 - 1e-7):
+    wide = (arc_chord(lo[gap], hi[gap]) > CLOSED_GAP_CHORD) & ((hi - lo)[gap] > 1e-7)
+    mids = 0.5 * (lo[gap][wide] + hi[gap][wide])
+    if np.any(np.abs(disc.eval_real(mids)) < 2.0 - 1e-7):
         raise BandDiagnosticError("gap midpoint classified inside the spectrum")
+    masses = np.zeros(seq.period)
     if compute_masses:
         # one pass per band: all bands at once would hold 2 _MASS_NODES q (q + 1) terms
-        for i, b in enumerate(bands):
-            edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, _MASS_NODES, 2)
-            mass = float(np.dot(_equilibrium_at(disc, edges, offsets)[1], weights))
-            bands[i] = Band(b.theta_lo, b.theta_hi, b.increasing, mass)
-    return BandStructure(seq.period, tuple(bands), tuple(gaps), disc)
+        for i, ends in enumerate(zip(lo[band].tolist(), hi[band].tolist())):
+            edges, offsets, weights = graded_pairs(*ends, _MASS_NODES, 2)
+            masses[i] = np.dot(_equilibrium_at(disc, edges, offsets)[1], weights)
+    return BandStructure._of_arrays(seq.period, np.append(lo, hi[-1]), band.copy(),
+                                    band & rising, masses, disc)
 
 
 #: quadrature nodes per half-band for the band masses
@@ -342,21 +396,67 @@ def _equilibrium_at(
     return psi, v
 
 
+def _cayley_shift(E: np.ndarray) -> np.ndarray:
+    """The angle phi of a point w = e^{i phi} at least 1 / (q + 1) from each eigenvalue of E.
+
+    E is unitary (..., q, q); phi is (..., 1).  The eigenvalues of E + E* are
+    c_j = 2 cos(theta_j), to about u.  The q values leave q + 1 intervals of
+    [-2, 2] free, the widest at least 4 / (q + 1) long; phi = arccos(m / 2)
+    for its midpoint m puts |cos(phi) - cos(theta_j)| >= 1 / (q + 1), and so
+    |w - e^{i theta_j}| >= 1 / (q + 1).
+    """
+    H = np.conjugate(np.swapaxes(E, -1, -2))
+    H += E
+    c = np.linalg.eigvalsh(H)
+    ends = np.full(c.shape[:-1] + (1,), 2.0)
+    cuts = np.concatenate((-ends, c, ends), axis=-1)
+    lo, hi = cuts[..., :-1], cuts[..., 1:]
+    j = np.argmax(hi - lo, axis=-1)[..., None]
+    # arccos(m / 2) at the midpoint m = (lo + hi) / 2; both halvings are exact
+    return np.arccos(np.take_along_axis(0.25 * (lo + hi), j, -1))
+
+
 def eigenangles(seq, theta) -> np.ndarray:
     """The q spectrum points of E_q(theta), one per band: its sorted eigenangles.
 
-    Takes the stacks floquet_matrix takes, in one eigensolve, giving (..., q).
+    Takes the stacks floquet_matrix takes, giving (..., q); each matrix of a
+    stack gets the same operations as alone, so a stacked row equals a single
+    solve bit for bit.  E = E_q(theta) is unitary, so for w = e^{i phi} off
+    its spectrum the Cayley transform A = i (w + E)(w - E)^-1
+    = 2 i w (w - E)^-1 - i I is Hermitian, with eigenvalues
+    lam_j = -cot((theta_j - phi) / 2): so theta_j = phi + 2 atan2(1, -lam_j).
+    _cayley_shift places w at least 1 / (q + 1) from the spectrum, so the
+    inverse is well conditioned, and the angles come out with an error of
+    order q u (u the unit roundoff), up to twice a general eigensolve's.  A
+    double eigenvalue at z = 1 may read 0.0 where a general eigensolve gives
+    2 pi - eps; label_arcs takes either.  Two Hermitian eigensolves (LAPACK
+    zheevd) and one inverse cost about as much as one general eigensolve
+    (zgeev) at q = 16 and less above it, or from q = 8 on in a stack of 12;
+    at smaller q their fixed overhead costs up to about 30 us more per call.
+    w - E is built in place of E and inverted once, which keeps the transient
+    near that of the general eigensolve.
     """
-    vals = np.linalg.eigvals(floquet_matrix(seq, theta))
-    return np.sort(np.angle(vals) % TWO_PI, axis=-1)
+    E = floquet_matrix(seq, theta)
+    phi = _cayley_shift(E)
+    w = np.exp(1j * phi)
+    np.negative(E, out=E)
+    # einsum returns a writeable view of each diagonal
+    np.einsum("...ii->...i", E)[...] += w
+    A = np.linalg.inv(E)
+    del E
+    # 2 i w (w - E)^-1 is A + i I, and eigvalsh takes only the real part of the diagonal
+    A *= 2j * w[..., None]
+    lam = np.linalg.eigvalsh(A)
+    return np.sort((phi + 2.0 * np.arctan2(1.0, -lam)) % TWO_PI, axis=-1)
 
 
 def min_gap(bs: BandStructure) -> float:
     """Smallest chord width over the open gaps; error if every gap is closed."""
-    open_gaps = [g.chord for g in bs.gaps if not g.closed]
-    if not open_gaps:
+    chords = bs._chords()
+    open_gaps = chords[chords > CLOSED_GAP_CHORD]
+    if not len(open_gaps):
         raise AllGapsClosedError("all gaps are closed; no minimal open gap exists")
-    return min(open_gaps)
+    return float(open_gaps.min())
 
 
 def band_distance(bands: tuple[Band, ...], theta: float) -> float:

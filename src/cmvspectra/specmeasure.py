@@ -114,16 +114,15 @@ def _source_vector(u: Mapping[int, complex]) -> dict[int, complex]:
 class SpectralDensity:
     """Density g of the spectral measure of a finite-support vector u.
 
-    bands and disc are those of seq's band structure; density() also samples g
-    into grid and integrates its mass.
+    structure is seq's band structure, whose bands and disc the density reads;
+    density() also samples g at its fine nodes and integrates its mass.
     """
 
     seq: PeriodicSeq
     u: dict[int, complex]
-    bands: tuple[Band, ...]
-    disc: Discriminant = field(repr=False, compare=False)
-    #: sampled (theta, g) pairs, one row each
-    grid: np.ndarray = field(default_factory=lambda: np.empty((0, 2)), compare=False)
+    structure: BandStructure = field(repr=False)
+    #: g at density()'s fine nodes, band by band in angular order; grid pairs each with its theta
+    samples: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
     total_mass: float = 0.0
     #: |mass at n nodes - mass at n/2 nodes|: an estimate of the quadrature error, not a bound
     quad_error_estimate: float = 0.0
@@ -131,6 +130,28 @@ class SpectralDensity:
     @functools.cached_property
     def _steps(self) -> np.ndarray:
         return step_coeffs(self.seq.values)
+
+    @property
+    def bands(self) -> tuple[Band, ...]:
+        return self.structure.bands
+
+    @property
+    def disc(self) -> Discriminant:
+        return self.structure.disc
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The sampled (theta, g) pairs, one row each: theta is rebuilt from the bands.
+
+        density() gives each band of positive width 2n graded nodes, which
+        fixes n, and the same graded_pairs call gives the same theta.
+        """
+        if not len(self.samples):
+            return np.empty((0, 2))
+        ends = list(zip(*self.structure._band_ends()))
+        n = len(self.samples) // (2 * sum(hi > lo for lo, hi in ends))
+        nodes = [graded_pairs(lo, hi, n, 2) for lo, hi in ends]
+        return np.column_stack([np.concatenate([e + o for e, o, _ in nodes]), self.samples])
 
     def at(self, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """g at theta = edge + offset, for band edges and steps from them into their bands.
@@ -164,20 +185,21 @@ def density(seq: PeriodicSeq, u: Mapping[int, complex], n: int = 64) -> Spectral
     """Spectral density of u with per-band edge-graded sampling and its total mass."""
     u = _source_vector(u)
     bs = band_structure(seq, compute_masses=False)
-    d = SpectralDensity(seq, u, bs.bands, bs.disc)
+    d = SpectralDensity(seq, u, bs)
     samples = []
     mass = 0.0
     mass_coarse = 0.0
-    for b in d.bands:
-        edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, n, 2)
-        e2, o2, w2 = graded_pairs(b.theta_lo, b.theta_hi, max(8, n // 2), 2)
+    # the band ends as floats, so the density keeps no Band objects
+    for lo, hi in zip(*bs._band_ends()):
+        edges, offsets, weights = graded_pairs(lo, hi, n, 2)
+        e2, o2, w2 = graded_pairs(lo, hi, max(8, n // 2), 2)
         # the band's n fine and n/2 coarse nodes in one pass
         vals = d.at(np.concatenate([edges, e2]), np.concatenate([offsets, o2]))
         fine, coarse = vals[:len(weights)], vals[len(weights):]
         mass += float(np.dot(fine, weights))
         mass_coarse += float(np.dot(coarse, w2))
-        samples.append(np.column_stack([edges + offsets, fine]))
-    return replace(d, grid=np.concatenate(samples), total_mass=mass,
+        samples.append(fine)
+    return replace(d, samples=np.concatenate(samples), total_mass=mass,
                    quad_error_estimate=abs(mass - mass_coarse))
 
 

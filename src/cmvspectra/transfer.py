@@ -126,10 +126,17 @@ def _estimate_lipschitz_cached(r: float) -> float:
         phase = rng.uniform(0, 2 * np.pi, size)
         return mag * np.exp(1j * phase)
 
+    def transfer(tri: np.ndarray, z: complex) -> np.ndarray:
+        try:
+            return transfer_at(step_laurent(*tri.tolist()), z)
+        except ZeroDivisionError:
+            raise ValueError(f"r = {r!r} is too close to 1: a sampled rho = sqrt(1 - |alpha|^2) "
+                             f"rounds to 0, so the transfer matrix is not defined") from None
+
     for i in range(n_samples):
         tri = disk_sample(r, 3)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        a = transfer_at(step_laurent(*tri.tolist()), z)
+        a = transfer(tri, z)
         d = deltas[i % len(deltas)]
         dirs = disk_sample(1.0, 3)
         dirs /= max(np.max(np.abs(dirs)), 1e-12)
@@ -140,7 +147,7 @@ def _estimate_lipschitz_cached(r: float) -> float:
         dist = np.max(np.abs(tri2 - tri))
         if dist < 1e-9:
             continue
-        a2 = transfer_at(step_laurent(*tri2.tolist()), z)
+        a2 = transfer(tri2, z)
         worst = max(worst, float(np.linalg.norm(a - a2, 2)) / dist)
     # safety factor 2 over the sampled finite-difference quotients
     return 2.0 * worst
@@ -150,7 +157,9 @@ def estimate_lipschitz(r: float) -> float:
     """Sampled estimate of the L with which perturbing the triple by delta (componentwise,
     within the r-polydisk) moves the transfer matrix by at most L * delta in spectral
     norm, uniformly over |z| = 1: twice the largest of a seeded sample of finite-difference
-    quotients, so an estimate, not a proven bound."""
+    quotients, so an estimate, not a proven bound.  Pairs closer than 1e-9 are skipped, so
+    below r of about 5e-10 the estimate is 0; ValueError if a sampled rho rounds to 0,
+    as it does for r within a few ulps of 1."""
     if not (0.0 < r < 1.0):
         raise ValueError("r must lie in (0, 1)")
     return _estimate_lipschitz_cached(float(r))
@@ -161,4 +170,8 @@ def gamma(k: int, q: int, r: float) -> float:
     other give transfer matrices within k^{-q} in spectral norm."""
     if k < 1 or q < 1:
         raise ValueError("k and q must be positive integers")
-    return float(k) ** (-q) / estimate_lipschitz(r)
+    lipschitz = estimate_lipschitz(r)
+    if lipschitz == 0:
+        raise ValueError(f"r = {r!r} is too small: every sampled pair of triples lies closer "
+                         f"than 1e-9, so the sampled Lipschitz estimate is 0")
+    return float(k) ** (-q) / lipschitz

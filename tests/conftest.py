@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -36,3 +39,26 @@ def thin_band_values():
     eigensolve resolves: its phase-0 and phase-pi edges do not interlace."""
     rng = np.random.default_rng(256002)
     return 0.7 * np.sqrt(rng.uniform(0, 1, 256)) * np.exp(2j * np.pi * rng.uniform(0, 1, 256))
+
+
+def _retained_kib(make) -> float:
+    """KiB of traced memory that the result of make() holds: what dropping it frees.
+
+    make runs once first, so that caches it fills are not counted.
+    """
+    make()
+    tracemalloc.start()
+    try:
+        result = make()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        return (held - tracemalloc.get_traced_memory()[0]) / 1024
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def retained_kib():
+    return _retained_kib

@@ -193,6 +193,15 @@ def test_gamma_at_radii_near_either_end_of_the_disk_exits_0(r, capsys):
     assert "gamma(1, 2, " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("r", ["1e-10", "0.9999999999999999"])
+def test_gamma_at_a_radius_it_cannot_sample_exits_2_naming_it(r, capsys):
+    assert main(["gamma", "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: r = " + r) and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_verify_single_criterion(capsys):
     rc = main(["verify", "--filter", "free-discriminant"])
     assert rc == 0

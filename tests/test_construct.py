@@ -143,7 +143,9 @@ def test_stage_reports_serialize():
 #: stage reports and final tables of the seed-7 acceptance runs, recorded
 #: before the candidate search was restructured; the cantor stage-3 band
 #: measure and the ac density drifts were re-recorded when band edges became
-#: the unpolished eigenangles
+#: the unpolished eigenangles, and every moved value again when the eigenangles
+#: came from the Cayley-transformed Hermitian eigensolve (same winners, relative
+#: moves up to 2.1e-10)
 LEDGERS = json.loads((Path(__file__).parent / "data" / "seed7_ledgers.json").read_text())
 
 
@@ -211,20 +213,20 @@ def _count_calls(monkeypatch, module, name) -> list:
 def _count_screens(monkeypatch) -> list:
     """Record the number of rows of every gap screen the construction runs."""
     screened = []
-    gap_chords = construct.gap_chords
+    band_arcs = construct.band_arcs
 
     def screen(values):
         screened.append(len(values))
-        return gap_chords(values)
+        return band_arcs(values)
 
-    monkeypatch.setattr(construct, "gap_chords", screen)
+    monkeypatch.setattr(construct, "band_arcs", screen)
     return screened
 
 
 def _count_stage_work(monkeypatch, run) -> dict:
     """Run the construction and count its band structures, discriminants, sequences and screens."""
     counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
-        (construct, "band_structure"), (floquet, "discriminant"), (construct, "to_periodic"))}
+        (construct, "_structure_of_arcs"), (floquet, "discriminant"), (construct, "to_periodic"))}
     counts["screened"] = _count_screens(monkeypatch)
     counts["reports"] = run(make_sampling([0.3, 0.3], 0.6))[0]
     return counts
@@ -233,7 +235,7 @@ def _count_stage_work(monkeypatch, run) -> dict:
 def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeypatch):
     counts = _count_stage_work(monkeypatch, lambda f: cantor_iterate(f, 0.9, 3, seed=7))
     assert len(counts["reports"]) == 4
-    assert len(counts["band_structure"]) == 4 and len(counts["discriminant"]) == 4
+    assert len(counts["_structure_of_arcs"]) == 4 and len(counts["discriminant"]) == 4
     # every stage screens f and the first rung of its draws, and only its winner
     # becomes a sequence
     assert counts["screened"] == [1, 12] * 4
@@ -245,7 +247,7 @@ def test_ac_stages_build_one_band_structure_per_sequence(monkeypatch):
     counts = _count_stage_work(
         monkeypatch, lambda f: ac_iterate(f, 0.9, 2, {0: 1.0}, 1.5, seed=7))
     assert [r.density_drift is not None for r in counts["reports"]] == [False, True, True]
-    assert len(counts["band_structure"]) == 3 and len(counts["discriminant"]) == 3
+    assert len(counts["_structure_of_arcs"]) == 3 and len(counts["discriminant"]) == 3
     assert counts["screened"] == [1, 12] * 3
     assert len(counts["to_periodic"]) == 3
 
@@ -266,7 +268,7 @@ def test_a_passing_f_draws_nothing():
     f = make_sampling((0.3, 0.0), 0.6)  # both gaps already open
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert [g for g, _ in construct._search_candidates(f, 0.1, rng, _accept_all)] == [f]
+    assert [g for g, _, _ in construct._search_candidates(f, 0.1, rng, _accept_all)] == [f]
     assert rng.bit_generator.state == state
 
 
@@ -280,12 +282,15 @@ def test_a_gate_that_rejects_the_first_rung_takes_the_second_rungs_widest_row(mo
         gated.append(len(values))
         return np.full(len(values), len(gated) > 1), ()
 
-    g, _ = next(construct._search_candidates(f, 0.1, np.random.default_rng(1), gate))
+    g, arcs, _ = next(construct._search_candidates(f, 0.1, np.random.default_rng(1), gate))
     assert screened == [1, 12, 12] and gated == [12, 12]
     ladder = [0.1 * 0.5 ** (i // construct._HALVING_PERIOD) for i in range(construct._MAX_ATTEMPTS)]
     second = perturbed_tables(f, ladder, np.random.default_rng(1))[12:24]
-    widest = np.argmax(floquet.gap_chords(second).min(axis=-1))
+    second_arcs = floquet.band_arcs(second)
+    widest = np.argmax(floquet.gap_chords(*second_arcs[:3]).min(axis=-1))
     assert np.array_equal(g.table, second[widest])
+    # the candidate carries its own row of the rung's arcs
+    assert all(np.array_equal(a, b[widest]) for a, b in zip(arcs, second_arcs))
 
 
 def test_a_search_without_a_passing_row_screens_every_rung(monkeypatch):
@@ -336,7 +341,7 @@ def test_gap_opening_failure_lists_closed_gaps_without_a_discriminant(monkeypatc
     # the least-closed row's gaps come from its own arcs, not from a band structure
     f = make_sampling((0.0, 0.0), 0.5)  # both gaps closed
     discriminants = _count_calls(monkeypatch, floquet, "discriminant")
-    band_structures = _count_calls(monkeypatch, construct, "band_structure")
+    band_structures = _count_calls(monkeypatch, construct, "_structure_of_arcs")
     with pytest.raises(GapOpeningError):
         next(construct._search_candidates(
             f, 0.1, np.random.default_rng(1), gate=lambda values: (np.zeros(len(values), bool), ())
@@ -367,7 +372,8 @@ def test_gap_opening_failure_counts_only_the_screened_draws():
 
 
 #: the stage-4 gap-opening failure of a seed-7 run, recorded before the
-#: candidates of a stage were screened in one stacked eigensolve
+#: candidates of a stage were screened in one stacked eigensolve; its best table
+#: was re-recorded (moves up to 1.1e-16) with the Cayley-transformed eigensolve
 GAP_FAILURE = json.loads((Path(__file__).parent / "data" / "seed7_gap_failure.json").read_text())
 
 
@@ -380,7 +386,7 @@ def test_gap_opening_failure_reports_the_least_closed_candidate():
     assert len(exc.closed_gaps) == GAP_FAILURE["closed_gaps"] == 16
     assert all(g.closed for g in exc.closed_gaps)
     assert [r.stage for r in exc.trail] == GAP_FAILURE["trail_stages"]
-    assert exc.best.table[0] == 0.29618556270618823 - 0.0037831324828035075j
+    assert exc.best.table[0] == 0.29618556270618823 - 0.0037831324828035027j
     got = exc.best.to_json()
     assert got["level"] == GAP_FAILURE["best"]["level"]
     flat = [x for v in got["table"] for x in v]
@@ -391,7 +397,8 @@ def test_gap_opening_failure_reports_the_least_closed_candidate():
 #: exact stage ledgers and final tables, each float as its repr, of cantor_iterate (K = 3)
 #: and ac_iterate (K = 2, u = delta_0, t = 1.5) on four seeded 2-entry tables with
 #: |alpha| <= 0.5, r = 0.6 and eps = 0.9; recorded before a stage's candidates were
-#: drawn, gated and screened as one array
+#: drawn, gated and screened as one array, and re-recorded with the Cayley-transformed
+#: eigensolve, which moved edge-derived values by roundoff and kept every winner
 PINS = json.loads((Path(__file__).parent / "data" / "construction_pins.json").read_text())
 
 

@@ -16,6 +16,7 @@ from cmvspectra.floquet import (
     BandDiagnosticError,
     Discriminant,
     _equilibrium_at,
+    band_arcs,
     band_structure,
     discriminant,
     eigenangles,
@@ -212,8 +213,17 @@ def test_a_band_and_its_neighbouring_gap_hold_one_float_per_cut():
     assert bs.open_gap_count() == 4
     arcs = sorted(bs.bands + bs.gaps, key=lambda arc: arc.theta_lo)
     for arc, nxt in zip(arcs, arcs[1:]):
-        assert arc.theta_hi is nxt.theta_lo
-    assert len({id(t) for arc in arcs for t in (arc.theta_lo, arc.theta_hi)}) == 2 * 4 + 1
+        assert type(arc) is not type(nxt) and arc.theta_hi == nxt.theta_lo
+    # the structure stores each of the 2q + 1 cuts once, and the arcs read their ends from them
+    assert bs._cuts.tolist() == [arc.theta_lo for arc in arcs] + [arcs[-1].theta_hi]
+    assert bs._cuts.shape == (2 * 4 + 1,)
+
+
+def test_a_band_structure_holds_arrays_not_an_object_per_arc(retained_kib):
+    # the 513 cuts, two masks, the masses and the discriminant; 2q Band and Gap
+    # objects and their floats took 57 KiB
+    seq = make_periodic(list(_disk(np.random.default_rng(2200), 256, 0.3)), 0.6)
+    assert retained_kib(lambda: band_structure(seq, compute_masses=False)) <= 16
 
 
 def test_band_structure_rejects_a_gap_midpoint_inside_the_spectrum(monkeypatch):
@@ -292,6 +302,155 @@ def test_eigenangles_match_direct_eigensolve():
         assert np.min(np.abs(np.exp(1j * a) - np.exp(1j * union))) < 1e-7
 
 
+def _disk(rng, q, amax):
+    """q seeded values uniform in the disk of radius amax."""
+    return amax * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+
+
+def _circle_distance(a, b) -> float:
+    """Bottleneck distance, as an angle, between two equal-size point sets on the circle.
+
+    Sorted, the best matching of two point sets on a circle is a cyclic shift,
+    so an angle read as 0.0 in one set and as 2 pi - eps in the other costs eps.
+    """
+    a, b = np.sort(np.mod(a, TWO_PI)), np.sort(np.mod(b, TWO_PI))
+    shifted = np.array([np.roll(b, s) for s in range(len(b))])
+    return float(np.abs((a - shifted + math.pi) % TWO_PI - math.pi).max(axis=1).min())
+
+
+def _general_eigenangles(values, theta):
+    """The oracle the library used before: the angles of a general eigensolve."""
+    return np.angle(np.linalg.eigvals(floquet_matrix(np.asarray(values, complex), theta)))
+
+
+def _mp_discriminant(mpmath, values):
+    """Re Delta(e^{i theta}) in mpmath, from the transfer matrices of the exact values."""
+    a = [mpmath.mpc(complex(v)) for v in values]
+    q = len(a)
+    rho = [mpmath.sqrt(1 - abs(x) ** 2) for x in a]
+    steps = []
+    for n in range(1, q, 2):  # A_n of (alpha_n, alpha_{n+1}, alpha_{n+2}), as in step_laurent
+        a0, a1, a2 = (a[(n + i) % q] for i in range(3))
+        r0, r1, r2 = (rho[(n + i) % q] for i in range(3))
+        c1, c2, r12 = mpmath.conj(a1), mpmath.conj(a2), r1 * r2
+        # the z^-1, z^0 and z^1 coefficients of each entry
+        steps.append(((r0 / r1, 0, 0), (-a0 / r1, -a1 / r1, 0),
+                      (-r0 * c2 / r12, -r0 * c1 / r12, 0),
+                      (c2 * a0 / r12, (c2 * a1 + c1 * a0) / r12, 1 / r12)))
+
+    def disc(theta):
+        z = mpmath.expj(theta)
+        zi = mpmath.conj(z)
+        m = (1, 0, 0, 1)
+        for step in steps:
+            a, b, c, d = (lo * zi + mid + hi * z for lo, mid, hi in step)
+            m = (a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3])
+        return (m[0] + m[3]).real
+
+    return disc
+
+
+@pytest.mark.parametrize("q", [8, 16, 32])
+def test_eigenangles_are_within_1e14_of_40_digit_spectrum_points(q):
+    """Each angle, refined to 40 digits by two Newton steps on Delta(e^{i theta}) = 2 cos(T)
+    with Delta multiplied out in mpmath from the exact values, moves by at most 1e-14;
+    the second step is below 1e-25, and the q refined roots are distinct, so they are
+    all the spectrum points at T."""
+    mpmath = pytest.importorskip("mpmath")
+    for seed in range(4):
+        values = _disk(np.random.default_rng([1900, q, seed]), q, 0.5)
+        with mpmath.workdps(40):
+            disc = _mp_discriminant(mpmath, values)
+            h = mpmath.mpf(10) ** -20
+            for phase in (0.0, math.pi, 1.0):
+                target = 2 * mpmath.cos(phase)
+                roots = []
+                for angle in eigenangles(values, phase):
+                    t = mpmath.mpf(angle)
+                    for _ in range(2):
+                        f = disc(t) - target
+                        step = f * h / (disc(t + h) - target - f)
+                        t -= step
+                    assert abs(step) < 1e-25
+                    roots.append(t)
+                    assert abs(float(t) - angle) <= 1e-14
+                assert min(b - a for a, b in zip(roots, roots[1:])) > 1e-12
+
+
+def test_eigenangles_match_40_digit_eigenvalues_at_q_8():
+    mpmath = pytest.importorskip("mpmath")
+    for seed in range(4):
+        values = _disk(np.random.default_rng([1900, 8, seed]), 8, 0.5)
+        for phase in (0.0, math.pi, 1.0):
+            with mpmath.workdps(40):
+                E = mpmath.matrix(floquet_matrix(values, phase).tolist())
+                exact = [float(mpmath.arg(z)) for z in mpmath.eig(E, left=False, right=False)]
+            assert _circle_distance(eigenangles(values, phase), exact) <= 1e-14
+
+
+@pytest.mark.parametrize("q, amax", [(64, 0.5), (128, 0.5), (256, 0.5)])
+def test_eigenangles_agree_with_a_general_eigensolve_to_q_ulps(q, amax):
+    rng = np.random.default_rng([2000, q])
+    for _ in range(2):
+        values = _disk(rng, q, amax)
+        for phase in (0.0, math.pi):
+            got = eigenangles(values, phase)
+            assert _circle_distance(got, _general_eigenangles(values, phase)) <= q * 2.0**-52
+
+
+@pytest.mark.parametrize("values, exact", [
+    # alpha = 0: Delta = 2 cos(q theta / 2), so phase T has the spectrum points
+    # (+/- 2 T + 4 pi k) / q, each double at T = 0 and T = pi
+    ([0.0] * 4, True),
+    ([0.0] * 8, True),
+    ([0.3, -0.2, 0.45, 0.1, -0.05, 0.25], False),  # real alpha
+    ([0.3 + 0.2j, -0.1j], False),  # the q = 2 fold
+    ([0.9, -0.9, 0.9, -0.9], False),  # double eigenvalue at z = 1
+    ([0.9, -0.9] * 4, False),
+    ([0.999, 0.999], False),
+], ids=["free-4", "free-8", "real", "q2", "alternating-4", "alternating-8", "near-one"])
+def test_eigenangles_of_degenerate_inputs_as_point_sets(values, exact):
+    q = len(values)
+    for phase in (0.0, math.pi, 1.0):
+        got = eigenangles(np.array(values, complex), phase)
+        if exact:
+            k = np.arange(q // 2)
+            want = np.concatenate([(2 * phase + 4 * math.pi * k) / q,
+                                   (-2 * phase + 4 * math.pi * k) / q])
+        else:
+            want = _general_eigenangles(values, phase)
+        assert _circle_distance(got, want) <= 1e-14
+
+
+def test_an_edge_at_z_1_is_read_either_way():
+    # alternating +/-0.9 has a double phase-0 eigenvalue at z = 1, which the Cayley
+    # route reads as 0.0 and a general eigensolve as 2 pi - eps; both label the same arcs
+    values = np.array([0.9, -0.9] * 4, complex)
+    plus, minus = eigenangles(values, 0.0), eigenangles(values, math.pi)
+    assert plus[0] == 0.0
+    wrapped = np.sort(np.where(plus == 0.0, TWO_PI - 2.0**-50, plus))
+    widths = []
+    for edges in (plus, wrapped):
+        lo, hi, band, _ = label_arcs(edges, minus)
+        widths.append(np.sort((hi - lo)[band]))
+    assert np.allclose(*widths, rtol=0, atol=1e-14)
+    bs = band_structure(make_periodic(list(values), 0.95), compute_masses=False)
+    assert len(bs.bands) == len(bs.gaps) == 8
+
+
+@pytest.mark.parametrize("q", [2, 8, 64])
+def test_the_cayley_shift_keeps_its_distance_from_the_spectrum(q):
+    rng = np.random.default_rng([2100, q])
+    inputs = [_disk(rng, q, 0.5) for _ in range(3)] + [np.zeros(q), np.tile([0.9, -0.9], q // 2)]
+    for values in inputs:
+        for phase in (0.0, math.pi, 1.0):
+            phi = floquet._cayley_shift(floquet_matrix(values, phase))
+            angles = eigenangles(values, phase)
+            assert phi.shape == (1,)
+            assert np.abs(np.exp(1j * phi) - np.exp(1j * angles)).min() >= (1 - 1e-9) / (q + 1)
+            assert np.abs(np.cos(phi) - np.cos(angles)).min() >= (1 - 1e-9) / (q + 1)
+
+
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
 def test_stacked_fold_eigensolve_and_chords_match_one_period_at_a_time(q):
     # at q = 2 both wraps land in the one 2x2 block
@@ -310,7 +469,7 @@ def test_stacked_fold_eigensolve_and_chords_match_one_period_at_a_time(q):
             assert np.array_equal(folded[k, n], floquet_matrix(seq, theta))
         assert np.array_equal(plus[n], eigenangles(seq, 0.0))
         assert np.array_equal(minus[n], eigenangles(seq, math.pi))
-    chords = gap_chords(stack)
+    chords = gap_chords(*band_arcs(stack)[:3])
     for n, seq in enumerate(seqs):
         gaps = band_structure(seq, compute_masses=False).gaps
         assert chords[n].tolist() == [g.chord for g in gaps]

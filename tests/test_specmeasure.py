@@ -202,8 +202,7 @@ def test_batched_density_matches_the_per_node_reference(q):
         for dist in (1e-9, 1e-6, 1e-3, 0.1 * b.width, 0.3 * b.width, 0.5 * b.width):
             edges += [b.theta_lo, b.theta_hi]
             offsets += [dist, -dist]
-    got = SpectralDensity(seq, THREE_SITES, bs.bands, bs.disc).at(np.array(edges),
-                                                                  np.array(offsets))
+    got = SpectralDensity(seq, THREE_SITES, bs).at(np.array(edges), np.array(offsets))
     for g, edge, offset in zip(got, edges, offsets):
         theta = edge + offset
         ref = _per_node_density(seq, bs.disc, THREE_SITES, theta)
@@ -242,7 +241,7 @@ def test_density_matches_the_floquet_matrix_eigenvectors(q):
             edges.append(b.theta_lo)
             offsets.append(s * b.width)
     expected = np.array(expected)
-    at_one_point = SpectralDensity(seq, SPREAD_SITES, bs.bands, bs.disc)
+    at_one_point = SpectralDensity(seq, SPREAD_SITES, bs)
     pointwise = np.array([at_one_point(e + o) for e, o in zip(edges, offsets)])
     batched = at_one_point.at(np.array(edges), np.array(offsets))
     assert pointwise == pytest.approx(expected, rel=1e-10, abs=0)
@@ -282,7 +281,7 @@ def test_batched_density_resolves_nodes_below_one_ulp_of_an_edge(q):
     seq = _random_seq(q, 300 + q)
     bs = band_structure(seq, compute_masses=False)
     offsets = np.array([1e-17, 1e-15, 1e-13, 1e-11])
-    d = SpectralDensity(seq, THREE_SITES, bs.bands, bs.disc)
+    d = SpectralDensity(seq, THREE_SITES, bs)
     for b in bs.bands:
         for edge, sign in ((b.theta_lo, 1.0), (b.theta_hi, -1.0)):
             g = d.at(np.full(4, edge), sign * offsets)
@@ -296,7 +295,7 @@ def test_batched_density_of_the_free_case():
     # and equals the identity at z = 1
     seq = make_periodic([0.0, 0.0], 0.5)
     bs = band_structure(seq, compute_masses=False)
-    d = SpectralDensity(seq, {0: 1.0}, bs.bands, bs.disc)
+    d = SpectralDensity(seq, {0: 1.0}, bs)
     edges = np.array([0.0, 0.0, math.pi, math.pi, TWO_PI])
     offsets = np.array([0.3, 1.2, -0.5, 1.0, -0.7])
     g = d.at(edges, offsets)
@@ -317,7 +316,7 @@ def _delta_0_densities(seqs):
     out = []
     for seq in seqs:
         bs = band_structure(seq, compute_masses=False)
-        out.append(SpectralDensity(seq, {0: 1.0}, bs.bands, bs.disc))
+        out.append(SpectralDensity(seq, {0: 1.0}, bs))
     return out
 
 
@@ -351,6 +350,19 @@ def test_a_density_computes_its_step_coefficients_once(monkeypatch, seed7_stages
     assert len(calls) == 2  # once per density, not once per density per call
 
 
+def test_a_density_holds_its_samples_not_a_grid_of_pairs(retained_kib):
+    # the 2048 fine-node values of q = 16 take 16 KiB; the (theta, g) grid took 32
+    seq = _random_seq(16, 2300)
+    d = density(seq, THREE_SITES)
+    assert retained_kib(lambda: density(seq, THREE_SITES)) <= 20
+    # grid pairs each sample with the theta of its node
+    nodes = [graded_pairs(b.theta_lo, b.theta_hi, 64, 2) for b in d.bands]
+    edges, offsets = (np.concatenate(x) for x in zip(*(n[:2] for n in nodes)))
+    assert d.grid.shape == (2048, 2)
+    assert np.array_equal(d.grid[:, 0], edges + offsets)
+    assert np.array_equal(d.grid[:, 1], d.at(edges, offsets))
+
+
 def test_densities_compare_by_value():
     seq = make_periodic([0.3, 0.2], 0.6)
     assert density(seq, {0: 1.0}) == density(seq, {0: 1.0})
@@ -358,10 +370,11 @@ def test_densities_compare_by_value():
 
 
 def _shifted(d, s):
-    """d with every band edge moved by s."""
-    bands = tuple(dataclasses.replace(b, theta_lo=b.theta_lo + s, theta_hi=b.theta_hi + s)
-                  for b in d.bands)
-    return dataclasses.replace(d, bands=bands)
+    """d with every band and gap edge moved by s."""
+    bs = d.structure
+    bands, gaps = (tuple(dataclasses.replace(a, theta_lo=a.theta_lo + s, theta_hi=a.theta_hi + s)
+                         for a in arcs) for arcs in (bs.bands, bs.gaps))
+    return dataclasses.replace(d, structure=type(bs)(bs.q, bands, gaps, bs.disc))
 
 
 @pytest.mark.parametrize("shift_a, shift_b", [(1e-14, 1e-14), (-1e-14, -1e-14),

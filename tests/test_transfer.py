@@ -116,6 +116,20 @@ def test_gamma_is_finite_at_radii_near_either_end_of_the_disk(r):
     assert math.isfinite(g) and g > 0
 
 
+@pytest.mark.parametrize("r, cause", [(1e-10, "too small"), (0.9999999999999999, "too close to 1")])
+def test_gamma_at_a_radius_it_cannot_sample_raises_value_error_naming_it(r, cause):
+    # below about 5e-10 every sampled pair lies closer than the 1e-9 the sampler skips,
+    # so L = 0; at 1 - 2^-53 a sampled |alpha|^2 rounds to 1, so a rho is 0
+    with pytest.raises(ValueError, match=cause) as info:
+        gamma(1, 2, r)
+    assert repr(r) in str(info.value)
+    if r < 0.5:
+        assert estimate_lipschitz(r) == 0.0
+    else:
+        with pytest.raises(ValueError, match="rho"):
+            estimate_lipschitz(r)
+
+
 def test_lipschitz_modulus_at_six_decimal_radii_is_pinned():
     assert estimate_lipschitz(0.5) == 12.40136333199199
     assert estimate_lipschitz(0.6) == 18.915467335744687

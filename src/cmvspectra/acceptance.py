@@ -16,7 +16,7 @@ import numpy as np
 from .cmv import cmv_entry, diff_norm_bound_seq
 from .coeffs import PeriodicSeq, constant_seq, make_periodic, rho
 from .construct import ac_iterate, cantor_iterate
-from .floquet import (TWO_PI, band_distance, band_structure, discriminant, floquet_matrix,
+from .floquet import (TWO_PI, band_structure, discriminant, floquet_matrix,
                       spectrum_displacement)
 from .gordon import (
     CoefficientWindow,
@@ -189,7 +189,7 @@ def theta_union() -> CriterionResult:
         thetas = np.linspace(0, TWO_PI, n_grid, endpoint=False)
         points = np.linalg.eigvals(floquet_matrix(seq, thetas)).ravel()
         # direction 1: every union point lies in (or at) a band
-        d1 = max(band_distance(bs.bands, a) for a in np.angle(points[::7]) % TWO_PI)
+        d1 = float(np.max(bs._distance(np.angle(points[::7]) % TWO_PI)))
         # direction 2: every band point is near a union point
         d2 = 0.0
         for b in bs.bands:

@@ -10,7 +10,11 @@ certify gaps far below any sampling grid's resolution.  The angles are used
 as returned: a Newton step on the discriminant would divide its roundoff by
 |Delta'|, which vanishes at exactly those narrow gaps.  `band_arcs` labels
 them into bands and gaps, for one period or a stack, and is the only place
-band edges are derived; a `BandStructure` holds its arcs as arrays.
+band edges are derived; a `BandStructure` holds its arcs as arrays.  Its
+`_locate` is the one place an angle is placed among them: a binary search of
+the cuts finds the angle's arc, bands taken closed, and its nearer edge.  The
+pointwise density, `density_distance`, `spectrum_displacement` and the
+theta-union criterion all go through it.
 
 The discriminant is the trace of the monodromy, the product
 A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
@@ -26,7 +30,6 @@ per distinct edge, so a band's pass pays for its two edges, not for each node.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -150,10 +153,6 @@ class Band:
     def width(self) -> float:
         return self.theta_hi - self.theta_lo
 
-    def contains(self, theta: float) -> bool:
-        """Whether the circle point e^{i theta} lies on the arc."""
-        return (theta - self.theta_lo) % TWO_PI <= (self.theta_hi - self.theta_lo) % TWO_PI
-
 
 def arc_chord(theta_lo: np.ndarray, theta_hi: np.ndarray) -> np.ndarray:
     """|e^{i theta_hi} - e^{i theta_lo}|, elementwise.
@@ -220,6 +219,37 @@ class BandStructure:
     def _chords(self) -> np.ndarray:
         """arc_chord of each gap's two ends, in angular order."""
         return arc_chord(self._cuts[:-1][~self._band], self._cuts[1:][~self._band])
+
+    def _locate(self, theta, anchors=None, signed=0.0):
+        """The arc that holds each angle theta, and anchors + signed as a step from its end.
+
+        Returns (on_band, edge, offset).  on_band marks the angles on a band,
+        bands taken closed, so an angle on a cut lands on the band that meets
+        it.  edge is the nearer end of the angle's arc, a band edge either way,
+        and offset the signed step from it to anchors + signed; anchors
+        defaults to theta mod 2 pi.  An anchor below the arc's start is taken a
+        turn up: the last arc, past 2 pi, holds the angles just above 0.
+        theta, anchors and signed broadcast.
+        """
+        cuts = self._cuts
+        t = np.remainder(theta, TWO_PI)
+        # an angle just below 0 reduces to 2 pi by rounding; taking it as 0 keeps t < cuts[-1]
+        t = np.where(t == TWO_PI, 0.0, t)
+        # -1 below cuts[0], on the last arc; a cut that starts a gap closes the band before it
+        i = np.searchsorted(cuts, t, side="right") - 1
+        i = (i - ((t == cuts[i]) & ~self._band[i])) % len(self._band)
+        lo, hi = cuts[i], cuts[i + 1]
+        base = t if anchors is None else anchors
+        base = np.where(base < lo, base + TWO_PI, base)
+        from_lo = (base - lo) + signed
+        from_hi = (base - hi) + signed
+        near_lo = from_lo <= -from_hi
+        return self._band[i], np.where(near_lo, lo, hi), np.where(near_lo, from_lo, from_hi)
+
+    def _distance(self, theta) -> np.ndarray:
+        """Chord distance from each e^{i theta} to the bands: to its gap's nearer end, or 0."""
+        on_band, edge, _ = self._locate(theta)
+        return np.where(on_band, 0.0, arc_chord(edge, theta))
 
     @functools.cached_property
     def bands(self) -> tuple[Band, ...]:
@@ -459,18 +489,6 @@ def min_gap(bs: BandStructure) -> float:
     return float(open_gaps.min())
 
 
-def band_distance(bands: tuple[Band, ...], theta: float) -> float:
-    """Chord distance from e^{i theta} to the union of the bands.
-
-    Zero on a band; off the bands, the point lies in a gap, and the nearest
-    spectrum point is one of that gap's two ends.
-    """
-    if any(b.contains(theta) for b in bands):
-        return 0.0
-    z = cmath.exp(1j * theta)
-    return min(abs(z - cmath.exp(1j * t)) for b in bands for t in (b.theta_lo, b.theta_hi))
-
-
 def spectrum_displacement(f: PeriodicSeq, g: PeriodicSeq) -> float:
     """Exact sup over the spectrum of E_f of the chord distance to the spectrum of E_g.
 
@@ -478,9 +496,8 @@ def spectrum_displacement(f: PeriodicSeq, g: PeriodicSeq) -> float:
     its midpoint.  So on an f-band the sup is attained at one of the band's
     ends or at a g-gap midpoint inside it, at most 2 q_f + q_g points in all.
     """
-    f_bands = band_structure(f, compute_masses=False).bands
+    bs_f = band_structure(f, compute_masses=False)
     bs_g = band_structure(g, compute_masses=False)
-    mids = (0.5 * (gap.theta_lo + gap.theta_hi) for gap in bs_g.gaps)
-    points = [t for b in f_bands for t in (b.theta_lo, b.theta_hi)]
-    points += [t for t in mids if any(b.contains(t) for b in f_bands)]
-    return max(band_distance(bs_g.bands, t) for t in points)
+    mids = (0.5 * (bs_g._cuts[:-1] + bs_g._cuts[1:]))[~bs_g._band]
+    points = np.concatenate((*bs_f._band_ends(), mids[bs_f._locate(mids)[0]]))
+    return float(np.max(bs_g._distance(points)))

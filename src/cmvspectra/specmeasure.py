@@ -12,8 +12,10 @@ points at once, and `_amplitude_sum` forms the transform amplitudes from them;
 Every density takes its points as (band edge, offset into the band), with psi
 and V from `floquet._equilibrium_at`.  Band integrals use edge-graded
 quadrature, since V blows up like dist^{-1/2} at band edges, and pass all
-nodes of a band at once; `SpectralDensity.__call__` anchors its one point at
-the nearer edge of its band.  `SpectralDensity.at` is the one density
+nodes of a band at once.  `SpectralDensity.__call__` and `density_distance`
+take each point's band and nearer edge from `BandStructure._locate`, the
+call for its one point, the distance for the midpoint of each piece between
+band edges.  `SpectralDensity.at` is the one density
 evaluator: `density`, `density_distance` and the pointwise call all go
 through it.
 
@@ -86,20 +88,6 @@ def equilibrium_density(bs: BandStructure) -> EdgeField:
     return lambda edges, offsets: _equilibrium_at(bs.disc, edges, offsets)[1]
 
 
-def _nearest_edge(
-    band: Band, anchors: np.ndarray, signed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each point anchors + signed on band, as the nearer edge of band and the offset from it.
-
-    An anchor below theta_lo is taken a turn up: a band past 2 pi holds the points just above 0.
-    """
-    base = np.where(anchors < band.theta_lo, anchors + TWO_PI, anchors)
-    from_lo = (base - band.theta_lo) + signed
-    from_hi = (base - band.theta_hi) + signed
-    near_lo = from_lo <= -from_hi
-    return np.where(near_lo, band.theta_lo, band.theta_hi), np.where(near_lo, from_lo, from_hi)
-
-
 def _source_vector(u: Mapping[int, complex]) -> dict[int, complex]:
     """u as {site: value}; raises ValueError if it is empty or a value is not finite."""
     u = {int(n): complex(v) for n, v in u.items()}
@@ -166,11 +154,10 @@ class SpectralDensity:
 
     def __call__(self, theta: float) -> float:
         """g at one point, anchored at the nearer edge of its band; 0 off the bands."""
-        theta %= TWO_PI
-        band = next((b for b in self.bands if b.contains(theta)), None)
-        if band is None:
-            return 0.0
-        return float(self.at(*_nearest_edge(band, np.array([theta]), np.zeros(1)))[0])
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        on_band, edge, offset = self.structure._locate(np.array([theta]))
+        return float(self.at(edge, offset)[0]) if on_band[0] else 0.0
 
     def to_json(self) -> dict:
         return {
@@ -308,32 +295,23 @@ def density_distance(a: SpectralDensity, b: SpectralDensity, t: float) -> float:
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
     densities = (a, b)
-    cuts = sorted({e % TWO_PI for d in densities for band in d.bands
-                   for e in (band.theta_lo, band.theta_hi)})
+    cuts = np.array(sorted({e % TWO_PI for d in densities
+                            for ends in d.structure._band_ends() for e in ends}))
+    lo, hi = cuts, np.append(cuts[1:], cuts[0] + TWO_PI)
+    keep = hi - lo >= 1e-13
+    lo, hi = lo[keep], hi[keep]
     m = grading_exponent(t)
-    weights = []
-    # per density: the pieces on its bands, and each node's nearest edge and offset from it
-    on_bands = [([], [], []) for _ in densities]
-    for i, lo in enumerate(cuts):
-        hi = cuts[i + 1] if i + 1 < len(cuts) else cuts[0] + TWO_PI
-        if hi - lo < 1e-13:
-            continue
-        mid = 0.5 * (lo + hi)
-        anchors, signed, w = graded_pairs(lo, hi, _DISTANCE_NODES, m)
-        for d, (pieces, edges, offs) in zip(densities, on_bands):
-            band = next((band for band in d.bands if band.contains(mid)), None)
-            if band is None:
-                continue
-            pieces.append(len(weights))
-            edge, offset = _nearest_edge(band, anchors, signed)
-            edges.append(edge)
-            offs.append(offset)
-        weights.append(w)
-    g = np.zeros((len(densities), len(weights), 2 * _DISTANCE_NODES))
-    for gx, d, (pieces, edges, offs) in zip(g, densities, on_bands):
+    anchors, signed, weights = map(np.array, zip(*(
+        graded_pairs(*piece, _DISTANCE_NODES, m) for piece in zip(lo.tolist(), hi.tolist()))))
+    # per density: the pieces on its bands, found at their midpoints, and each
+    # node's nearest edge and offset from it
+    mids = 0.5 * (lo + hi)
+    g = np.zeros((len(densities),) + weights.shape)
+    for gx, d in zip(g, densities):
+        on_band, edges, offsets = d.structure._locate(mids[:, None], anchors, signed)
+        pieces = np.flatnonzero(on_band)
         chunk = max(1, _BATCH_SIZE // (d.disc.q * g.shape[2]))
         for start in range(0, len(pieces), chunk):
-            part = slice(start, start + chunk)
-            vals = d.at(np.ravel(edges[part]), np.ravel(offs[part]))
-            gx[pieces[part]] = vals.reshape(-1, g.shape[2])
-    return float(np.sum(np.array(weights) * np.abs(g[0] - g[1]) ** t))
+            part = pieces[start:start + chunk]
+            gx[part] = d.at(edges[part].ravel(), offsets[part].ravel()).reshape(len(part), -1)
+    return float(np.sum(weights * np.abs(g[0] - g[1]) ** t))

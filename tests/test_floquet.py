@@ -1,5 +1,7 @@
+import cmath
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -586,3 +588,119 @@ def test_spectrum_displacement_within_bound_for_small_perturbation():
     g = make_periodic([0.301, 0.002], 0.6)
     assert spectrum_displacement(f, f) == 0.0
     assert 0.0 < spectrum_displacement(f, g) <= diff_norm_bound_seq(f, g) + 1e-8
+
+
+def _on_closed_arc(lo: float, hi: float, theta: float) -> bool:
+    """Whether e^{i theta} lies on the closed arc [lo, hi], in exact arithmetic with period TWO_PI.
+
+    In floats (theta - lo) % 2 pi rounds at the scale of 2 pi, so one ulp
+    from a cut it can answer either way; with Fractions it is the rule itself.
+    """
+    period = Fraction(TWO_PI)
+    return (Fraction(theta) - Fraction(lo)) % period <= (Fraction(hi) - Fraction(lo)) % period
+
+
+def _band_across_two_pi():
+    rng = np.random.default_rng(70)
+    vals = 0.5 * np.sqrt(rng.uniform(0, 1, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+    return make_periodic(list(vals), 0.6)
+
+
+LOOKUP_SEQS = {
+    "band across 2 pi": _band_across_two_pi,
+    "closed gaps": lambda: make_periodic([0.0] * 8, 0.5),
+    "constant 0.5": lambda: constant_seq(0.5),
+}
+
+
+@pytest.mark.parametrize("name", LOOKUP_SEQS)
+def test_locate_agrees_with_the_closed_arc_rule(name):
+    bs = band_structure(LOOKUP_SEQS[name](), compute_masses=False)
+    if name == "band across 2 pi":
+        assert bs._band[-1] and bs._cuts[-2] < TWO_PI < bs._cuts[-1]
+    at = bs._cuts[:-1]  # the last cut is the first one, a turn up
+    near = np.concatenate((at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)))
+    theta = np.concatenate((near, near + TWO_PI, near - TWO_PI, -near,
+                            np.random.default_rng(3).uniform(-20.0, 20.0, 400)))
+    on_band, edge, offset = bs._locate(theta)
+    # an angle on a cut lands on the band that meets it, at that cut or a turn up from it
+    assert on_band[:len(at)].all() and not offset[:len(at)].any()
+    assert np.all((edge[:len(at)] == at) | (edge[:len(at)] == at + TWO_PI))
+    period, ulp = Fraction(TWO_PI), Fraction(np.spacing(TWO_PI))
+    cuts = [Fraction(c) for c in at]
+    bands = list(zip(*bs._band_ends()))
+    checked = 0
+    for t, on, e, o in zip(theta.tolist(), on_band, edge.tolist(), offset.tolist()):
+        residue = Fraction(t) % period
+        if (Fraction(float(np.remainder(t, TWO_PI))) != residue
+                and min(min(abs(residue - c), period - abs(residue - c)) for c in cuts) <= ulp):
+            continue  # t mod 2 pi rounds, within an ulp of a cut: either side is right
+        holding = [b for b in bands if _on_closed_arc(*b, t)]
+        assert on == bool(holding), t
+        if on:  # the nearer edge of a band that holds t
+            assert any(e in b and abs(o) <= 0.5 * (b[1] - b[0]) + 1e-14 for b in holding), t
+        # edge + offset is t, up to the rounding of t mod 2 pi
+        assert abs(math.remainder(e + o - t, TWO_PI)) < 1e-14
+        checked += 1
+    assert checked > 0.9 * len(theta)
+
+
+def _contains(band, theta: float) -> bool:
+    """The closed-arc rule in floats: whether e^{i theta} lies on the band."""
+    return (theta - band.theta_lo) % TWO_PI <= (band.theta_hi - band.theta_lo) % TWO_PI
+
+
+def _band_distance(bands, theta: float) -> float:
+    """Chord distance from e^{i theta} to the bands, as the least chord to any band end."""
+    if any(_contains(b, theta) for b in bands):
+        return 0.0
+    z = cmath.exp(1j * theta)
+    return min(abs(z - cmath.exp(1j * t)) for b in bands for t in (b.theta_lo, b.theta_hi))
+
+
+def _displacement_over_band_ends(f, g) -> float:
+    """spectrum_displacement's sup, taken point by point with _band_distance."""
+    f_bands = band_structure(f, compute_masses=False).bands
+    bs_g = band_structure(g, compute_masses=False)
+    mids = [0.5 * (gap.theta_lo + gap.theta_hi) for gap in bs_g.gaps]
+    points = [t for b in f_bands for t in (b.theta_lo, b.theta_hi)]
+    points += [t for t in mids if any(_contains(b, t) for b in f_bands)]
+    return max(_band_distance(bs_g.bands, t) for t in points)
+
+
+#: TWO_PI is 2 pi to 2.4e-16, and the lookup takes the end of a gap across 2 pi as
+#: cuts[0] + TWO_PI where the least chord over band ends may take cuts[0]; on top of
+#: that, an ulp of 1 for the rounding of each of a chord's two exponentials
+CHORD_TOL = 3 * np.spacing(1.0)
+
+
+def _seeded_pair(q: int, seed: int):
+    """A period-q sequence and a perturbation of it at period q or 2q."""
+    rng = np.random.default_rng(1000 * q + seed)
+    vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+    f = make_periodic(list(vals), 0.6)
+    bump = 0.05 * np.exp(2j * np.pi * rng.uniform(0, 1, q * int(rng.integers(1, 3))))
+    return f, make_periodic([f.value_at(n) + b for n, b in enumerate(bump)], 0.6)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_spectrum_displacement_matches_the_least_chord_over_band_ends(q):
+    for seed in range(6):
+        f, g = _seeded_pair(q, seed)
+        for a, b in ((f, g), (g, f)):
+            want = _displacement_over_band_ends(a, b)
+            assert want > 0
+            assert abs(spectrum_displacement(a, b) - want) <= CHORD_TOL
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_distance_to_the_bands_matches_the_least_chord_over_band_ends(q):
+    f, _ = _seeded_pair(q, 0)
+    bs = band_structure(f, compute_masses=False)
+    # theta-union's points, eigenangles of the phase grid, and seeded angles
+    union = np.linalg.eigvals(floquet_matrix(f, np.linspace(0, TWO_PI, 50, endpoint=False)))
+    theta = np.concatenate((np.angle(union.ravel()) % TWO_PI,
+                            np.random.default_rng(q).uniform(-10.0, 10.0, 200)))
+    want = np.array([_band_distance(bs.bands, t) for t in theta.tolist()])
+    assert np.count_nonzero(want) > 50
+    np.testing.assert_allclose(bs._distance(theta), want, rtol=0, atol=CHORD_TOL)

@@ -92,6 +92,13 @@ def test_density_vanishes_in_gaps():
         assert d(theta) == pytest.approx(0.1837763, rel=1e-6)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_a_density_rejects_an_angle_that_is_not_finite(theta):
+    d = density(make_periodic([0.3, 0.2j], 0.6), {0: 1.0})
+    with pytest.raises(ValueError, match="theta"):
+        d(theta)
+
+
 def test_density_never_calls_the_per_node_solver(monkeypatch):
     def per_node(*args, **kwargs):
         raise AssertionError("density evaluated a node through floquet_solution")

@@ -12,6 +12,7 @@ from .coeffs import PeriodicSeq, constant_seq, make_periodic, rho, validate_alph
 from .construct import (
     DensityConstraintError,
     GapOpeningError,
+    InfeasibleStageError,
     StageReport,
     ac_iterate,
     cantor_iterate,
@@ -68,6 +69,7 @@ __all__ = [
     "GordonCertificate",
     "GordonCheck",
     "InfeasibleBudgetError",
+    "InfeasibleStageError",
     "PeriodicSeq",
     "SamplingFn",
     "SpectralDensity",

@@ -22,19 +22,27 @@ structure, which also carries its spectral density to the next stage.  Every
 stage emits a report from which the budget ledger is auditable without
 re-running the construction.
 
+Before any stage runs, every stage up to K is checked for a drift budget
+that rounds to 0 or, from stage 1 on, leaves a radius ladder wholly below
+odometer.RADIUS_FLOOR; such a run fails at once with InfeasibleStageError,
+which names the deepest stage within reach.
+
 A stage handles its candidates as one complex (N, q) array of coset tables
 from start to finish: one draw (odometer.perturbed_tables), a stacked gap
-screen (floquet.band_arcs, then floquet.gap_chords) per rung of the radius
-ladder, and the drift and movement gates as row-wise array operations
-(cmv.diff_norm_bound_seq takes the stack).  The rungs are screened lazily,
-largest radius first, and the stage takes the widest minimal gap within the
-first rung that has a passing row; a later rung is screened only if no row of
-the earlier ones passed (or, in ac mode, none of them met the density-drift
-cap).  Sampling functions and periodic sequences are built only for the stage
-winner, for the candidates the density-drift cap actually tries, and for the
-least-closed candidate a GapOpeningError carries.  A candidate's band
-structure is built from the arcs its screen already labelled, so no candidate
-is solved twice.
+screen (floquet.band_arcs, one eigensolve of both phases, then
+floquet.gap_chords) per rung of the radius ladder, and the drift and movement
+gates as row-wise array operations (cmv.diff_norm_bound_seq takes the
+stack).  A base that is a lifted period, as every base from stage 1 on is,
+has every new gap closed exactly, so it is not screened as a candidate; it
+is screened only for the report of a stage that fails.  The rungs are
+screened lazily, largest radius first, and the stage takes the widest
+minimal gap within the first rung that has a passing row; a later rung is
+screened only if no row of the earlier ones passed (or, in ac mode, none of
+them met the density-drift cap).  Sampling functions and periodic sequences
+are built only for the stage winner, for the candidates the density-drift cap
+actually tries, and for the least-closed candidate a GapOpeningError carries.
+A candidate's band structure is built from the arcs its screen already
+labelled, so no candidate is solved twice.
 """
 
 from __future__ import annotations
@@ -71,6 +79,18 @@ class GapOpeningError(RuntimeError):
         self.best = best
         self.closed_gaps = closed_gaps
         self.trail = list(trail)
+
+
+class InfeasibleStageError(GapOpeningError):
+    """A stage's budget cannot be met in double precision, found before any candidate is screened.
+
+    deepest_k is the deepest stage that can still be met, -1 if not even
+    stage 0 can; best is the input f, closed_gaps is empty and trail is empty.
+    """
+
+    def __init__(self, message: str, best: SamplingFn, deepest_k: int):
+        super().__init__(message, best, [])
+        self.deepest_k = deepest_k
 
 
 class DensityConstraintError(GapOpeningError):
@@ -110,15 +130,19 @@ def _search_candidates(
     """Perturbations of f that open every gap and pass the gate, one radius rung at a time.
 
     f itself is tried before any draw and, if it passes, is the only candidate
-    (the zero-perturbation case).  Otherwise _MAX_ATTEMPTS random candidates
+    (the zero-perturbation case), unless its table repeats its first half.
+    Such a lifted table has the discriminant Delta_p^2 - 2 of its half period
+    p, so every gap new at the doubled period is closed exactly (Simon, OPUC
+    Part 2, ch. 11) and f cannot pass; it is screened only if the search
+    fails, for the failure report.  Otherwise _MAX_ATTEMPTS random candidates
     are drawn at once on a radius ladder that halves every _HALVING_PERIOD
     draws, skipping radii below RADIUS_FLOOR, as one (N, q) array of coset
     tables.  The ladder's rungs are screened lazily, largest radius first: a
     rung's arcs (floquet.band_arcs) and gap chords come from one stacked
-    eigensolve per phase, and the gate takes the rung's rows too: it returns a
-    boolean array of the rows it accepts and a tuple of arrays of the
-    values it measured.  A row passes when all its gaps are open and the gate
-    accepts it.  Each rung's passing rows are yielded widest minimal gap
+    eigensolve of both phases, and the gate takes the rung's rows too: it
+    returns a boolean array of the rows it accepts and a tuple of arrays of
+    the values it measured.  A row passes when all its gaps are open and the
+    gate accepts it.  Each rung's passing rows are yielded widest minimal gap
     first, ties to the earlier draw, so the first candidate is the widest
     within the first rung that has a passing row, and the next rung is
     screened only when the consumer asks for more.  f has level >= 1, so its
@@ -127,8 +151,8 @@ def _search_candidates(
     the candidate's band structure from those arcs rather than solving it
     again, and a sampling function is built only for a candidate the
     consumer asks for.  Raises GapOpeningError carrying the least-closed row
-    seen, f included, and that row's closed gaps, once every rung is screened
-    and no row passed.
+    seen, f included and first, ties to the earlier row, and that row's
+    closed gaps, once every rung is screened and no row passed.
     """
     ladder = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
     radii = [radius for radius in ladder if radius >= RADIUS_FLOOR]
@@ -151,11 +175,14 @@ def _search_candidates(
         order = np.flatnonzero(passed)[np.argsort(-min_gaps[passed], kind="stable")]
         return [(i, tuple(float(m[i]) for m in measured)) for i in order]
 
+    half = len(f.table) // 2
+    lifted = f.table[:half] == f.table[half:]
     # f alone first, so that a passing f draws nothing
-    passing = screen(np.array([f.table]))
-    if passing:
-        yield f, tuple(a[0] for a in labelled[-1]), passing[0][1]
-        return
+    if not lifted:
+        passing = screen(np.array([f.table]))
+        if passing:
+            yield f, tuple(a[0] for a in labelled[-1]), passing[0][1]
+            return
     drawn = perturbed_tables(f, radii, rng) if radii else None
     passed_any = False
     # the floor drops whole rungs, so every rung is a slice of the draws
@@ -169,6 +196,11 @@ def _search_candidates(
             yield SamplingFn(tuple(rung[i].tolist()), f.r), arcs, measured
     if passed_any:
         return
+    if lifted:
+        # its closed gaps keep it from passing; its row goes first, as when it is screened first
+        screen(np.array([f.table]))
+        for rows in (screened, labelled, closed):
+            rows.insert(0, rows.pop())
     values, closed = np.concatenate(screened), np.concatenate(closed)
     best = int(np.argmin(closed))
     # the least-closed row's gaps, from its screened arcs: no discriminant is needed to list them
@@ -199,11 +231,28 @@ def _run_stages(
     """Stages 0..K; density = (u, t) adds the ac mode's density-drift cap.
 
     Stage 0 works at level max(f.level, 1), the level of the sequence f induces.
+    A stage up to K that cannot be met raises InfeasibleStageError before any
+    stage runs.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if K < 0:
         raise ValueError("K must be nonnegative")
+    for k in range(K + 1):
+        budget_eps = (eps / 2.0**k) ** 2 / 72.0
+        if budget_eps == 0.0:
+            why = "rounds to 0, which no candidate meets"
+        elif k and 0.8 * budget_eps < RADIUS_FLOOR:
+            # a lifted base cannot pass, and the whole radius ladder lies below the floor
+            why = (f"leaves a radius cap of at most {0.8 * budget_eps:.3e}, below the floor "
+                   f"{RADIUS_FLOOR:g}, so no candidate can be drawn")
+        else:
+            continue
+        reach = f"the deepest stage within reach is {k - 1}" if k else "no stage is within reach"
+        raise InfeasibleStageError(
+            f"stage {k}: the drift budget (eps/2^{k})^2/72 = {budget_eps:.3e} {why}; {reach}",
+            best=f, deepest_k=k - 1,
+        )
     reports: list[StageReport] = []
     current, prev_seq, prev_density, b_k = lift(f, max(f.level, 1)), None, None, None
     for k in range(K + 1):

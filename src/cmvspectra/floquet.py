@@ -8,9 +8,10 @@ eigensolve of the Cayley transform of the restriction, to an error of order
 q u (u the unit roundoff); this is what lets the construction iterations
 certify gaps far below any sampling grid's resolution.  The angles are used
 as returned: a Newton step on the discriminant would divide its roundoff by
-|Delta'|, which vanishes at exactly those narrow gaps.  `band_arcs` labels
-them into bands and gaps, for one period or a stack, and is the only place
-band edges are derived; a `BandStructure` holds its arcs as arrays.  Its
+|Delta'|, which vanishes at exactly those narrow gaps.  `band_arcs` solves
+both phases in one stacked eigensolve and labels the angles into bands and
+gaps, for one period or a stack, and is the only place band edges are
+derived; a `BandStructure` holds its arcs as arrays.  Its
 `_locate` is the one place an angle is placed among them: a binary search of
 the cuts finds the angle's arc, bands taken closed, and its nearer edge.  The
 pointwise density, `density_distance`, `spectrum_displacement` and the
@@ -318,14 +319,18 @@ def label_arcs(
 def band_arcs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """label_arcs of the phase-0 and phase-pi eigenangles of one period (q,) or a stack (N, q).
 
-    Each phase is its own eigensolve (eigenangles: the Cayley transform about a
-    point w = e^{i phi} at least 1 / (q + 1) from that phase's spectrum), so
-    each edge carries an error of order q u; stacking the two phases would
-    hold both sets of restrictions at once for no gain in accuracy.  A stacked
-    row's arcs equal a single solve's bit for bit.  An edge at z = 1 may read
-    0.0 or 2 pi - eps, and label_arcs takes either.
+    Both phases are one stacked eigensolve, with theta = [0, pi] on a new
+    leading axis: eigenangles gives each restriction the operations it gets
+    alone (the Cayley transform about a point w = e^{i phi} at least 1 / (q + 1)
+    from that restriction's spectrum), so each edge carries an error of order
+    q u and equals a separate solve per phase bit for bit, while the fixed cost
+    of a call is paid once, not once per phase.  A stacked row's arcs equal a
+    single period's bit for bit.  An edge at z = 1 may read 0.0 or 2 pi - eps,
+    and label_arcs takes either.
     """
-    return label_arcs(eigenangles(values, 0.0), eigenangles(values, math.pi))
+    values = np.asarray(values, dtype=complex)
+    phases = np.array([0.0, math.pi]).reshape((2,) + (1,) * (values.ndim - 1))
+    return label_arcs(*eigenangles(values, phases))
 
 
 def gap_chords(lo: np.ndarray, hi: np.ndarray, band: np.ndarray) -> np.ndarray:
@@ -462,9 +467,10 @@ def eigenangles(seq, theta) -> np.ndarray:
     2 pi - eps; label_arcs takes either.  Two Hermitian eigensolves (LAPACK
     zheevd) and one inverse cost about as much as one general eigensolve
     (zgeev) at q = 16 and less above it, or from q = 8 on in a stack of 12;
-    at smaller q their fixed overhead costs up to about 30 us more per call.
-    w - E is built in place of E and inverted once, which keeps the transient
-    near that of the general eigensolve.
+    at smaller q their fixed overhead costs up to about 30 us more per call,
+    which is why band_arcs stacks both phases into one call.  w - E is built
+    in place of E and inverted once, which keeps the transient near that of
+    the general eigensolve.
     """
     E = floquet_matrix(seq, theta)
     phi = _cayley_shift(E)

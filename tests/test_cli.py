@@ -144,6 +144,17 @@ def test_construct_ac_drift_failure_writes_completed_stages(tmp_path, samp_file,
     assert "construction failed" in capsys.readouterr().err
 
 
+def test_construct_with_a_budget_below_the_floor_fails_before_any_screen(tmp_path, samp_file,
+                                                                           capsys):
+    out = tmp_path / "out"
+    rc = main(["construct", "--input", samp_file, "--out", str(out),
+               "--eps", "1e-300", "--stages", "1", "--seed", "7"])
+    assert rc == 1
+    trail = json.loads((out / "trail.json").read_text())
+    assert trail["stages"] == [] and trail["error"].startswith("stage 0: the drift budget")
+    assert "construction failed: stage 0:" in capsys.readouterr().err
+
+
 def test_nested_bands_draws_input_and_final_stage(tmp_path, samp_file):
     out = tmp_path / "out"
     rc = main(["construct", "--input", samp_file, "--out", str(out),

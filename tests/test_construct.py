@@ -10,11 +10,12 @@ from cmvspectra.cmv import diff_norm_bound_seq
 from cmvspectra.construct import (
     DensityConstraintError,
     GapOpeningError,
+    InfeasibleStageError,
     ac_iterate,
     cantor_iterate,
 )
 from cmvspectra.floquet import band_structure
-from cmvspectra.odometer import (make_sampling, perturb, perturbed_tables, sup_distance,
+from cmvspectra.odometer import (lift, make_sampling, perturb, perturbed_tables, sup_distance,
                                  to_periodic)
 
 
@@ -236,9 +237,9 @@ def test_candidate_search_builds_a_band_structure_only_for_stage_winners(monkeyp
     counts = _count_stage_work(monkeypatch, lambda f: cantor_iterate(f, 0.9, 3, seed=7))
     assert len(counts["reports"]) == 4
     assert len(counts["_structure_of_arcs"]) == 4 and len(counts["discriminant"]) == 4
-    # every stage screens f and the first rung of its draws, and only its winner
-    # becomes a sequence
-    assert counts["screened"] == [1, 12] * 4
+    # every base is lifted (stage 0's from the constant [0.3]), so every stage screens
+    # only the first rung of its draws, and only its winner becomes a sequence
+    assert counts["screened"] == [12] * 4
     assert len(counts["to_periodic"]) == 4
 
 
@@ -248,7 +249,7 @@ def test_ac_stages_build_one_band_structure_per_sequence(monkeypatch):
         monkeypatch, lambda f: ac_iterate(f, 0.9, 2, {0: 1.0}, 1.5, seed=7))
     assert [r.density_drift is not None for r in counts["reports"]] == [False, True, True]
     assert len(counts["_structure_of_arcs"]) == 3 and len(counts["discriminant"]) == 3
-    assert counts["screened"] == [1, 12] * 3
+    assert counts["screened"] == [12] * 3
     assert len(counts["to_periodic"]) == 3
 
 
@@ -273,7 +274,7 @@ def test_a_passing_f_draws_nothing():
 
 
 def test_a_gate_that_rejects_the_first_rung_takes_the_second_rungs_widest_row(monkeypatch):
-    f = make_sampling((0.0, 0.0), 0.5)  # both gaps closed, so the search draws
+    f = make_sampling((0.0, 0.0), 0.5)  # lifted, both gaps closed: the search draws
     screened = _count_screens(monkeypatch)
     gated = []
 
@@ -283,7 +284,7 @@ def test_a_gate_that_rejects_the_first_rung_takes_the_second_rungs_widest_row(mo
         return np.full(len(values), len(gated) > 1), ()
 
     g, arcs, _ = next(construct._search_candidates(f, 0.1, np.random.default_rng(1), gate))
-    assert screened == [1, 12, 12] and gated == [12, 12]
+    assert screened == [12, 12] and gated == [12, 12]
     ladder = [0.1 * 0.5 ** (i // construct._HALVING_PERIOD) for i in range(construct._MAX_ATTEMPTS)]
     second = perturbed_tables(f, ladder, np.random.default_rng(1))[12:24]
     second_arcs = floquet.band_arcs(second)
@@ -299,23 +300,24 @@ def test_a_search_without_a_passing_row_screens_every_rung(monkeypatch):
     reject = lambda values: (np.zeros(len(values), bool), ())  # noqa: E731
     with pytest.raises(GapOpeningError, match="in 48 attempts"):
         next(construct._search_candidates(f, 0.1, np.random.default_rng(1), reject))
-    assert screened == [1, 12, 12, 12, 12]
+    # the lifted f is screened last, for the failure report only
+    assert screened == [12, 12, 12, 12, 1]
 
 
 def test_a_density_cap_that_rejects_a_rung_moves_the_search_to_the_next(monkeypatch):
-    # ac K=1: f passes stage 0 alone; stage 1 screens its lifted f, then its draws
+    # ac K=1: f passes stage 0 alone; stage 1 screens its draws, not its lifted f
     screened = _count_screens(monkeypatch)
     drifts = []
 
     def distance(*args):
         drifts.append(len(screened))
-        return 1.0 if len(screened) == 3 else 0.0  # rejects stage 1's first rung
+        return 1.0 if len(screened) == 2 else 0.0  # rejects stage 1's first rung
 
     monkeypatch.setattr(construct, "density_distance", distance)
     f = make_sampling((0.3, 0.0), 0.6)
     reports, _ = ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)
-    assert screened == [1, 1, 12, 12]
-    assert drifts == [3] * 12 + [4] and reports[1].density_drift == 0.0
+    assert screened == [1, 12, 12]
+    assert drifts == [2] * 12 + [3] and reports[1].density_drift == 0.0
 
     # a cap that rejects every row screens the whole ladder before it raises
     screened.clear()
@@ -323,7 +325,7 @@ def test_a_density_cap_that_rejects_a_rung_moves_the_search_to_the_next(monkeypa
     monkeypatch.setattr(construct, "density_distance", lambda *args: drifts.append(1) or 1.0)
     with pytest.raises(DensityConstraintError, match="none of the 48 candidates"):
         ac_iterate(f, 0.9, K=1, u={0: 1.0}, t=1.5, seed=7)
-    assert screened == [1, 1, 12, 12, 12, 12] and len(drifts) == 48
+    assert screened == [1, 12, 12, 12, 12] and len(drifts) == 48
 
 
 def test_gap_opening_failure_keeps_the_first_least_closed_candidate():
@@ -349,18 +351,42 @@ def test_gap_opening_failure_lists_closed_gaps_without_a_discriminant(monkeypatc
     assert discriminants == [] and band_structures == []
 
 
-def test_a_budget_that_rejects_every_candidate_is_not_blamed_on_closed_gaps():
+def test_a_budget_that_rejects_every_candidate_is_not_blamed_on_closed_gaps(monkeypatch):
     # eps^2 / 72 underflows to 0 at eps = 1e-300: f has every gap open, but no
-    # candidate, f included, meets a drift budget of 0
+    # candidate, f included, meets a drift budget of 0, so nothing is screened
     f = make_sampling([0.3, 0.1], 0.6)
-    with pytest.raises(GapOpeningError) as info:
+    screened = _count_screens(monkeypatch)
+    with pytest.raises(InfeasibleStageError) as info:
         cantor_iterate(f, 1e-300, 1, seed=7)
     assert str(info.value) == (
-        "stage 0: no perturbation within radius 0.000e+00 passed the stage's drift or "
-        "movement gate in 0 attempts (1 of 1 candidates opened every gap)"
+        "stage 0: the drift budget (eps/2^0)^2/72 = 0.000e+00 rounds to 0, which no "
+        "candidate meets; no stage is within reach"
     )
-    assert info.value.closed_gaps == []
-    assert info.value.best == f
+    assert info.value.closed_gaps == [] and info.value.trail == []
+    assert info.value.best == f and info.value.deepest_k == -1
+    assert screened == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda f: cantor_iterate(f, 1e-7, 3, seed=7),
+    lambda f: ac_iterate(f, 1e-7, 3, u={0: 1.0}, t=1.5, seed=7),
+], ids=["cantor_iterate", "ac_iterate"])
+def test_a_stage_whose_ladder_lies_below_the_floor_fails_before_any_screen(monkeypatch, run):
+    # stage 0 could pass on f alone, but stage 1's radius cap 0.8 (eps/2)^2/72 = 2.8e-17
+    # lies below RADIUS_FLOOR, and its lifted base cannot pass
+    f = make_sampling([0.3, 0.1], 0.6)
+    screened = _count_screens(monkeypatch)
+    with pytest.raises(InfeasibleStageError) as info:
+        run(f)
+    assert str(info.value) == (
+        "stage 1: the drift budget (eps/2^1)^2/72 = 3.472e-17 leaves a radius cap of at "
+        "most 2.778e-17, below the floor 1e-15, so no candidate can be drawn; the deepest "
+        "stage within reach is 0"
+    )
+    assert info.value.deepest_k == 0 and info.value.trail == []
+    assert screened == []
+    # stage 0, within reach, still runs and passes on f alone
+    assert cantor_iterate(f, 1e-7, 0, seed=7)[1] is f
 
 
 def test_gap_opening_failure_counts_only_the_screened_draws():
@@ -369,6 +395,43 @@ def test_gap_opening_failure_counts_only_the_screened_draws():
     with pytest.raises(GapOpeningError, match="in 0 attempts") as info:
         next(construct._search_candidates(f, 1e-16, np.random.default_rng(1), _accept_all))
     assert info.value.best == f
+
+
+#: a level-3 table that repeats four seeded values with |alpha| <= 0.3, and the failure
+#: reports of its search as recorded when its base was screened before any draw: at a
+#: radius cap of 1e-13 every row keeps the 4 new gaps closed, so the tie goes to the
+#: base; a gate that rejects every row leaves the first draw as the least closed
+_LIFTED_FAILURES = {
+    "tiny": (1e-13, _accept_all,
+             "no perturbation within radius 1.000e-13 opened every gap within budget in 48 "
+             "attempts (4 still closed)",
+             [(0.804856006614072, 0.8048560066140729, 8.671119018262734e-16),
+              (2.332138663755156, 2.332138663755156, 0.0),
+              (3.957787569664363, 3.957787569664365, 2.198129442157285e-15),
+              (5.471588374325581, 5.471588374325581, 0.0)],
+             0.11734893268815676 - 0.12512686718467347j),
+    "reject": (1e-3, lambda values: (np.zeros(len(values), bool), ()),
+               "no perturbation within radius 1.000e-03 passed the stage's drift or movement "
+               "gate in 48 attempts (48 of 49 candidates opened every gap)",
+               [], 0.11666796841980252 - 0.12534620548485162j),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIFTED_FAILURES))
+def test_a_lifted_base_reports_its_failure_as_when_it_was_screened_first(monkeypatch, case):
+    rng = np.random.default_rng(8)
+    v = 0.3 * np.sqrt(rng.uniform(0, 1, 4)) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+    base = lift(make_sampling(list(v), 0.6), 3)
+    cap, gate, message, closed_gaps, best_first = _LIFTED_FAILURES[case]
+    screened = _count_screens(monkeypatch)
+    with pytest.raises(GapOpeningError) as info:
+        next(construct._search_candidates(base, cap, np.random.default_rng(1), gate))
+    exc = info.value
+    assert screened == [12, 12, 12, 12, 1]
+    assert str(exc) == message
+    assert [(g.theta_lo, g.theta_hi, g.chord) for g in exc.closed_gaps] == closed_gaps
+    assert exc.best.table[0] == best_first
+    assert (exc.best == base) == (case == "tiny")
 
 
 #: the stage-4 gap-opening failure of a seed-7 run, recorded before the

@@ -14,6 +14,7 @@ from cmvspectra.cmv import diff_norm_bound_seq
 from cmvspectra.coeffs import constant_seq, make_periodic
 from cmvspectra.construct import cantor_iterate
 from cmvspectra.floquet import (
+    CLOSED_GAP_CHORD,
     AllGapsClosedError,
     BandDiagnosticError,
     Discriminant,
@@ -479,6 +480,37 @@ def test_stacked_fold_eigensolve_and_chords_match_one_period_at_a_time(q):
         assert chords[n].tolist() == [
             abs(np.exp(1j * g.theta_hi) - np.exp(1j * g.theta_lo)) for g in gaps
         ]
+
+
+@pytest.mark.parametrize("amax", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_band_arcs_solves_both_phases_as_two_separate_solves_would(q, amax):
+    # one period, a stack of periods, and a lifted period alone and in a stack
+    rng = np.random.default_rng([2100, q, int(10 * amax)])
+    lifted = np.tile(_disk(rng, q // 2, amax), 2)
+    for values in (_disk(rng, q, amax), np.array([_disk(rng, q, amax) for _ in range(2)]),
+                   lifted, lifted[None]):
+        plus, minus = eigenangles(values, 0.0), eigenangles(values, math.pi)
+        try:
+            want = label_arcs(plus, minus)
+        except BandDiagnosticError:
+            # bands thinner than the eigensolve resolves (|alpha| <= 0.9 from q = 128 on)
+            with pytest.raises(BandDiagnosticError):
+                band_arcs(values)
+            continue
+        got = band_arcs(values)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64, 128, 256, 512])
+def test_a_lifted_period_keeps_its_new_gaps_closed_to_roundoff(q):
+    # Delta_q = Delta_{q/2}^2 - 2, so each zero of Delta_{q/2} is a double phase-pi edge:
+    # the q/2 gaps between two phase-pi angles are closed exactly
+    values = np.tile(_disk(np.random.default_rng([2101, q]), q // 2, 0.3), 2)
+    lo, hi, band, rising = band_arcs(values)
+    new = ~band & rising
+    assert np.count_nonzero(new) == q // 2
+    assert floquet.arc_chord(lo[new], hi[new]).max() <= 1e-13 < CLOSED_GAP_CHORD
 
 
 def _arcs_by_loop(plus, minus):

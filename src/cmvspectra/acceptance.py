@@ -340,7 +340,7 @@ def lt_finiteness() -> CriterionResult:
     v = equilibrium_density(bs)
     worst = 0.0
     for t in (1.2, 1.5, 1.8):
-        worst = max(worst, lt_integral(v, bs.bands, t)[1])
+        worst = max(worst, lt_integral(v, bs, t)[1])
     return CriterionResult("lt-finiteness", worst < 1e-3, worst, 1e-3)
 
 

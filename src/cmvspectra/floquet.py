@@ -25,8 +25,8 @@ OPUC Part 2, ch. 11), multiplied out from their coefficients in z
 The equilibrium density V = |dpsi/dtheta| / (q pi), psi = arccos(Delta / 2),
 has one kernel, `_equilibrium_at`, which takes each point as (band edge,
 offset) to stay accurate where V blows up; the band masses and every density
-in `specmeasure` go through it.  It forms the exponentials e^{i k edge} once
-per distinct edge, so a band's pass pays for its two edges, not for each node.
+in `specmeasure` go through it, on `_quad`'s graded nodes.  It forms the
+exponentials e^{i k edge} once per distinct edge, not for each node.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import graded_pairs
+from ._quad import field_rows, graded_pairs, row_dots
 from .cmv import band_columns, band_rows
 from .coeffs import PeriodicSeq
 from .transfer import step_coeffs
@@ -370,10 +370,9 @@ def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
         raise BandDiagnosticError("gap midpoint classified inside the spectrum")
     masses = np.zeros(seq.period)
     if compute_masses:
-        # one pass per band: all bands at once would hold 2 _MASS_NODES q (q + 1) terms
-        for i, ends in enumerate(zip(lo[band].tolist(), hi[band].tolist())):
-            edges, offsets, weights = graded_pairs(*ends, _MASS_NODES, 2)
-            masses[i] = np.dot(_equilibrium_at(disc, edges, offsets)[1], weights)
+        edges, offsets, weights = graded_pairs(lo[band], hi[band], _MASS_NODES, 2)
+        masses[:] = row_dots(field_rows(lambda e, o: _equilibrium_at(disc, e, o)[1],
+                                        edges, offsets, seq.period), weights)
     return BandStructure._of_arrays(seq.period, np.append(lo, hi[-1]), band.copy(),
                                     band & rising, masses, disc)
 

@@ -10,14 +10,11 @@ points at once, and `_amplitude_sum` forms the transform amplitudes from them;
 `floquet_solution` runs both at N = 1, with psi from `psi_of`.
 
 Every density takes its points as (band edge, offset into the band), with psi
-and V from `floquet._equilibrium_at`.  Band integrals use edge-graded
-quadrature, since V blows up like dist^{-1/2} at band edges, and pass all
-nodes of a band at once.  `SpectralDensity.__call__` and `density_distance`
-take each point's band and nearer edge from `BandStructure._locate`, the
-call for its one point, the distance for the midpoint of each piece between
-band edges.  `SpectralDensity.at` is the one density
-evaluator: `density`, `density_distance` and the pointwise call all go
-through it.
+and V from `floquet._equilibrium_at`, and `SpectralDensity.at` is the one
+density evaluator.  Its band integrals, `density`, `lt_integral` and
+`density_distance`, take edge-graded nodes, since V blows up like
+dist^{-1/2} at band edges, by `_quad`'s one path and batching rule.  The
+pointwise call and `density_distance` place points with `BandStructure._locate`.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -36,7 +33,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._quad import graded_pairs, grading_exponent
+from ._quad import field_rows, graded_pairs, grading_exponent, refined_integral
 from .coeffs import PeriodicSeq
 from .floquet import (TWO_PI, Band, BandStructure, Discriminant, _equilibrium_at,
                       band_structure, discriminant)
@@ -136,10 +133,10 @@ class SpectralDensity:
         """
         if not len(self.samples):
             return np.empty((0, 2))
-        ends = list(zip(*self.structure._band_ends()))
-        n = len(self.samples) // (2 * sum(hi > lo for lo, hi in ends))
-        nodes = [graded_pairs(lo, hi, n, 2) for lo, hi in ends]
-        return np.column_stack([np.concatenate([e + o for e, o, _ in nodes]), self.samples])
+        lo, hi = map(np.array, self.structure._band_ends())
+        n = len(self.samples) // (2 * np.count_nonzero(hi > lo))
+        edges, offsets, _ = graded_pairs(lo[hi > lo], hi[hi > lo], n, 2)
+        return np.column_stack([(edges + offsets).ravel(), self.samples])
 
     def at(self, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """g at theta = edge + offset, for band edges and steps from them into their bands.
@@ -169,60 +166,34 @@ class SpectralDensity:
 
 
 def density(seq: PeriodicSeq, u: Mapping[int, complex], n: int = 64) -> SpectralDensity:
-    """Spectral density of u with per-band edge-graded sampling and its total mass."""
+    """Spectral density of u sampled at n >= 2 graded nodes per half-band, and its total mass."""
+    if n < 2:
+        raise ValueError(f"density needs n >= 2 nodes per half-band, its estimate n // 2; got {n}")
     u = _source_vector(u)
     bs = band_structure(seq, compute_masses=False)
     d = SpectralDensity(seq, u, bs)
-    samples = []
-    mass = 0.0
-    mass_coarse = 0.0
-    # the band ends as floats, so the density keeps no Band objects
-    for lo, hi in zip(*bs._band_ends()):
-        edges, offsets, weights = graded_pairs(lo, hi, n, 2)
-        e2, o2, w2 = graded_pairs(lo, hi, max(8, n // 2), 2)
-        # the band's n fine and n/2 coarse nodes in one pass
-        vals = d.at(np.concatenate([edges, e2]), np.concatenate([offsets, o2]))
-        fine, coarse = vals[:len(weights)], vals[len(weights):]
-        mass += float(np.dot(fine, weights))
-        mass_coarse += float(np.dot(coarse, w2))
-        samples.append(fine)
-    return replace(d, samples=np.concatenate(samples), total_mass=mass,
-                   quad_error_estimate=abs(mass - mass_coarse))
+    mass, error, fine = refined_integral(d.at, *bs._band_ends(), n, 2, 1.0, bs.q)
+    return replace(d, samples=fine.ravel(), total_mass=mass, quad_error_estimate=error)
 
 
 #: quadrature nodes per half-band for lt_integral; its error estimate halves them
 _LT_NODES = 64
 
 
-def lt_integral(field: EdgeField, bands: tuple[Band, ...], t: float) -> tuple[float, float]:
-    """Integral of |field|^t over the bands, with an error estimate from refinement.
+def lt_integral(field: EdgeField, bs: BandStructure, t: float) -> tuple[float, float]:
+    """Integral of |field|^t over the bands of bs, t in (1, 2), and a refinement error estimate.
 
-    t must lie strictly in (1, 2): the integrand grows like dist^{-t/2} at band
-    edges, integrable only below t = 2.  field takes each band's graded nodes in
-    one call, as (edges, offsets): near t = 2, edge + offset rounds onto the edge.
+    The integrand grows like dist^{-t/2} at band edges, integrable only below
+    t = 2; near it, edge + offset rounds onto the edge, so field takes both.
     """
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
     m = grading_exponent(t)
-
-    def run(nodes: int) -> float:
-        total = 0.0
-        for b in bands:
-            edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, nodes, m)
-            total += float(np.dot(np.abs(field(edges, offsets)) ** t, weights))
-        return total
-
-    fine = run(_LT_NODES)
-    coarse = run(_LT_NODES // 2)
-    return fine, abs(fine - coarse)
+    return refined_integral(field, *bs._band_ends(), _LT_NODES, m, t, bs.q)[:2]
 
 
 #: quadrature nodes per half-interval for density_distance
 _DISTANCE_NODES = 48
-
-#: nodes times period per batch of SpectralDensity.at; bounds its O(N q) temporaries,
-#: to about 0.7 MiB at q = 8
-_BATCH_SIZE = 1 << 11
 
 
 def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -300,18 +271,13 @@ def density_distance(a: SpectralDensity, b: SpectralDensity, t: float) -> float:
     lo, hi = cuts, np.append(cuts[1:], cuts[0] + TWO_PI)
     keep = hi - lo >= 1e-13
     lo, hi = lo[keep], hi[keep]
-    m = grading_exponent(t)
-    anchors, signed, weights = map(np.array, zip(*(
-        graded_pairs(*piece, _DISTANCE_NODES, m) for piece in zip(lo.tolist(), hi.tolist()))))
+    anchors, signed, weights = graded_pairs(lo, hi, _DISTANCE_NODES, grading_exponent(t))
     # per density: the pieces on its bands, found at their midpoints, and each
     # node's nearest edge and offset from it
     mids = 0.5 * (lo + hi)
     g = np.zeros((len(densities),) + weights.shape)
     for gx, d in zip(g, densities):
         on_band, edges, offsets = d.structure._locate(mids[:, None], anchors, signed)
-        pieces = np.flatnonzero(on_band)
-        chunk = max(1, _BATCH_SIZE // (d.disc.q * g.shape[2]))
-        for start in range(0, len(pieces), chunk):
-            part = pieces[start:start + chunk]
-            gx[part] = d.at(edges[part].ravel(), offsets[part].ravel()).reshape(len(part), -1)
+        rows = on_band[:, 0]
+        gx[rows] = field_rows(d.at, edges[rows], offsets[rows], d.disc.q)
     return float(np.sum(weights * np.abs(g[0] - g[1]) ** t))

@@ -276,6 +276,15 @@ def test_grid_zero_exits_2_without_output(tmp_path, seq_file, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_density_grid_one_exits_2_without_output(tmp_path, seq_file, capsys):
+    # the error estimate halves the node count, so one node per half-band is too few
+    out = tmp_path / "out"
+    assert main(["density", "--input", seq_file, "--out", str(out), "--grid", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "n >= 2" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_gordon_check_stages_zero_exits_2(tmp_path, seq_file, capsys):
     rc = main(["gordon-check", "--input", seq_file, "--out", str(tmp_path / "o"),
                "--stages", "0"])

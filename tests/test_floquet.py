@@ -191,9 +191,7 @@ def test_equilibrium_kernel_matches_the_full_grid_reference(q):
         vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
         seq = make_periodic(list(vals), 0.6)
     bs = band_structure(seq, compute_masses=False)
-    pairs = [graded_pairs(b.theta_lo, b.theta_hi, 8, 2) for b in bs.bands]
-    edges = np.concatenate([e for e, _, _ in pairs])
-    offsets = np.concatenate([o for _, o, _ in pairs])
+    edges, offsets, _ = (x.ravel() for x in graded_pairs(*bs._band_ends(), 8, 2))
     if q == "closed-gap":
         edges, offsets = np.append(edges, math.pi), np.append(offsets, 0.0)
     order = rng.permutation(len(edges))

@@ -109,6 +109,17 @@ def test_density_never_calls_the_per_node_solver(monkeypatch):
                                          rel=1e-6)
 
 
+def test_density_error_estimate_compares_two_rules_at_eight_nodes():
+    # 8 fine nodes per half-band against 4 coarse ones, not the 8-node rule against itself
+    d = density(make_periodic([0.3, 0.2j, -0.1, 0.25], 0.6), {0: 1.0}, n=8)
+    assert d.quad_error_estimate > 0
+
+
+def test_density_rejects_fewer_than_two_nodes():
+    with pytest.raises(ValueError, match="n >= 2"):
+        density(make_periodic([0.3, 0.2], 0.6), {0: 1.0}, n=1)
+
+
 def test_density_rejects_empty_source():
     with pytest.raises(ValueError):
         density(constant_seq(0.5), {})
@@ -127,28 +138,16 @@ def test_lt_integral_free_case_oracle():
     bs = band_structure(seq, compute_masses=False)
     eq = equilibrium_density(bs)
     t = 1.5
-    val, err = lt_integral(eq, bs.bands, t)
+    val, err = lt_integral(eq, bs, t)
     assert val == pytest.approx(TWO_PI ** (1 - t), abs=1e-6)
     assert err < 1e-6
 
 
 def test_lt_integral_finite_with_band_edges():
     d = density(constant_seq(0.5), {0: 1.0})
-    val, err = lt_integral(d.at, d.bands, 1.5)
+    val, err = lt_integral(d.at, d.structure, 1.5)
     assert np.isfinite(val) and val > 0
     assert err < 1e-2 * max(val, 1.0)
-
-
-def test_lt_integral_calls_the_field_once_per_band_and_refinement():
-    d = density(_random_seq(8, 311), THREE_SITES)
-    sizes = []
-
-    def field(edges, offsets):
-        sizes.append(len(offsets))
-        return d.at(edges, offsets)
-
-    lt_integral(field, d.bands, 1.5)
-    assert sizes == [128] * 8 + [64] * 8
 
 
 def test_lt_integral_converges_on_the_lt_finiteness_input():
@@ -156,7 +155,7 @@ def test_lt_integral_converges_on_the_lt_finiteness_input():
     seq = acceptance._random_seq(np.random.default_rng(79), 4, scale=0.15, r=0.6)
     bs = band_structure(seq, compute_masses=False)
     v = equilibrium_density(bs)
-    _, err = lt_integral(v, bs.bands, 1.8)
+    _, err = lt_integral(v, bs, 1.8)
     assert err <= 1e-5
 
 
@@ -265,11 +264,9 @@ def test_density_moments_match_powers_of_the_cmv_matrix(q, amax):
     seq = make_periodic(list(vals), 0.7)
     u = {n: complex(*rng.normal(size=2)) for n in range(-3, 4)}
     d = density(seq, u)
-    moments = np.zeros(13, dtype=complex)
-    for b in d.bands:
-        edges, offsets, weights = graded_pairs(b.theta_lo, b.theta_hi, 64, 2)
-        g = d.at(edges, offsets)
-        moments += np.exp(1j * np.multiply.outer(np.arange(13), edges + offsets)) @ (weights * g)
+    edges, offsets, weights = (x.ravel() for x in graded_pairs(*d.structure._band_ends(), 64, 2))
+    g = d.at(edges, offsets)
+    moments = np.exp(1j * np.multiply.outer(np.arange(13), edges + offsets)) @ (weights * g)
     # E^k u lies on sites -3 - 2k .. 3 + 2k, inside the window -40 .. 39 for k <= 12
     E = assemble_window(seq.value_at, -40, 80)
     vec = np.zeros(80, dtype=complex)
@@ -363,8 +360,7 @@ def test_a_density_holds_its_samples_not_a_grid_of_pairs(retained_kib):
     d = density(seq, THREE_SITES)
     assert retained_kib(lambda: density(seq, THREE_SITES)) <= 20
     # grid pairs each sample with the theta of its node
-    nodes = [graded_pairs(b.theta_lo, b.theta_hi, 64, 2) for b in d.bands]
-    edges, offsets = (np.concatenate(x) for x in zip(*(n[:2] for n in nodes)))
+    edges, offsets, _ = (x.ravel() for x in graded_pairs(*d.structure._band_ends(), 64, 2))
     assert d.grid.shape == (2048, 2)
     assert np.array_equal(d.grid[:, 0], edges + offsets)
     assert np.array_equal(d.grid[:, 1], d.at(edges, offsets))

@@ -111,9 +111,9 @@ def _parse_u(spec: str) -> dict[int, complex]:
 
 
 def _grid(args) -> int:
-    """--grid, which must be positive."""
-    if args.grid < 1:
-        raise InputError("--grid must be at least 1")
+    """--grid, which must be at least the command's grid_min."""
+    if args.grid < args.grid_min:
+        raise InputError(f"--grid must be at least {args.grid_min}")
     return args.grid
 
 
@@ -383,18 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bands", help="band/gap tables, discriminant CSV, SVG diagram")
     common(sp, "--json", "--grid")
-    sp.set_defaults(fn=cmd_bands, grid=720)
+    sp.set_defaults(fn=cmd_bands, grid=720, grid_min=1)
 
     sp = sub.add_parser("discriminant", help="sampled discriminant CSV")
     common(sp, "--json", "--grid")
-    sp.set_defaults(fn=cmd_discriminant, grid=720)
+    sp.set_defaults(fn=cmd_discriminant, grid=720, grid_min=1)
 
     sp = sub.add_parser("density", help="spectral density of a finite-support vector")
     common(sp, "--grid")
     sp.add_argument("--u", default=_DEFAULT_U,
                     help="source vector, JSON mapping n -> value or [re, im]; "
                          "or @file.json (default: %(default)s)")
-    sp.set_defaults(fn=cmd_density, grid=64)
+    # the error estimate halves the nodes per half-band, so one is too few
+    sp.set_defaults(fn=cmd_density, grid=64, grid_min=2)
 
     sp = sub.add_parser("gordon-check", help="audit the almost-repetition criterion")
     common(sp)

@@ -19,8 +19,14 @@ theta-union criterion all go through it.
 
 The discriminant is the trace of the monodromy, the product
 A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
-OPUC Part 2, ch. 11), multiplied out from their coefficients in z
-(`transfer.step_coeffs`); a `Discriminant` is just that Laurent polynomial.
+OPUC Part 2, ch. 11).  A `Discriminant` is a handle on it that holds the
+period: it evaluates Delta at points from the transfer product
+(`transfer.transfer_products`), which is how `band_structure` checks its open
+gaps, and multiplies the product out into its Laurent polynomial, from the
+coefficients in z (`transfer.step_coeffs`), only when that is first read.  On
+the tables the constructions build, the Laurent coefficients grow
+exponentially in q and their sum loses its accuracy from q = 64 on; the
+product does not.
 
 The equilibrium density V = |dpsi/dtheta| / (q pi), psi = arccos(Delta / 2),
 has one kernel, `_equilibrium_at`, which takes each point as (band edge,
@@ -40,7 +46,7 @@ import numpy as np
 from ._quad import field_rows, graded_pairs, row_dots
 from .cmv import band_columns, band_rows
 from .coeffs import PeriodicSeq
-from .transfer import step_coeffs
+from .transfer import step_coeffs, transfer_products
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,16 +104,46 @@ def _laurent_powers(q: int) -> np.ndarray:
     return k
 
 
-@dataclass(frozen=True, eq=False)
 class Discriminant:
-    """Laurent polynomial z^{-q/2} .. z^{q/2}, real-valued on the unit circle.
+    """Delta(z), the trace of one period's monodromy: a handle that holds the period.
 
-    Compared by identity: it is derived from a sequence, and the structures
-    holding one compare that sequence's bands instead.
+    eval_monodromy takes Delta at angles from the 2x2 transfer product, in
+    O(q) per angle.  laurent_coeffs, the Laurent polynomial z^{-q/2} ..
+    z^{q/2} that is real-valued on the unit circle (index j for power
+    j - q/2), is multiplied out in O(q^2) on first read: by eval_real and
+    imag_defect, which sum it, and by the equilibrium kernel.  The step
+    coefficients are kept only once a density reads them for its Floquet
+    solutions, and then shared with the other two forms; a structure that is
+    never integrated holds none, and one with band masses holds only the
+    Laurent form.  Compared by identity: it is derived from a sequence, and
+    the structures holding one compare that sequence's bands instead.
     """
 
-    q: int
-    laurent_coeffs: np.ndarray  # index j corresponds to power j - q/2
+    def __init__(self, seq: PeriodicSeq):
+        self.q = seq.period
+        self._values = seq.values
+
+    @functools.cached_property
+    def _steps(self) -> np.ndarray:
+        """The period's step coefficients, kept once a density reads them."""
+        return step_coeffs(self._values)
+
+    def _step_coeffs(self) -> np.ndarray:
+        """The kept step coefficients, or a fresh set that is not kept."""
+        kept = self.__dict__.get("_steps")
+        return step_coeffs(self._values) if kept is None else kept
+
+    @functools.cached_property
+    def laurent_coeffs(self) -> np.ndarray:
+        mono = np.eye(2, dtype=complex)[None]  # Laurent coefficients, lowest power first
+        for c in self._step_coeffs():
+            m = len(mono)
+            nxt = np.zeros((m + 2, 2, 2), dtype=complex)
+            nxt[:m] += c[0] @ mono
+            nxt[1:-1] += c[1] @ mono
+            nxt[2:] += c[2] @ mono
+            mono = nxt
+        return mono[:, 0, 0] + mono[:, 1, 1]
 
     @property
     def _powers(self) -> np.ndarray:
@@ -127,18 +163,22 @@ class Discriminant:
         """|Im Delta(e^{i theta})|: zero in exact arithmetic, so a roundoff measure."""
         return abs(self._at(theta).imag)
 
+    def eval_monodromy(self, theta):
+        """Re Delta(e^{i theta}) as the trace of the transfer product, at an angle or an array.
+
+        Multiplied at each point, it keeps the accuracy of the 2x2 products
+        (about 1e-13 against 50-digit traces up to q = 256), where the
+        Laurent sum loses u times its largest coefficient, which grows like
+        the product of 1 / rho over the period.
+        """
+        theta = np.asarray(theta, dtype=float)
+        mono = transfer_products(self._step_coeffs(), np.exp(1j * theta.ravel()))[-1]
+        return (mono[0, 0] + mono[1, 1]).real.reshape(theta.shape)
+
 
 def discriminant(seq: PeriodicSeq) -> Discriminant:
-    """Trace of the monodromy, multiplied out as a Laurent polynomial in z."""
-    mono = np.eye(2, dtype=complex)[None]  # Laurent coefficients, lowest power first
-    for c in step_coeffs(seq.values):
-        m = len(mono)
-        nxt = np.zeros((m + 2, 2, 2), dtype=complex)
-        nxt[:m] += c[0] @ mono
-        nxt[1:-1] += c[1] @ mono
-        nxt[2:] += c[2] @ mono
-        mono = nxt
-    return Discriminant(seq.period, mono[:, 0, 0] + mono[:, 1, 1])
+    """Trace of the monodromy of seq: a handle that builds its Laurent form on first read."""
+    return Discriminant(seq)
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,10 +403,11 @@ def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
     lo, hi, band, rising = arcs
     disc = discriminant(seq)
     gap = ~band
-    # sanity: open gap interiors must lie outside the spectrum
+    # sanity: open gap interiors must lie outside the spectrum, checked on the
+    # transfer product, which stays accurate where the Laurent sum does not
     wide = (arc_chord(lo[gap], hi[gap]) > CLOSED_GAP_CHORD) & ((hi - lo)[gap] > 1e-7)
     mids = 0.5 * (lo[gap][wide] + hi[gap][wide])
-    if np.any(np.abs(disc.eval_real(mids)) < 2.0 - 1e-7):
+    if np.any(np.abs(disc.eval_monodromy(mids)) < 2.0 - 1e-7):
         raise BandDiagnosticError("gap midpoint classified inside the spectrum")
     masses = np.zeros(seq.period)
     if compute_masses:

@@ -4,10 +4,12 @@ Builds the two Floquet solutions at a spectrum point, the equilibrium density
 V = |dpsi/dtheta| / (q pi), and the absolutely continuous density of the
 spectral measure of a finitely supported vector.  The Floquet solutions are
 the eigenvectors of the 2x2 monodromy for e^{+/- i psi}, propagated over one
-period by the two-step transfer matrices (`transfer.step_coeffs`, evaluated by
-`transfer_at`).  One batched kernel, `_floquet_solutions`, builds them for N
-points at once, and `_amplitude_sum` forms the transform amplitudes from them;
-`floquet_solution` runs both at N = 1, with psi from `psi_of`.
+period by the two-step transfer matrices (`transfer.transfer_products`, on the
+step coefficients that the sequence's `Discriminant` keeps once a density
+reads them).  One batched kernel, `_floquet_solutions`,
+builds them for N points at once, and `_amplitude_sum` forms the transform
+amplitudes from them; `floquet_solution` runs both at N = 1, with psi from
+`psi_of`.
 
 Every density takes its points as (band edge, offset into the band), with psi
 and V from `floquet._equilibrium_at`, and `SpectralDensity.at` is the one
@@ -26,7 +28,6 @@ metadata.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
@@ -39,7 +40,7 @@ from .floquet import (TWO_PI, Band, BandStructure, Discriminant, _equilibrium_at
                       band_structure, discriminant)
 # unused here; perfbench/tests asserts that the span tracer patches this binding
 from .floquet import floquet_matrix  # noqa: F401
-from .transfer import step_coeffs, transfer_at
+from .transfer import transfer_products
 
 AMPLITUDE_FACTOR = "sqrt(q/2)"
 
@@ -71,8 +72,10 @@ class FloquetSolution:
 
 def floquet_solution(seq: PeriodicSeq, z: complex) -> FloquetSolution:
     """The two quasiperiodic solutions at z on the spectrum, normalized over one period."""
-    psi = psi_of(z, discriminant(seq))
-    phi = _floquet_solutions(step_coeffs(seq.values), np.array([z]), np.array([psi]))
+    disc = discriminant(seq)
+    steps = disc._steps  # kept before psi_of reads the Laurent form, which then shares them
+    psi = psi_of(z, disc)
+    phi = _floquet_solutions(steps, np.array([z]), np.array([psi]))
     return FloquetSolution(complex(z), psi, phi[:, 0, 0], phi[:, 1, 0])
 
 
@@ -112,10 +115,6 @@ class SpectralDensity:
     #: |mass at n nodes - mass at n/2 nodes|: an estimate of the quadrature error, not a bound
     quad_error_estimate: float = 0.0
 
-    @functools.cached_property
-    def _steps(self) -> np.ndarray:
-        return step_coeffs(self.seq.values)
-
     @property
     def bands(self) -> tuple[Band, ...]:
         return self.structure.bands
@@ -145,8 +144,10 @@ class SpectralDensity:
         floquet._equilibrium_at, and the amplitudes from the Floquet solutions
         at psi.
         """
+        # kept by the discriminant before its Laurent form is first read, which then shares them
+        steps = self.disc._steps
         psi, v = _equilibrium_at(self.disc, edges, offsets)
-        phi = _floquet_solutions(self._steps, np.exp(1j * (edges + offsets)), psi)
+        phi = _floquet_solutions(steps, np.exp(1j * (edges + offsets)), psi)
         return _amplitude_sum(phi, psi, self.u) * v
 
     def __call__(self, theta: float) -> float:
@@ -207,15 +208,9 @@ def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.
     (T - lam) v = 0, the longer one is kept; both vanish only when the
     monodromy equals lam I, where the Floquet solutions are not determined.
     """
-    # the transfer matrices, shape (q/2, 2, 2, N), and the partial products before
-    # each step; 2x2 products are spelled out, since stacked matmul is about ten
-    # times slower on 2x2 blocks
-    A = transfer_at(steps, z)
-    partial = np.empty_like(A)
-    mono = np.eye(2, dtype=complex)[:, :, None] * np.ones(len(z))
-    for j in range(len(steps)):
-        partial[j] = mono
-        mono = A[j, :, :1] * mono[0] + A[j, :, 1:] * mono[1]
+    # the partial products before each step, shape (q/2, 2, 2, N), and the monodromy
+    products = transfer_products(steps, z)
+    partial, mono = products[:-1], products[-1]
 
     # monodromy eigenvectors (x, y) for lam = e^{+/- i psi}, shape (2, N)
     lam = np.exp(1j * np.multiply.outer([1.0, -1.0], psi))

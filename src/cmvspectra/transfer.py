@@ -5,9 +5,11 @@ For odd n the pair (u_n, u_{n+1}) propagates to (u_{n+2}, u_{n+3}) through a
 unimodular spectral parameter z, with determinant rho_n / rho_{n+2}.  Its
 entries are written once, as Laurent coefficients in z (`step_laurent`,
 elementwise); `step_coeffs` fills them for a period, which the discriminant
-multiplies into the monodromy, and `transfer_at` evaluates them at z for
-`build_A`, its determinant-1 variant, the Lipschitz sampler and the Floquet
-solutions and densities.  `estimate_lipschitz`, a sampled estimate of the
+multiplies into the monodromy's Laurent form, and `transfer_at` evaluates them
+at z for `build_A`, its determinant-1 variant and the Lipschitz sampler.
+`transfer_products` multiplies a period's matrices out at points z, for the
+discriminant's point evaluator and the Floquet solutions and densities: the
+one 2x2 product loop.  `estimate_lipschitz`, a sampled estimate of the
 entries' Lipschitz constant over a coefficient polydisk, supports the Gordon
 perturbation budgets.
 """
@@ -71,6 +73,23 @@ def transfer_at(coeffs: np.ndarray, z) -> np.ndarray:
     if isinstance(z, np.ndarray) and z.ndim:
         c = c[..., None]
     return c[0] * (1.0 / z) + c[1] + c[2] * z
+
+
+def transfer_products(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The partial products A_{2j-1} ... A_3 A_1 of a period's transfer matrices at N points z.
+
+    coeffs is a period's (q/2, 3, 2, 2) from step_coeffs and z a (N,) array;
+    returns (q/2 + 1, 2, 2, N), entry j the product of the first j matrices:
+    entry 0 is I and entry q/2 the monodromy.  The 2x2 products are spelled
+    out, since stacked matmul is about ten times slower on 2x2 blocks.
+    """
+    A = transfer_at(coeffs, z)
+    products = np.empty((len(A) + 1,) + A.shape[1:], dtype=complex)
+    products[0] = np.eye(2, dtype=complex)[:, :, None]
+    for j, a in enumerate(A):
+        p = products[j]
+        products[j + 1] = a[:, :1] * p[0] + a[:, 1:] * p[1]
+    return products
 
 
 def build_A(alpha_n, alpha_n1, alpha_n2, z) -> np.ndarray:

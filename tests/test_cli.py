@@ -281,7 +281,7 @@ def test_density_grid_one_exits_2_without_output(tmp_path, seq_file, capsys):
     out = tmp_path / "out"
     assert main(["density", "--input", seq_file, "--out", str(out), "--grid", "1"]) == 2
     err = capsys.readouterr().err
-    assert "n >= 2" in err and "Traceback" not in err
+    assert "--grid must be at least 2" in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -229,10 +229,55 @@ def test_a_band_structure_holds_arrays_not_an_object_per_arc(retained_kib):
 
 def test_band_structure_rejects_a_gap_midpoint_inside_the_spectrum(monkeypatch):
     # Delta = 0 everywhere puts every open gap's midpoint inside the spectrum
-    monkeypatch.setattr(floquet, "discriminant",
-                        lambda seq: Discriminant(seq.period, np.zeros(seq.period + 1, complex)))
+    monkeypatch.setattr(Discriminant, "eval_monodromy",
+                        lambda self, theta: np.zeros(np.shape(theta)))
     with pytest.raises(BandDiagnosticError, match="gap midpoint"):
         band_structure(make_periodic([0.3, 0.2], 0.6), compute_masses=False)
+
+
+def _near_constant(q):
+    """A seeded near-constant period, as the constructions build: 0.5 + 1e-3 (N + iN') at
+    q = 64, 0.3 + 1e-2 (N + iN') above it, N and N' standard normal."""
+    base, size = (0.5, 1e-3) if q == 64 else (0.3, 1e-2)
+    n = np.random.default_rng([2400, q]).standard_normal((2, q))
+    return make_periodic(list(base + size * (n[0] + 1j * n[1])), 0.99)
+
+
+@pytest.mark.parametrize("q", [64, 128, 256])
+def test_near_constant_periods_open_every_gap(q):
+    # their largest Laurent coefficients are 1.3e14, 6e15 and 6.9e32, and the Laurent
+    # sum read a gap midpoint at q = 64 and 128 as inside the spectrum
+    assert band_structure(_near_constant(q), compute_masses=False).open_gap_count() == q
+
+
+@pytest.mark.parametrize("kind, q", [("near", 64), ("near", 128), ("near", 256),
+                                     ("disk", 16), ("disk", 64), ("disk", 256)])
+def test_eval_monodromy_is_within_1e12_of_a_50_digit_trace_of_the_same_steps(kind, q):
+    """eval_monodromy at open-gap midpoints against the same step matrices multiplied
+    at e^{i theta} to 50 digits: within 1e-12 relative (1.5e-13 measured).  The
+    Laurent sum of the same period misses that on the near-constant periods."""
+    mpmath = pytest.importorskip("mpmath")
+    seq = (_near_constant(q) if kind == "near"
+           else make_periodic(list(_disk(np.random.default_rng([2500, q]), q, 0.5)), 0.6))
+    bs = band_structure(seq, compute_masses=False)
+    wide = bs._chords() > CLOSED_GAP_CHORD
+    mids = (0.5 * (bs._cuts[:-1] + bs._cuts[1:]))[~bs._band][wide][:: max(1, q // 8)]
+    disc = discriminant(seq)
+    steps = [[[mpmath.mpc(complex(x)) for x in c[:, i, j]] for i, j in np.ndindex(2, 2)]
+             for c in disc._steps]
+    with mpmath.workdps(50):
+        exact = np.array([float(_mp_trace(mpmath, steps, mpmath.mpf(t))) for t in mids])
+    assert np.all(np.abs(disc.eval_monodromy(mids) - exact) <= 1e-12 * np.abs(exact))
+    if kind == "near":
+        assert np.any(np.abs(disc.eval_real(mids) - exact) > 1e-12 * np.abs(exact))
+
+
+def test_a_band_structure_without_masses_leaves_the_laurent_form_unbuilt():
+    bs = band_structure(_near_constant(64), compute_masses=False)
+    assert "laurent_coeffs" not in vars(bs.disc) and "_steps" not in vars(bs.disc)
+    bs.disc.eval_real(0.0)
+    # the step coefficients are kept only for a density's Floquet solutions
+    assert "laurent_coeffs" in vars(bs.disc) and "_steps" not in vars(bs.disc)
 
 
 @pytest.mark.parametrize("q", [16, 64, 128])
@@ -338,17 +383,21 @@ def _mp_discriminant(mpmath, values):
         steps.append(((r0 / r1, 0, 0), (-a0 / r1, -a1 / r1, 0),
                       (-r0 * c2 / r12, -r0 * c1 / r12, 0),
                       (c2 * a0 / r12, (c2 * a1 + c1 * a0) / r12, 1 / r12)))
+    return lambda theta: _mp_trace(mpmath, steps, theta)
 
-    def disc(theta):
-        z = mpmath.expj(theta)
-        zi = mpmath.conj(z)
-        m = (1, 0, 0, 1)
-        for step in steps:
-            a, b, c, d = (lo * zi + mid + hi * z for lo, mid, hi in step)
-            m = (a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3])
-        return (m[0] + m[3]).real
 
-    return disc
+def _mp_trace(mpmath, steps, theta):
+    """Re tr of the product of the steps at z = e^{i theta}, in mpmath.
+
+    Each step holds its entries a, b, c, d as their (z^-1, z^0, z^1) coefficients.
+    """
+    z = mpmath.expj(theta)
+    zi = mpmath.conj(z)
+    m = (1, 0, 0, 1)
+    for step in steps:
+        a, b, c, d = (lo * zi + mid + hi * z for lo, mid, hi in step)
+        m = (a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3])
+    return (m[0] + m[3]).real
 
 
 @pytest.mark.parametrize("q", [8, 16, 32])

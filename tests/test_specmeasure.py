@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cmvspectra import acceptance, specmeasure
+from cmvspectra import acceptance, floquet, specmeasure
 from cmvspectra._quad import graded_pairs
 from cmvspectra.cmv import assemble_window
 from cmvspectra.coeffs import constant_seq, make_periodic
@@ -345,13 +345,16 @@ def test_density_distance_never_builds_a_band_structure(monkeypatch, seed7_stage
 
 
 def test_a_density_computes_its_step_coefficients_once(monkeypatch, seed7_stages):
-    a, b = _delta_0_densities(seed7_stages[1:])
     calls = []
-    original = specmeasure.step_coeffs
-    monkeypatch.setattr(specmeasure, "step_coeffs", lambda v: calls.append(None) or original(v))
+    original = floquet.step_coeffs
+    monkeypatch.setattr(floquet, "step_coeffs", lambda v: calls.append(None) or original(v))
+    a, b = _delta_0_densities(seed7_stages[1:])
+    assert len(calls) == 2  # each band structure's gap check, which keeps none
     first = density_distance(a, b, 1.5)
     assert density_distance(a, b, 1.5) == first
-    assert len(calls) == 2  # once per density, not once per density per call
+    # once more per density, kept by its discriminant for the Laurent form and the
+    # Floquet solutions alike, not once per density per call
+    assert len(calls) == 4
 
 
 def test_a_density_holds_its_samples_not_a_grid_of_pairs(retained_kib):

@@ -7,8 +7,10 @@ which plain Gauss-Legendre converges quickly.  The node offsets s^m are
 positive, but for large m the first one (about 1e-17 at m = 5, n = 48) lies
 below one ulp of theta, so edge + s^m rounds onto the edge itself.  So
 `graded_pairs` returns each node as (edge, offset), one row per interval, and
-`field_rows` hands a band field whole rows, at most BATCH_SIZE node x period
-terms per call unless one row holds more; every band integral goes this way.
+`field_rows` hands a band field whole rows, at most BATCH_SIZE node x width
+terms per call unless one row holds more, where width is what the field holds
+per node: q for the fields that build Floquet solutions, 1 for the equilibrium
+density alone; every band integral goes this way.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-#: node x period terms per call of a band field; bounds its O(nodes x q) temporaries
+#: node x width terms per call of a band field; bounds its O(nodes x width) temporaries
 BATCH_SIZE = 1 << 11
 
 
@@ -48,10 +50,13 @@ def graded_pairs(lo, hi, n: int, m: int):
             np.hstack([offsets, -offsets]), np.hstack([weights, weights]))
 
 
-def field_rows(field, edges: np.ndarray, offsets: np.ndarray, q: int) -> np.ndarray:
-    """field of period q at each row of nodes (edges, offsets), both (B, N), by whole rows."""
+def field_rows(field, edges: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """field at each row of nodes (edges, offsets), both (B, N), by whole rows.
+
+    width is the number of terms the field holds per node (see BATCH_SIZE).
+    """
     values = np.empty(offsets.shape)
-    rows = max(1, BATCH_SIZE // (q * values.shape[1]))
+    rows = max(1, BATCH_SIZE // (width * values.shape[1]))
     for part in (slice(start, start + rows) for start in range(0, len(values), rows)):
         values[part] = field(edges[part].ravel(), offsets[part].ravel()).reshape(values[part].shape)
     return values
@@ -62,17 +67,18 @@ def row_dots(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (values[:, None, :] @ weights[:, :, None])[:, 0, 0]
 
 
-def refined_integral(field, lo, hi, n: int, m: int, t: float, q: int):
+def refined_integral(field, lo, hi, n: int, m: int, t: float, width: int):
     """Integral of |field|^t over the intervals with hi > lo, at n nodes per half-interval.
 
     Returns (integral, |integral - the same at n // 2 nodes|, field at the fine
     nodes).  Each row handed to field holds an interval's fine and coarse
-    nodes; the intervals' integrals are summed in order.
+    nodes, under field_rows' rule for width; the intervals' integrals are
+    summed in order.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     keep = hi > lo
     (ef, of, wf), (ec, oc, wc) = (graded_pairs(lo[keep], hi[keep], k, m) for k in (n, n // 2))
-    values = field_rows(field, np.hstack([ef, ec]), np.hstack([of, oc]), q)
+    values = field_rows(field, np.hstack([ef, ec]), np.hstack([of, oc]), width)
     total, total_coarse = (float(np.cumsum(row_dots(np.abs(v) ** t, w))[-1])
                            for v, w in ((values[:, :2 * n], wf), (values[:, 2 * n:], wc)))
     return total, abs(total - total_coarse), values[:, :2 * n]

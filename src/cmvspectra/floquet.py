@@ -31,8 +31,11 @@ product does not.
 The equilibrium density V = |dpsi/dtheta| / (q pi), psi = arccos(Delta / 2),
 has one kernel, `_equilibrium_at`, which takes each point as (band edge,
 offset) to stay accurate where V blows up; the band masses and every density
-in `specmeasure` go through it, on `_quad`'s graded nodes.  It forms the
-exponentials e^{i k edge} once per distinct edge, not for each node.
+in `specmeasure` go through it, on `_quad`'s graded nodes.  It reads the
+Laurent coefficients c_0 .. c_{q/2} once per distinct edge, as tail sums, and
+evaluates Delta - Delta(edge) and Delta' at the nodes by Horner's rule, in
+O(nodes) temporaries; the band masses, which read V alone, hand it about ten
+bands per call.
 """
 
 from __future__ import annotations
@@ -111,12 +114,17 @@ class Discriminant:
     O(q) per angle.  laurent_coeffs, the Laurent polynomial z^{-q/2} ..
     z^{q/2} that is real-valued on the unit circle (index j for power
     j - q/2), is multiplied out in O(q^2) on first read: by eval_real and
-    imag_defect, which sum it, and by the equilibrium kernel.  The step
+    imag_defect, which sum it (the criteria, psi_of and the benchmark's
+    defect metric), by the equilibrium kernel (band masses and densities)
+    and by `cmvspectra discriminant --json`, which prints it; the CLI's
+    sampled discriminant.csv takes eval_monodromy instead.  The step
     coefficients are kept only once a density reads them for its Floquet
-    solutions, and then shared with the other two forms; a structure that is
-    never integrated holds none, and one with band masses holds only the
-    Laurent form.  Compared by identity: it is derived from a sequence, and
-    the structures holding one compare that sequence's bands instead.
+    solutions, and then shared with the other two forms.  A band structure's
+    handle holds neither form until something reads it: the band masses read
+    the Laurent form on a handle of their own, since a structure is often
+    kept long after it is built.  Compared by identity: it is derived from a
+    sequence, and the structures holding one compare that sequence's bands
+    instead.
     """
 
     def __init__(self, seq: PeriodicSeq):
@@ -228,8 +236,8 @@ class BandStructure:
     one past 2 pi, so each cut is stored once, shared by the band and the gap
     that meet there.  _band marks the arcs that are bands, _rising the bands
     that start at a phase-pi angle, and _masses holds the band masses in
-    angular order (zeros unless computed).  bands and gaps are built from
-    these once, on first read.  BandStructure(q, bands, gaps, disc) builds one
+    angular order (read-only zeros unless computed).  bands and gaps are built
+    from these once, on first read.  BandStructure(q, bands, gaps, disc) builds one
     from Band and Gap objects that tile the circle.
     """
 
@@ -409,11 +417,16 @@ def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
     mids = 0.5 * (lo[gap][wide] + hi[gap][wide])
     if np.any(np.abs(disc.eval_monodromy(mids)) < 2.0 - 1e-7):
         raise BandDiagnosticError("gap midpoint classified inside the spectrum")
-    masses = np.zeros(seq.period)
+    # a structure is often kept long after it is built, so it holds no more than it computed:
+    # zeros that take no memory for masses it did not compute, and not the Laurent form
+    # the masses read, which they build on a handle of their own
+    masses = np.broadcast_to(0.0, seq.period)
     if compute_masses:
         edges, offsets, weights = graded_pairs(lo[band], hi[band], _MASS_NODES, 2)
-        masses[:] = row_dots(field_rows(lambda e, o: _equilibrium_at(disc, e, o)[1],
-                                        edges, offsets, seq.period), weights)
+        own = Discriminant(seq)
+        # V alone holds O(1) terms per node, so a call takes about ten bands
+        masses = row_dots(field_rows(lambda e, o: _equilibrium_at(own, e, o)[1],
+                                     edges, offsets, 1), weights)
     return BandStructure._of_arrays(seq.period, np.append(lo, hi[-1]), band.copy(),
                                     band & rising, masses, disc)
 
@@ -429,44 +442,51 @@ def _equilibrium_at(
 
     V = |dpsi/dtheta| / (q pi) = |Delta'| / (2 q pi sin(psi)).  Each edge is a
     band edge, where Delta = 2 sigma, and each offset the signed step from it
-    into the band; all nodes go in one numpy pass.  w = 1 - sigma Delta / 2 is
-    taken as sigma (Delta(edge) - Delta(theta)) / 2, summed term by term with
-    expm1(i k offset), so a node a few ulps from its edge keeps full relative
-    accuracy; then psi = 2 asin(sqrt(w / 2)) on a sigma = +1 edge.  Where
-    sin(psi) = 0, V takes the second-order limit sqrt(|Delta''| / 2) / (q pi),
-    exact at the touching point of a closed gap, where Delta' vanishes too;
-    next to an open gap V is unbounded, but a graded node's offset keeps
-    sin(psi) > 0 there.
-
-    The terms c_k e^{i k edge}, sigma and the slope factors i k c_k e^{i k edge}
-    are formed once per distinct edge (a band's nodes share two) and gathered
-    per node; expm1 is written as its real part -2 sin^2(k offset / 2) and
-    imaginary part sin(k offset), with the sines taken for k >= 0 only, since
-    expm1 at -k is their conjugate.  Each node's result is bit-identical to
-    evaluating every term on the full node x power grid.
+    into the band.  Delta is real on the circle, c_{-k} = conj(c_k), so with
+    t_k = c_k e^{i k edge} and z = e^{i offset},
+    Delta(theta) - Delta(edge) = 2 Re[(z - 1) R], R = sum_j T_j z^j over the
+    tail sums T_j = sum_{k > j} t_k, and Delta' = 2 Re(i z S),
+    S = sum_j (j + 1) t_{j+1} z^j.  t, sigma and the tail sums are formed once
+    per distinct edge (a band's nodes share two); R and S are two Horner
+    chains of h = q / 2 steps, vectorized over the nodes, so the temporaries
+    are O(nodes).  w = 1 - sigma Delta / 2 is then -sigma Re[expm1(i offset) R],
+    with expm1 written as -2 sin^2(offset / 2) + i sin(offset), so a node a few
+    ulps from its edge keeps full relative accuracy; psi = 2 asin(sqrt(w / 2))
+    on a sigma = +1 edge.  Where sin(psi) = 0, V takes the second-order limit
+    sqrt(|Delta''| / 2) / (q pi), exact at the touching point of a closed gap,
+    where Delta' vanishes too; next to an open gap V is unbounded, but a graded
+    node's offset keeps sin(psi) > 0 there.
     """
-    q = disc.q
-    k = disc._powers
-    h = q // 2  # k runs over -h .. h
-    kd = np.multiply.outer(offsets, k[h:])
-    expm1 = np.empty((len(offsets), q + 1), dtype=complex)
-    expm1.real[:, h:] = -2.0 * np.sin(0.5 * kd) ** 2
-    expm1.imag[:, h:] = np.sin(kd)
-    np.conjugate(expm1[:, :h:-1], out=expm1[:, :h])
+    q, h = disc.q, disc.q // 2
+    c = disc.laurent_coeffs[h:]  # c_0 .. c_h
+    k = np.arange(1, h + 1)
     distinct, of_node = np.unique(edges, return_inverse=True)
-    terms = disc.laurent_coeffs * np.exp(1j * np.multiply.outer(distinct, k))
-    sigma = np.sign(terms.sum(axis=1).real)[of_node]
-    w = np.clip(-0.5 * sigma * (terms[of_node] * expm1).sum(axis=1).real, 0.0, 2.0)
+    t = c[1:] * np.exp(1j * np.multiply.outer(distinct, k))  # column k - 1 holds t_k
+    sigma = np.sign(c[0].real + 2.0 * t.sum(axis=1).real)[of_node]
+    tails = np.cumsum(t[:, ::-1], axis=1)[:, ::-1]
+    # per Horner step j, the two chains' coefficients of z^j, (T_j, (j + 1) t_{j+1}): (h, 2, U)
+    chains = np.ascontiguousarray(np.stack([tails, k * t]).transpose(2, 0, 1))
+    expm1 = np.empty(len(offsets), dtype=complex)
+    expm1.real = -2.0 * np.sin(0.5 * offsets) ** 2
+    expm1.imag = np.sin(offsets)
+    z = expm1 + 1.0
+    acc = chains[-1].take(of_node, axis=1)
+    step = np.empty_like(acc)
+    for coef in chains[-2::-1]:
+        acc *= z
+        acc += coef.take(of_node, axis=1, out=step)
+    r, s = acc
+    w = np.clip(-sigma * (expm1 * r).real, 0.0, 2.0)
     psi = 2.0 * np.arcsin(np.sqrt(0.5 * w))
     psi = np.where(sigma > 0, psi, math.pi - psi)
     sin_psi = np.sqrt(w * (2.0 - w))
-    turn = np.add(expm1, 1.0, out=expm1)  # e^{i k offset}, in place of expm1
-    slope = np.abs(((1j * k * terms)[of_node] * turn).sum(axis=1).real)
+    slope = np.abs(2.0 * (z * s).imag)  # |2 Re(i z S)|
     touching = sin_psi == 0
     v = np.divide(slope, 2.0 * q * math.pi * sin_psi, out=np.zeros_like(slope),
                   where=~touching)
     if touching.any():
-        curv = ((k * k * terms)[of_node[touching]] * turn[touching]).sum(axis=1).real
+        turn = np.exp(1j * np.multiply.outer(offsets[touching], k))
+        curv = 2.0 * (k * k * t[of_node[touching]] * turn).sum(axis=1).real
         v[touching] = np.sqrt(0.5 * np.abs(curv)) / (q * math.pi)
     return psi, v
 

@@ -62,3 +62,22 @@ def _retained_kib(make) -> float:
 @pytest.fixture
 def retained_kib():
     return _retained_kib
+
+
+def _mp_trace(mpmath, steps, theta):
+    """Re tr of the product of the steps at z = e^{i theta}, in mpmath.
+
+    Each step holds its entries a, b, c, d as their (z^-1, z^0, z^1) coefficients.
+    """
+    z = mpmath.expj(theta)
+    zi = mpmath.conj(z)
+    m = (1, 0, 0, 1)
+    for step in steps:
+        a, b, c, d = (lo * zi + mid + hi * z for lo, mid, hi in step)
+        m = (a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3])
+    return (m[0] + m[3]).real
+
+
+@pytest.fixture
+def mp_trace():
+    return _mp_trace

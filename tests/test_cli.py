@@ -10,6 +10,7 @@ from cmvspectra.coeffs import make_periodic
 from cmvspectra.construct import StageReport
 from cmvspectra.floquet import AllGapsClosedError, BandDiagnosticError, band_structure
 from cmvspectra.specmeasure import EdgeProximityError
+from cmvspectra.transfer import step_coeffs
 
 
 @pytest.fixture
@@ -49,6 +50,31 @@ def test_discriminant_grid_size(tmp_path, seq_file):
     report = json.loads((out / "discriminant.json").read_text())
     assert len(report["laurent_coeffs"]) == 3
     assert report["rho_product"] == pytest.approx((1 - 0.3**2) ** 0.5 * (1 - 0.2**2) ** 0.5)
+
+
+def test_discriminant_csv_is_within_1e9_of_a_50_digit_trace_on_a_near_constant_period(
+        tmp_path, mp_trace):
+    """The near-constant period of 64 that CI runs `bands` on: its largest Laurent
+    coefficient is 1.3e14, and the Laurent sum misses Delta by up to 0.97 there.  Both
+    commands write discriminant.csv from the transfer product: every value is within
+    1e-9 of the same steps multiplied to 50 digits, relative to max(1, |Delta|), as
+    |Delta| reaches 1.9e15 in the gaps."""
+    mpmath = pytest.importorskip("mpmath")
+    n = np.random.default_rng(64).standard_normal((2, 64))
+    values = ([0.5, 0.0] + 1e-3 * n.T).tolist()
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"values": values, "r": 0.99}))
+    seq = make_periodic([complex(*v) for v in values], 0.99)
+    steps = [[[mpmath.mpc(complex(x)) for x in c[:, i, j]] for i, j in np.ndindex(2, 2)]
+             for c in step_coeffs(seq.values)]
+    thetas = np.linspace(0, 2 * np.pi, 720, endpoint=False)
+    with mpmath.workdps(50):
+        exact = np.array([float(mp_trace(mpmath, steps, mpmath.mpf(t))) for t in thetas])
+    for cmd in ("bands", "discriminant"):
+        assert main([cmd, "--input", str(path), "--out", str(tmp_path / cmd)]) == 0
+        table = np.loadtxt(tmp_path / cmd / "discriminant.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], np.array([float(f"{t:.12g}") for t in thetas]))
+        assert np.all(np.abs(table[:, 1] - exact) <= 1e-9 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_density_outputs_and_mass(tmp_path, seq_file):

@@ -149,6 +149,14 @@ def test_thin_band_masses_are_equal_shares(seed):
     assert max(abs(m - 1.0 / 128) for m in masses) <= 1e-6
 
 
+def test_band_masses_at_period_256_are_equal_shares():
+    # the benchmark's family, |alpha| <= 0.3 and r = 0.6: the kernel's Horner chains run
+    # 128 steps here, twice the longest the full-grid reference test reaches (8.1e-12 measured)
+    vals = _disk(np.random.default_rng([2600, 0]), 256, 0.3)
+    masses = band_structure(make_periodic(list(vals), 0.6)).band_masses
+    assert max(abs(m - 1.0 / 256) for m in masses) <= 1e-9
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
 def test_equilibrium_density_is_finite_at_a_closed_gap(alpha):
     # constant alpha: Delta = 4 cos^2(theta / 2) / rho^2 - 2 touches -2 at theta = pi,
@@ -160,7 +168,8 @@ def test_equilibrium_density_is_finite_at_a_closed_gap(alpha):
 
 
 def _reference_equilibrium(disc, edges, offsets):
-    """The equilibrium kernel evaluated on the full node x power grid: every term per node."""
+    """The equilibrium kernel summed term by term: every term of the Laurent sum per node,
+    on the full node x power grid, with expm1(i k offset) from two sines."""
     q = disc.q
     k = disc._powers
     kd = np.multiply.outer(offsets, k)
@@ -197,10 +206,54 @@ def test_equilibrium_kernel_matches_the_full_grid_reference(q):
     order = rng.permutation(len(edges))
     psi, v = _equilibrium_at(bs.disc, edges[order], offsets[order])
     ref_psi, ref_v = _reference_equilibrium(bs.disc, edges[order], offsets[order])
-    assert np.array_equal(psi, ref_psi)
-    assert np.array_equal(v, ref_v)
+    # the Horner chains sum the same terms in another order: 2.3e-14 apart at q = 64
+    np.testing.assert_allclose(psi, ref_psi, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(v, ref_v, rtol=1e-13, atol=0.0)
     if q == "closed-gap":
         assert v[np.argmax(order)] == pytest.approx(1.0 / (TWO_PI * math.sqrt(0.75)), rel=1e-10)
+
+
+@pytest.mark.parametrize("q, amax, rel", [(2, 0.5, 1e-13), (8, 0.5, 1e-13), (32, 0.5, 1e-13),
+                                           (128, 0.3, 1e-12)])
+def test_equilibrium_kernel_is_edge_relative_accurate_against_a_50_digit_laurent_sum(
+        q, amax, rel):
+    """psi and V at offsets 1e-17 .. 1e-3 into every band from both its edges (every
+    (q / 8)-th band at q = 128, where the Horner chains run 64 steps), against the same
+    Laurent coefficients, every one of them, summed to 50 digits with
+    w = sigma (Delta(edge) - Delta(theta)) / 2.  Measured: 1.6e-14 at q = 32 and 1.1e-13
+    at q = 128 on the benchmark's family (|alpha| <= 0.3), as for the full-grid
+    reference; the error follows the largest coefficient, 26 there, not the chain length.
+    The kernel sums only c_0 .. c_{q/2}, so this also checks that the multiplied-out
+    c_{-k} agree with conj(c_k)."""
+    mpmath = pytest.importorskip("mpmath")
+    bs = band_structure(make_periodic(list(_disk(np.random.default_rng([2700, q]), q, amax)),
+                                      0.6), compute_masses=False)
+    lo, hi = (np.array(ends)[::1 if q <= 32 else q // 8] for ends in bs._band_ends())
+    steps = 10.0 ** np.arange(-17, -2)
+    edges = np.repeat(np.concatenate([lo, hi]), len(steps))
+    offsets = np.concatenate([np.tile(steps, len(lo)), -np.tile(steps, len(lo))])
+    keep = np.abs(offsets) < 0.5 * np.repeat(np.concatenate([hi - lo] * 2), len(steps))
+    edges, offsets = edges[keep], offsets[keep]
+    psi, v = _equilibrium_at(bs.disc, edges, offsets)
+    c = [mpmath.mpc(complex(x)) for x in bs.disc.laurent_coeffs]
+    k = bs.disc._powers.tolist()
+
+    def delta(theta):
+        """Re Delta and Re Delta' at theta."""
+        terms = [a * mpmath.expj(n * theta) for a, n in zip(c, k)]
+        return mpmath.fsum(terms).real, mpmath.fsum(1j * n * x for n, x in zip(k, terms)).real
+
+    with mpmath.workdps(50):
+        for edge, offset, got_psi, got_v in zip(edges.tolist(), offsets.tolist(), psi, v):
+            at_edge = delta(mpmath.mpf(edge))[0]
+            sigma = 1 if at_edge > 0 else -1
+            d, slope = delta(mpmath.mpf(edge) + mpmath.mpf(offset))
+            w = sigma * (at_edge - d) / 2
+            want_psi = 2 * mpmath.asin(mpmath.sqrt(w / 2))
+            want_psi = want_psi if sigma > 0 else mpmath.pi - want_psi
+            want_v = abs(slope) / (2 * q * mpmath.pi * mpmath.sqrt(w * (2 - w)))
+            assert got_psi == pytest.approx(float(want_psi), rel=rel, abs=0)
+            assert got_v == pytest.approx(float(want_v), rel=rel, abs=0)
 
 
 def test_band_structures_compare_by_their_bands_and_gaps():
@@ -252,7 +305,7 @@ def test_near_constant_periods_open_every_gap(q):
 
 @pytest.mark.parametrize("kind, q", [("near", 64), ("near", 128), ("near", 256),
                                      ("disk", 16), ("disk", 64), ("disk", 256)])
-def test_eval_monodromy_is_within_1e12_of_a_50_digit_trace_of_the_same_steps(kind, q):
+def test_eval_monodromy_is_within_1e12_of_a_50_digit_trace_of_the_same_steps(kind, q, mp_trace):
     """eval_monodromy at open-gap midpoints against the same step matrices multiplied
     at e^{i theta} to 50 digits: within 1e-12 relative (1.5e-13 measured).  The
     Laurent sum of the same period misses that on the near-constant periods."""
@@ -266,10 +319,18 @@ def test_eval_monodromy_is_within_1e12_of_a_50_digit_trace_of_the_same_steps(kin
     steps = [[[mpmath.mpc(complex(x)) for x in c[:, i, j]] for i, j in np.ndindex(2, 2)]
              for c in disc._steps]
     with mpmath.workdps(50):
-        exact = np.array([float(_mp_trace(mpmath, steps, mpmath.mpf(t))) for t in mids])
+        exact = np.array([float(mp_trace(mpmath, steps, mpmath.mpf(t))) for t in mids])
     assert np.all(np.abs(disc.eval_monodromy(mids) - exact) <= 1e-12 * np.abs(exact))
     if kind == "near":
         assert np.any(np.abs(disc.eval_real(mids) - exact) > 1e-12 * np.abs(exact))
+
+
+def test_a_band_structure_keeps_only_what_it_computed():
+    # the masses read the Laurent form on a handle of their own, which they drop
+    bs = band_structure(_near_constant(64))
+    assert "laurent_coeffs" not in vars(bs.disc) and "_steps" not in vars(bs.disc)
+    # masses not computed are zeros that hold no buffer of their own
+    assert band_structure(_near_constant(64), compute_masses=False)._masses.strides == (0,)
 
 
 def test_a_band_structure_without_masses_leaves_the_laurent_form_unbuilt():
@@ -369,7 +430,7 @@ def _general_eigenangles(values, theta):
     return np.angle(np.linalg.eigvals(floquet_matrix(np.asarray(values, complex), theta)))
 
 
-def _mp_discriminant(mpmath, values):
+def _mp_discriminant(mpmath, values, mp_trace):
     """Re Delta(e^{i theta}) in mpmath, from the transfer matrices of the exact values."""
     a = [mpmath.mpc(complex(v)) for v in values]
     q = len(a)
@@ -383,25 +444,11 @@ def _mp_discriminant(mpmath, values):
         steps.append(((r0 / r1, 0, 0), (-a0 / r1, -a1 / r1, 0),
                       (-r0 * c2 / r12, -r0 * c1 / r12, 0),
                       (c2 * a0 / r12, (c2 * a1 + c1 * a0) / r12, 1 / r12)))
-    return lambda theta: _mp_trace(mpmath, steps, theta)
-
-
-def _mp_trace(mpmath, steps, theta):
-    """Re tr of the product of the steps at z = e^{i theta}, in mpmath.
-
-    Each step holds its entries a, b, c, d as their (z^-1, z^0, z^1) coefficients.
-    """
-    z = mpmath.expj(theta)
-    zi = mpmath.conj(z)
-    m = (1, 0, 0, 1)
-    for step in steps:
-        a, b, c, d = (lo * zi + mid + hi * z for lo, mid, hi in step)
-        m = (a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3])
-    return (m[0] + m[3]).real
+    return lambda theta: mp_trace(mpmath, steps, theta)
 
 
 @pytest.mark.parametrize("q", [8, 16, 32])
-def test_eigenangles_are_within_1e14_of_40_digit_spectrum_points(q):
+def test_eigenangles_are_within_1e14_of_40_digit_spectrum_points(q, mp_trace):
     """Each angle, refined to 40 digits by two Newton steps on Delta(e^{i theta}) = 2 cos(T)
     with Delta multiplied out in mpmath from the exact values, moves by at most 1e-14;
     the second step is below 1e-25, and the q refined roots are distinct, so they are
@@ -410,7 +457,7 @@ def test_eigenangles_are_within_1e14_of_40_digit_spectrum_points(q):
     for seed in range(4):
         values = _disk(np.random.default_rng([1900, q, seed]), q, 0.5)
         with mpmath.workdps(40):
-            disc = _mp_discriminant(mpmath, values)
+            disc = _mp_discriminant(mpmath, values, mp_trace)
             h = mpmath.mpf(10) ** -20
             for phase in (0.0, math.pi, 1.0):
                 target = 2 * mpmath.cos(phase)

@@ -56,16 +56,17 @@ def test_every_band_integral_hands_its_field_whole_rows_under_one_batch_rule(mon
     seq, other = _random_seq(q, 700 + q), _random_seq(q, 800 + q)
     a, b = density(seq, {0: 1.0}), density(other, {0: 1.0})
     bs = a.structure
-    # (integral, nodes per row: an interval's fine and coarse nodes together, rows if known)
-    cases = [(lambda: band_structure(seq), 2 * 96, q),
-             (lambda: density(seq, {0: 1.0, 1: 0.5j}), 2 * 64 + 2 * 32, q),
-             (lambda: lt_integral(equilibrium_density(bs), bs, 1.5), 2 * 64 + 2 * 32, q),
-             (lambda: density_distance(a, b, 1.5), 2 * 48, None)]
-    for run, row, rows in cases:
+    # (integral, nodes per row: an interval's fine and coarse nodes together, rows if known,
+    # the field's width: 1 for V alone, q for the fields that build Floquet solutions)
+    cases = [(lambda: band_structure(seq), 2 * 96, q, 1),
+             (lambda: density(seq, {0: 1.0, 1: 0.5j}), 2 * 64 + 2 * 32, q, q),
+             (lambda: lt_integral(equilibrium_density(bs), bs, 1.5), 2 * 64 + 2 * 32, q, q),
+             (lambda: density_distance(a, b, 1.5), 2 * 48, None, q)]
+    for run, row, rows, width in cases:
         calls.clear()
         run()
-        assert calls and all(c % row == 0 and c <= max(row, BATCH_SIZE // q) for c in calls)
+        assert calls and all(c % row == 0 and c <= max(row, BATCH_SIZE // width) for c in calls)
         if rows is not None:
-            per_call = max(1, BATCH_SIZE // (q * row))
+            per_call = max(1, BATCH_SIZE // (width * row))
             assert sum(calls) == rows * row
             assert len(calls) == -(-rows // per_call)

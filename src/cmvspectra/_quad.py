@@ -70,10 +70,9 @@ def row_dots(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def refined_integral(field, lo, hi, n: int, m: int, t: float, width: int):
     """Integral of |field|^t over the intervals with hi > lo, at n nodes per half-interval.
 
-    Returns (integral, |integral - the same at n // 2 nodes|, field at the fine
-    nodes).  Each row handed to field holds an interval's fine and coarse
-    nodes, under field_rows' rule for width; the intervals' integrals are
-    summed in order.
+    Returns (integral, |integral - the same at n // 2 nodes|).  Each row
+    handed to field holds an interval's fine and coarse nodes, under
+    field_rows' rule for width; the intervals' integrals are summed in order.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     keep = hi > lo
@@ -81,7 +80,7 @@ def refined_integral(field, lo, hi, n: int, m: int, t: float, width: int):
     values = field_rows(field, np.hstack([ef, ec]), np.hstack([of, oc]), width)
     total, total_coarse = (float(np.cumsum(row_dots(np.abs(v) ** t, w))[-1])
                            for v, w in ((values[:, :2 * n], wf), (values[:, 2 * n:], wc)))
-    return total, abs(total - total_coarse), values[:, :2 * n]
+    return total, abs(total - total_coarse)
 
 
 def grading_exponent(t: float) -> int:

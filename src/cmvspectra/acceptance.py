@@ -258,7 +258,7 @@ def perturbation_laws() -> CriterionResult:
             )
             vals = [v + b for v, b in zip(f.values, bump)]
             vals = [v if abs(v) <= f.r else v * f.r / abs(v) for v in vals]
-            g = PeriodicSeq(tuple(vals), f.r)
+            g = PeriodicSeq(vals, f.r)
             est = diff_norm_bound_seq(f, g)
             worst_ratio = max(worst_ratio, est / eps)
     rng2 = np.random.default_rng(61)
@@ -269,7 +269,7 @@ def perturbation_laws() -> CriterionResult:
         bump = 1e-3 * np.exp(1j * rng2.uniform(0, TWO_PI, 4))
         vals = [v + b for v, b in zip(f.values, bump)]
         vals = [v if abs(v) <= f.r else v * f.r / abs(v) for v in vals]
-        g = PeriodicSeq(tuple(vals), f.r)
+        g = PeriodicSeq(vals, f.r)
         excess = spectrum_displacement(f, g) - diff_norm_bound_seq(f, g)
         move_ok = move_ok and excess <= 1e-8
         move_detail = max(move_detail, excess)
@@ -351,7 +351,7 @@ def cantor_run() -> CriterionResult:
     reports, final = cantor_iterate(f, eps, 3, seed=7)
     reports2, final2 = cantor_iterate(f, eps, 3, seed=7)
     problems = []
-    if final.table != final2.table:
+    if final != final2:
         problems.append("nondeterministic")
     for r in reports:
         if r.open_gap_count != r.period:

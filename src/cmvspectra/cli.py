@@ -236,7 +236,7 @@ def cmd_discriminant(args) -> int:
     if args.json:
         report = {
             "period": disc.q,
-            "laurent_coeffs": [[c.real, c.imag] for c in disc.laurent_coeffs],
+            "laurent_coeffs": [[c.real, c.imag] for c in disc.laurent_coeffs.tolist()],
             "rho_product": seq.rho_product(),
         }
         _atomic_write(os.path.join(out, "discriminant.json"),
@@ -250,8 +250,10 @@ def cmd_density(args) -> int:
     u = _parse_u(args.u)
     d = density(seq, u, n=_grid(args))
     out = _ensure_out(args)
-    # sorted by the angle as printed: a band across 2 pi holds nodes past it
-    thetas, vals = d.grid[:, 0] % TWO_PI, d.grid[:, 1]
+    # sorted by the angle as printed: a band across 2 pi holds nodes past it;
+    # grid evaluates g on every read, so it is read once
+    grid = d.grid
+    thetas, vals = grid[:, 0] % TWO_PI, grid[:, 1]
     order = np.lexsort((vals, thetas))
     thetas, vals = thetas[order], vals[order]
     rows = ["theta,g"]

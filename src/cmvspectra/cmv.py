@@ -120,9 +120,8 @@ def diff_norm_bound_seq(sf: PeriodicSeq, sg: PeriodicSeq | np.ndarray) -> float 
     an (N, q) stack of periods, as in floquet.floquet_matrix; the bound is
     then one per row, an (N,) array.
     """
-    a, b = (
-        np.asarray(s.values if isinstance(s, PeriodicSeq) else s, dtype=complex) for s in (sf, sg)
-    )
+    a, b = (s.values if isinstance(s, PeriodicSeq) else np.asarray(s, dtype=complex)
+            for s in (sf, sg))
     q = math.lcm(a.shape[-1], b.shape[-1])
     d = theta_blocks(np.tile(a, q // a.shape[-1])) - theta_blocks(np.tile(b, q // b.shape[-1]))
     norms = np.linalg.norm(d[..., 0, :], axis=-1)

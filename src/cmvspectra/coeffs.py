@@ -5,12 +5,22 @@ alpha carries the companion quantity rho = sqrt(1 - |alpha|^2) > 0.  Periodic
 sequences always have even period; odd input periods are doubled on
 construction because the transfer-matrix and Floquet machinery downstream
 requires an even period.
+
+A coefficient table (`PeriodicSeq.values`, and in the other modules
+`SamplingFn.table` and `CoefficientWindow.values`) is one read-only 1-D
+complex128 array.  Its constructor converts the input once (`as_table`), and
+every layer reads the array in place; a table that already is such an array
+and owns its memory is taken as it is, so a sequence and the sampling
+function it came from can share one.  Single values are read as Python
+complex numbers (`value_at`), which keeps the scalar paths' arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def validate_alpha(value) -> complex:
@@ -29,15 +39,49 @@ def complex_from_json(value) -> complex:
     return complex(value)
 
 
-def check_radius(values, r: float) -> None:
-    """values must be nonempty and lie in the closed disk of a declared radius r in (0, 1)."""
-    if len(values) == 0:
+def as_table(values) -> np.ndarray:
+    """values as a coefficient table: a read-only 1-D complex128 array.
+
+    A read-only complex128 array that owns its memory is returned as it is;
+    anything else is copied once, so a table is never a view that keeps a
+    larger array alive, nor one its caller can still write to.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == complex and values.ndim == 1
+            and values.base is None and not values.flags.writeable):
+        return values
+    table = np.array(values, dtype=complex)
+    if table.ndim != 1:
+        raise ValueError(f"a coefficient table is one-dimensional, got shape {table.shape}")
+    table.setflags(write=False)
+    return table
+
+
+def magnitudes(values: np.ndarray) -> np.ndarray:
+    """|v| of each complex value, as the scalar abs gives it to the last bit.
+
+    Taken with hypot: np.abs of a complex array may take a SIMD path that
+    differs from the scalar abs in the last bit.
+    """
+    return np.hypot(values.real, values.imag)
+
+
+def alpha_table(values) -> np.ndarray:
+    """as_table(values) after checking every value as validate_alpha does, with its message."""
+    table = as_table(values)
+    outside = ~(magnitudes(table) < 1.0)  # NaN fails every comparison
+    if outside.any():
+        validate_alpha(table.item(int(np.argmax(outside))))
+    return table
+
+
+def check_radius(table: np.ndarray, r: float) -> None:
+    """A table must be nonempty and lie in the closed disk of a declared radius r in (0, 1)."""
+    if len(table) == 0:
         raise ValueError("a coefficient sequence needs at least one value")
     if not (0.0 < r < 1.0):
         raise ValueError(f"radius bound must lie in (0, 1), got {r}")
-    mags = list(map(abs, values))
-    # max() passes over a NaN after the first value, the sum does not; NaN fails <= r
-    worst = math.nan if math.isnan(sum(mags)) else max(mags)
+    # np.max propagates a NaN, which then fails <= r
+    worst = float(magnitudes(table).max())
     if not worst <= r:
         raise ValueError(f"max |value| = {worst} exceeds declared bound r = {r}")
 
@@ -48,34 +92,44 @@ def rho(alpha) -> float:
     return math.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicSeq:
     """Two-sided coefficient sequence of even period with a declared radius bound.
 
-    values holds one full period; value_at(n) indexes it mod the period.  The
-    bound r satisfies max |values| <= r < 1 and is stored with the sequence so
-    perturbation moduli and Gordon budgets see a stable declared radius.
+    values holds one full period as a table (see the module docstring);
+    value_at(n) indexes it mod the period.  The bound r satisfies
+    max |values| <= r < 1 and is stored with the sequence so perturbation
+    moduli and Gordon budgets see a stable declared radius.  Two sequences are
+    equal when their tables are equal value by value and their bounds are.
     """
 
-    values: tuple[complex, ...]
+    values: np.ndarray
     r: float
 
     def __post_init__(self):
+        object.__setattr__(self, "values", as_table(self.values))
         check_radius(self.values, self.r)
         if len(self.values) % 2 != 0:
             raise ValueError("PeriodicSeq period must be even; use make_periodic")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeriodicSeq):
+            return NotImplemented
+        return self.r == other.r and np.array_equal(self.values, other.values)
+
+    __hash__ = None
 
     @property
     def period(self) -> int:
         return len(self.values)
 
     def value_at(self, n: int) -> complex:
-        return self.values[n % len(self.values)]
+        return self.values.item(n % len(self.values))
 
     def rho_product(self) -> float:
         """Product of rho_j over one period."""
         p = 1.0
-        for v in self.values:
+        for v in self.values.tolist():
             p *= rho(v)
         return p
 
@@ -89,12 +143,12 @@ class PeriodicSeq:
 
 def make_periodic(values, r: float) -> PeriodicSeq:
     """Build a PeriodicSeq, doubling an odd-length value list to get even period."""
-    vals = [validate_alpha(v) for v in values]
-    if not vals:
+    vals = alpha_table(values)
+    if not len(vals):
         raise ValueError("periodic sequence needs at least one value")
     if len(vals) % 2 != 0:
-        vals = vals + vals
-    return PeriodicSeq(tuple(vals), float(r))
+        vals = np.concatenate((vals, vals))
+    return PeriodicSeq(vals, float(r))
 
 
 def constant_seq(alpha, r: float | None = None) -> PeriodicSeq:

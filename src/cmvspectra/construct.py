@@ -53,6 +53,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .cmv import diff_norm_bound_seq
+from .coeffs import magnitudes
 from .floquet import (CLOSED_GAP_CHORD, Gap, _structure_of_arcs, arc_chord, band_arcs, gap_chords,
                       min_gap)
 # unused here; perfbench/tests asserts that the span tracer patches this binding
@@ -176,10 +177,10 @@ def _search_candidates(
         return [(i, tuple(float(m[i]) for m in measured)) for i in order]
 
     half = len(f.table) // 2
-    lifted = f.table[:half] == f.table[half:]
+    lifted = np.array_equal(f.table[:half], f.table[half:])
     # f alone first, so that a passing f draws nothing
     if not lifted:
-        passing = screen(np.array([f.table]))
+        passing = screen(f.table[None])
         if passing:
             yield f, tuple(a[0] for a in labelled[-1]), passing[0][1]
             return
@@ -193,12 +194,13 @@ def _search_candidates(
             # a row's arcs are taken only when it is yielded: the consumer usually
             # stops at the first row
             arcs = tuple(a[i] for a in labelled[-1])
-            yield SamplingFn(tuple(rung[i].tolist()), f.r), arcs, measured
+            # the sampling function copies its row, so it does not hold the rung
+            yield SamplingFn(rung[i], f.r), arcs, measured
     if passed_any:
         return
     if lifted:
         # its closed gaps keep it from passing; its row goes first, as when it is screened first
-        screen(np.array([f.table]))
+        screen(f.table[None])
         for rows in (screened, labelled, closed):
             rows.insert(0, rows.pop())
     values, closed = np.concatenate(screened), np.concatenate(closed)
@@ -216,7 +218,7 @@ def _search_candidates(
                f"({np.count_nonzero(closed == 0)} of {len(closed)} candidates opened every gap)")
     raise GapOpeningError(
         f"no perturbation within radius {radius_cap:.3e} {why}",
-        best=SamplingFn(tuple(values[best].tolist()), f.r) if best else f,
+        best=SamplingFn(values[best], f.r) if best else f,
         closed_gaps=closed_gaps,
     )
 
@@ -267,11 +269,9 @@ def _run_stages(
             # inside it; the halving ladder covers tighter cases
             radius = min(0.8 * budget_eps, 0.25 * budget_move)
 
-        base_values = np.array(base.table)
-
         def gate(values: np.ndarray):
-            d = values - base_values
-            s_norm = np.hypot(d.real, d.imag).max(axis=-1)
+            d = values - base.table
+            s_norm = magnitudes(d).max(axis=-1)
             if prev_seq is None:
                 return s_norm < budget_eps, (s_norm,)
             movement = diff_norm_bound_seq(prev_seq, values)

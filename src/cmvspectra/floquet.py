@@ -34,8 +34,8 @@ offset) to stay accurate where V blows up; the band masses and every density
 in `specmeasure` go through it, on `_quad`'s graded nodes.  It reads the
 Laurent coefficients c_0 .. c_{q/2} once per distinct edge, as tail sums, and
 evaluates Delta - Delta(edge) and Delta' at the nodes by Horner's rule, in
-O(nodes) temporaries; the band masses, which read V alone, hand it about ten
-bands per call.
+O(nodes) temporaries; the band masses and `specmeasure.lt_integral` of V,
+which read V alone, hand it about ten bands per call.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def floquet_matrix(seq, theta) -> np.ndarray:
     of rows 0, 1 by e^{-i theta} and column q of rows q-2, q-1 by e^{i theta}
     before the columns are folded mod q.
     """
-    v = np.asarray(seq.values if isinstance(seq, PeriodicSeq) else seq, dtype=complex)
+    v = seq.values if isinstance(seq, PeriodicSeq) else np.asarray(seq, dtype=complex)
     theta = np.asarray(theta, dtype=float)
     q = v.shape[-1]
     S = band_rows(np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1))

@@ -8,6 +8,10 @@ no-point-spectrum criterion at finitely many scales.  The constructor produces
 a sampling function close to a given one that passes the checker at scales
 1..K by stacking level-(N+k) perturbations whose sizes respect the gamma
 budgets of all coarser scales.
+
+A CoefficientWindow holds its values as a coefficient table, a read-only 1-D
+complex128 array (`coeffs.as_table`); the checker reads each scale's
+displacements from it as whole array slices.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coeffs import PeriodicSeq, check_radius
+from .coeffs import PeriodicSeq, as_table, check_radius, magnitudes
 from .odometer import RADIUS_FLOOR, SamplingFn, lift, perturb, sup_distance, to_periodic
 from .transfer import build_A_unimodular, four_block, gamma
 
@@ -33,16 +37,30 @@ class InfeasibleBudgetError(RuntimeError):
         self.deepest_k = deepest_k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientWindow:
-    """Finite two-sided view alpha(n_min..n_max) with a declared radius bound."""
+    """Finite two-sided view alpha(n_min..n_max) with a declared radius bound.
+
+    values[i] is alpha(n_min + i), held as a table (see the module docstring);
+    two windows are equal when they start at the same index and their tables
+    and radii are equal.
+    """
 
     n_min: int
-    values: tuple[complex, ...]
+    values: np.ndarray
     r: float
 
     def __post_init__(self):
+        object.__setattr__(self, "values", as_table(self.values))
         check_radius(self.values, self.r)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoefficientWindow):
+            return NotImplemented
+        return (self.n_min == other.n_min and self.r == other.r
+                and np.array_equal(self.values, other.values))
+
+    __hash__ = None
 
     @property
     def n_max(self) -> int:
@@ -51,18 +69,18 @@ class CoefficientWindow:
     def alpha(self, n: int) -> complex:
         if not (self.n_min <= n <= self.n_max):
             raise WindowTooShortError(f"index {n} outside window [{self.n_min}, {self.n_max}]")
-        return self.values[n - self.n_min]
+        return self.values.item(n - self.n_min)
 
     @classmethod
     def from_periodic(cls, seq: PeriodicSeq, n_min: int, n_max: int) -> "CoefficientWindow":
-        return cls(n_min, tuple(seq.value_at(n) for n in range(n_min, n_max + 1)), seq.r)
+        return cls(n_min, seq.values[np.arange(n_min, n_max + 1) % seq.period], seq.r)
 
     @classmethod
     def from_sampling(cls, f: SamplingFn, n_min: int, n_max: int) -> "CoefficientWindow":
         return cls.from_periodic(to_periodic(f), n_min, n_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GordonCheck:
     """One scheduled scale of the criterion."""
 
@@ -77,7 +95,7 @@ class GordonCheck:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GordonCertificate:
     """Per-scale pass/fail trail of the almost-repetition inequality."""
 
@@ -119,13 +137,12 @@ def check_gordon(window: CoefficientWindow, schedule: list[tuple[int, int]]) -> 
         )
     checks = []
     for k, q_k in schedule:
-        lhs = 0.0
-        for n in range(-q_k + 1, q_k + 2):
-            a = window.alpha(n)
-            lhs = max(lhs, abs(a - window.alpha(n - q_k)), abs(a - window.alpha(n + q_k)))
-        r_k = max(
-            abs(window.alpha(n)) for n in range(-2 * q_k + 1, 2 * q_k + 2)
-        )
+        # alpha(n) for n in [-2 q_k + 1, 2 q_k + 1]; the displacements are taken
+        # for n in [-q_k + 1, q_k + 1], against n - q_k and n + q_k
+        span = window.values[-2 * q_k + 1 - window.n_min:2 * q_k + 2 - window.n_min]
+        centre = span[q_k:3 * q_k + 1]
+        d = np.concatenate((centre - span[:2 * q_k + 1], centre - span[2 * q_k:]))
+        lhs, r_k = magnitudes(d).max(), magnitudes(span).max()
         rhs = gamma(k, q_k, window.r) / 4.0
         checks.append(GordonCheck(k, q_k, float(r_k), float(lhs), float(rhs), bool(lhs <= rhs)))
     return GordonCertificate(window.r, tuple(checks))

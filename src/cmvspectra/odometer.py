@@ -6,6 +6,12 @@ index-2^k subgroup, so it reads a hull point only mod 2^k; hull points are
 integers here, which meet every coset.  The sequence alpha(n) = f(T^n omega)
 f induces is 2^k-periodic.  Everything here is exact: tables are finite, no
 function approximation is involved.
+
+A coset table is a read-only 1-D complex128 array (`coeffs.as_table`),
+converted once when a SamplingFn is built.  lift tiles it, to_periodic rotates
+it (or shares it, at hull point 0), sup_distance and the perturbations read it
+as a whole array; a perturbed row becomes a table of its own, never a view of
+the draw it came from.
 """
 
 from __future__ import annotations
@@ -15,21 +21,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import PeriodicSeq, check_radius, complex_from_json, validate_alpha
+from .coeffs import (PeriodicSeq, alpha_table, as_table, check_radius, complex_from_json,
+                     magnitudes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SamplingFn:
-    """Level-k sampling function given by its 2^k coset table of disk values."""
+    """Level-k sampling function given by its 2^k coset table of disk values.
 
-    table: tuple[complex, ...]
+    Equal when the tables are equal value by value and the radii are.
+    """
+
+    table: np.ndarray
     r: float
 
     def __post_init__(self):
+        object.__setattr__(self, "table", as_table(self.table))
         n = len(self.table)
         if n == 0 or n & (n - 1):
             raise ValueError("table length must be a power of two")
         check_radius(self.table, self.r)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SamplingFn):
+            return NotImplemented
+        return self.r == other.r and np.array_equal(self.table, other.table)
+
+    __hash__ = None
 
     @property
     def level(self) -> int:
@@ -42,20 +60,20 @@ class SamplingFn:
     def to_json(self) -> dict:
         return {
             "level": self.level,
-            "table": [[v.real, v.imag] for v in self.table],
+            "table": [[v.real, v.imag] for v in self.table.tolist()],
             "r": self.r,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingFn":
-        table = tuple(complex_from_json(v) for v in obj["table"])
+        table = [complex_from_json(v) for v in obj["table"]]
         if len(table) != 1 << obj["level"]:
             raise ValueError("level field disagrees with table size")
         return cls(table, obj["r"])
 
 
 def make_sampling(table, r: float) -> SamplingFn:
-    return SamplingFn(tuple(validate_alpha(v) for v in table), float(r))
+    return SamplingFn(alpha_table(table), float(r))
 
 
 #: perturbation radii below this cannot move double-precision tables reliably
@@ -75,9 +93,8 @@ def perturbed_tables(f: SamplingFn, radii, rng: np.random.Generator) -> np.ndarr
     u = rng.random((len(radii), 2, f.period))
     mag = radii[:, None] * np.sqrt(u[:, 0])
     phase = 2.0 * math.pi * u[:, 1]
-    values = np.array(f.table) + mag * np.exp(1j * phase)
-    # hypot, not np.abs: it matches the scalar abs to the last bit
-    for i, j in zip(*np.nonzero(np.hypot(values.real, values.imag) > f.r)):
+    values = f.table + mag * np.exp(1j * phase)
+    for i, j in zip(*np.nonzero(magnitudes(values) > f.r)):
         w = values[i, j]
         scale = f.r / abs(w)
         # the rounded |w scale| can land an ulp above r
@@ -94,7 +111,7 @@ def perturb(f: SamplingFn, radius: float, rng: np.random.Generator) -> SamplingF
     first, then the phases, and a value pushed outside the disk |z| <= f.r is
     projected radially back onto its boundary.
     """
-    return SamplingFn(tuple(perturbed_tables(f, [radius], rng)[0].tolist()), f.r)
+    return SamplingFn(perturbed_tables(f, [radius], rng)[0], f.r)
 
 
 def lift(f: SamplingFn, k_new: int) -> SamplingFn:
@@ -106,15 +123,14 @@ def lift(f: SamplingFn, k_new: int) -> SamplingFn:
         raise ValueError(f"cannot lift level-{f.level} function down to level {k_new}")
     if k_new == f.level:
         return f
-    return SamplingFn(f.table * (1 << (k_new - f.level)), f.r)
+    # concatenate, not np.tile: the same array at a third of the cost on short tables
+    return SamplingFn(np.concatenate((f.table,) * (1 << (k_new - f.level))), f.r)
 
 
 def sup_distance(f: SamplingFn, g: SamplingFn) -> float:
     """Exact uniform distance, after lifting both tables to the finer level."""
     k = max(f.level, g.level)
-    tf = lift(f, k).table
-    tg = lift(g, k).table
-    return max(abs(a - b) for a, b in zip(tf, tg))
+    return float(magnitudes(lift(f, k).table - lift(g, k).table).max())
 
 
 def to_periodic(f: SamplingFn, omega: int = 0) -> PeriodicSeq:
@@ -125,4 +141,4 @@ def to_periodic(f: SamplingFn, omega: int = 0) -> PeriodicSeq:
     """
     table = lift(f, max(f.level, 1)).table
     start = omega % len(table)
-    return PeriodicSeq(table[start:] + table[:start], f.r)
+    return PeriodicSeq(np.concatenate((table[start:], table[:start])) if start else table, f.r)

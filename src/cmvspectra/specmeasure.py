@@ -15,8 +15,17 @@ Every density takes its points as (band edge, offset into the band), with psi
 and V from `floquet._equilibrium_at`, and `SpectralDensity.at` is the one
 density evaluator.  Its band integrals, `density`, `lt_integral` and
 `density_distance`, take edge-graded nodes, since V blows up like
-dist^{-1/2} at band edges, by `_quad`'s one path and batching rule.  The
-pointwise call and `density_distance` place points with `BandStructure._locate`.
+dist^{-1/2} at band edges, by `_quad`'s one path and batching rule, which
+bounds a call by the terms a field holds per node: 1 for V alone, q for a
+field that builds Floquet solutions.  The pointwise call and
+`density_distance` place points with `BandStructure._locate`.
+
+A density reads the sequence's coefficient table (`PeriodicSeq.values`, a
+read-only 1-D complex128 array) only through its discriminant's step
+coefficients.  What it keeps is O(q): the sequence, the band structure, the
+step coefficients and Laurent form its evaluations read, and, from `density`,
+the node count n and the mass, not g at the nodes; `SpectralDensity.grid`
+evaluates g at those nodes again on read.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -79,13 +88,21 @@ def floquet_solution(seq: PeriodicSeq, z: complex) -> FloquetSolution:
     return FloquetSolution(complex(z), psi, phi[:, 0, 0], phi[:, 1, 0])
 
 
-#: a density on the bands, evaluated at theta = edge + offset for arrays of band edges and offsets
+#: a density on the bands, evaluated at theta = edge + offset for arrays of band edges and
+#: offsets; it may declare its width, the terms it holds per node, as a width attribute
 EdgeField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def equilibrium_density(bs: BandStructure) -> EdgeField:
-    """The equilibrium density V = |dpsi/dtheta| / (q pi), as a function of (edges, offsets)."""
-    return lambda edges, offsets: _equilibrium_at(bs.disc, edges, offsets)[1]
+    """The equilibrium density V = |dpsi/dtheta| / (q pi), as a function of (edges, offsets).
+
+    It declares width 1: V alone holds O(1) terms per node.
+    """
+    def v(edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        return _equilibrium_at(bs.disc, edges, offsets)[1]
+
+    v.width = 1
+    return v
 
 
 def _source_vector(u: Mapping[int, complex]) -> dict[int, complex]:
@@ -103,14 +120,15 @@ class SpectralDensity:
     """Density g of the spectral measure of a finite-support vector u.
 
     structure is seq's band structure, whose bands and disc the density reads;
-    density() also samples g at its fine nodes and integrates its mass.
+    density() also integrates its mass at n graded nodes per half-band, and
+    keeps n but not g at those nodes.
     """
 
     seq: PeriodicSeq
     u: dict[int, complex]
     structure: BandStructure = field(repr=False)
-    #: g at density()'s fine nodes, band by band in angular order; grid pairs each with its theta
-    samples: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
+    #: graded nodes per half-band of density()'s mass, which grid evaluates; 0 if not integrated
+    n: int = 0
     total_mass: float = 0.0
     #: |mass at n nodes - mass at n/2 nodes|: an estimate of the quadrature error, not a bound
     quad_error_estimate: float = 0.0
@@ -125,17 +143,20 @@ class SpectralDensity:
 
     @property
     def grid(self) -> np.ndarray:
-        """The sampled (theta, g) pairs, one row each: theta is rebuilt from the bands.
+        """(theta, g) at density()'s fine nodes, one row each, band by band in angular order.
 
-        density() gives each band of positive width 2n graded nodes, which
-        fixes n, and the same graded_pairs call gives the same theta.
+        Evaluated on every read and not kept: each band of positive width gets
+        the 2n graded nodes of the same graded_pairs call that density() made,
+        and g comes from at under the same batching rule, so the values are
+        those its mass summed.  Empty for a density that density() did not
+        integrate.
         """
-        if not len(self.samples):
+        if not self.n:
             return np.empty((0, 2))
         lo, hi = map(np.array, self.structure._band_ends())
-        n = len(self.samples) // (2 * np.count_nonzero(hi > lo))
-        edges, offsets, _ = graded_pairs(lo[hi > lo], hi[hi > lo], n, 2)
-        return np.column_stack([(edges + offsets).ravel(), self.samples])
+        edges, offsets, _ = graded_pairs(lo[hi > lo], hi[hi > lo], self.n, 2)
+        g = field_rows(self.at, edges, offsets, self.disc.q)
+        return np.column_stack([(edges + offsets).ravel(), g.ravel()])
 
     def at(self, edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """g at theta = edge + offset, for band edges and steps from them into their bands.
@@ -167,14 +188,14 @@ class SpectralDensity:
 
 
 def density(seq: PeriodicSeq, u: Mapping[int, complex], n: int = 64) -> SpectralDensity:
-    """Spectral density of u sampled at n >= 2 graded nodes per half-band, and its total mass."""
+    """Spectral density of u and its total mass at n >= 2 graded nodes per half-band."""
     if n < 2:
         raise ValueError(f"density needs n >= 2 nodes per half-band, its estimate n // 2; got {n}")
     u = _source_vector(u)
     bs = band_structure(seq, compute_masses=False)
     d = SpectralDensity(seq, u, bs)
-    mass, error, fine = refined_integral(d.at, *bs._band_ends(), n, 2, 1.0, bs.q)
-    return replace(d, samples=fine.ravel(), total_mass=mass, quad_error_estimate=error)
+    mass, error = refined_integral(d.at, *bs._band_ends(), n, 2, 1.0, bs.q)
+    return replace(d, n=n, total_mass=mass, quad_error_estimate=error)
 
 
 #: quadrature nodes per half-band for lt_integral; its error estimate halves them
@@ -186,11 +207,15 @@ def lt_integral(field: EdgeField, bs: BandStructure, t: float) -> tuple[float, f
 
     The integrand grows like dist^{-t/2} at band edges, integrable only below
     t = 2; near it, edge + offset rounds onto the edge, so field takes both.
+    field's calls are batched by the width it declares, as equilibrium_density
+    declares 1; a field that declares none, such as SpectralDensity.at, is
+    taken at q, the width of a field that builds Floquet solutions.
     """
     if not (1.0 < t < 2.0):
         raise ValueError("t must lie strictly in (1, 2)")
     m = grading_exponent(t)
-    return refined_integral(field, *bs._band_ends(), _LT_NODES, m, t, bs.q)[:2]
+    width = getattr(field, "width", bs.q)
+    return refined_integral(field, *bs._band_ends(), _LT_NODES, m, t, width)
 
 
 #: quadrature nodes per half-interval for density_distance

@@ -52,13 +52,14 @@ def step_laurent(a0, a1, a2) -> np.ndarray:
     ], dtype=complex)
 
 
-def step_coeffs(values) -> np.ndarray:
+def step_coeffs(values: np.ndarray) -> np.ndarray:
     """Laurent coefficients of A_1, A_3, ..., A_{q-1} over one period, shape (q/2, 3, 2, 2).
 
-    Entry [k] is step_laurent of the triple (alpha_{2k+1}, alpha_{2k+2}, alpha_{2k+3}).
+    values is a period's coefficient table (`PeriodicSeq.values`, a 1-D
+    complex128 array).  Entry [k] is step_laurent of the triple
+    (alpha_{2k+1}, alpha_{2k+2}, alpha_{2k+3}).
     """
-    a = np.asarray(values, dtype=complex)
-    c = step_laurent(a[1::2], np.roll(a, -1)[1::2], np.roll(a, -2)[1::2])
+    c = step_laurent(values[1::2], np.roll(values, -1)[1::2], np.roll(values, -2)[1::2])
     return np.ascontiguousarray(c.transpose(3, 0, 1, 2))
 
 

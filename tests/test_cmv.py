@@ -151,9 +151,10 @@ def test_diff_norm_bound_scales_with_perturbation(delta):
 
 
 def _bound_reference(sf, sg):
-    """The bound with both value tuples tiled to the lcm period, one pair at a time."""
+    """The bound with both value tables tiled to the lcm period, one pair at a time."""
     q = math.lcm(sf.period, sg.period)
-    d = theta_blocks(sf.values * (q // sf.period)) - theta_blocks(sg.values * (q // sg.period))
+    d = (theta_blocks(np.tile(sf.values, q // sf.period))
+         - theta_blocks(np.tile(sg.values, q // sg.period)))
     norms = np.linalg.norm(d[:, 0, :], axis=1)
     return float(norms[0::2].max() + norms[1::2].max())
 

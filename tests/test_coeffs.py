@@ -77,3 +77,41 @@ def test_constant_seq_default_radius():
     assert seq.value_at(0) == seq.value_at(1) == 0.5
     assert 0.5 < seq.r < 1.0
     assert constant_seq(0.0).r == 0.5
+
+
+def test_a_table_is_a_read_only_complex_array_read_as_python_complex():
+    values = np.array([0.1, 0.2j, -0.3, 0.05])
+    seq = PeriodicSeq(values, 0.5)
+    assert seq.values.dtype == np.complex128 and seq.values.shape == (4,)
+    assert not seq.values.flags.writeable and seq.values.flags.owndata
+    with pytest.raises(ValueError):
+        seq.values[0] = 0.4
+    values[0] = 0.4  # the caller's array was copied, not taken over
+    assert seq.value_at(0) == 0.1 and type(seq.value_at(0)) is complex
+    # a table that is already a read-only array of its own is shared, not copied
+    assert PeriodicSeq(seq.values, 0.6).values is seq.values
+    assert make_periodic([0.3, 0.1], 0.5).values.tolist() == [0.3, 0.1]
+
+
+def test_periodic_sequences_compare_by_value_and_radius():
+    seq = make_periodic([0.1, 0.2j], 0.5)
+    assert seq == make_periodic(np.array([0.1, 0.2j]), 0.5)
+    assert seq != make_periodic([0.1, 0.25j], 0.5)
+    assert seq != make_periodic([0.1, 0.2j], 0.6)
+    assert seq != make_periodic([0.1, 0.2j, 0.1, 0.2j], 0.5)
+    with pytest.raises(TypeError):
+        hash(seq)
+
+
+def test_make_periodic_reports_the_first_value_outside_the_disk():
+    with pytest.raises(ValueError, match=r"\|alpha\| < 1, got \|\(1\.2\+0j\)\|"):
+        make_periodic([0.1, 1.2, math.nan], 0.5)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        make_periodic([[0.1, 0.2]], 0.5)
+
+
+def test_a_period_keeps_sixteen_bytes_per_value(retained_kib):
+    # as a tuple of Python complex numbers a value took 40 bytes
+    values = list(0.5 * np.exp(2j * np.pi * np.arange(256) / 256))
+    kept = retained_kib(lambda: make_periodic(values, 0.6))
+    assert 256 * 16 / 1024 <= kept <= 256 * 16 / 1024 + 1

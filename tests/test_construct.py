@@ -57,7 +57,7 @@ def test_level_zero_table_is_lifted_before_stage_zero():
         assert [r.period for r in reports] == [2, 4]
         assert [r.open_gap_count for r in reports] == [2, 4]
         # the same draws as from the level-1 table with the same values
-        assert final.table == run(f1)[1].table
+        assert np.array_equal(final.table, run(f1)[1].table)
 
 
 def test_cantor_stage_budgets_hold():
@@ -101,8 +101,8 @@ def test_cantor_deterministic_under_seed():
     _, a = cantor_iterate(f, 0.9, K=2, seed=11)
     _, b = cantor_iterate(f, 0.9, K=2, seed=11)
     _, c = cantor_iterate(f, 0.9, K=2, seed=12)
-    assert a.table == b.table
-    assert a.table != c.table
+    assert np.array_equal(a.table, b.table)
+    assert not np.array_equal(a.table, c.table)
 
 
 def test_cantor_validates_arguments():
@@ -294,6 +294,24 @@ def test_a_gate_that_rejects_the_first_rung_takes_the_second_rungs_widest_row(mo
     assert all(np.array_equal(a, b[widest]) for a, b in zip(arcs, second_arcs))
 
 
+def test_a_candidate_owns_its_table_rather_than_viewing_its_rung(retained_kib):
+    # a lifted base of period 64 draws a rung of 12 rows, 12 KiB; its winner keeps 1 KiB
+    rng = np.random.default_rng(9)
+    v = 0.3 * np.sqrt(rng.uniform(0, 1, 8)) * np.exp(2j * np.pi * rng.uniform(0, 1, 8))
+    base = lift(make_sampling(list(v), 0.6), 6)
+
+    def winner():
+        rng = np.random.default_rng(1)
+        return next(construct._search_candidates(base, 1e-3, rng, _accept_all))[0]
+
+    g = winner()
+    assert g.period == 64 and g != base
+    assert g.table.base is None and g.table.flags.owndata and not g.table.flags.writeable
+    assert retained_kib(winner) <= 2
+    _, final = cantor_iterate(make_sampling((0.3, 0.0), 0.6), 0.9, K=2, seed=7)
+    assert final.table.base is None and final.table.flags.owndata
+
+
 def test_a_search_without_a_passing_row_screens_every_rung(monkeypatch):
     f = make_sampling((0.0, 0.0), 0.5)
     screened = _count_screens(monkeypatch)
@@ -483,4 +501,4 @@ def test_construction_is_bit_identical_to_its_pin(mode, run):
         reports, final = ac_iterate(f, p["eps"], p["ac_K"], u, p["t"], seed=run["seed"])
     got = [{k: _exact(v) for k, v in r.to_json().items()} for r in reports]
     assert got == run[mode]["stages"]
-    assert [[repr(v.real), repr(v.imag)] for v in final.table] == run[mode]["final"]
+    assert [[repr(v.real), repr(v.imag)] for v in final.table.tolist()] == run[mode]["final"]

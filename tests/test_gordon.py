@@ -81,6 +81,37 @@ def test_window_validates_its_values_and_radius(values, r):
         CoefficientWindow(-40, values, r)
 
 
+def _scanned(window, q_k):
+    """lhs and r_k of one scale, index by index through alpha()."""
+    lhs = 0.0
+    for n in range(-q_k + 1, q_k + 2):
+        a = window.alpha(n)
+        lhs = max(lhs, abs(a - window.alpha(n - q_k)), abs(a - window.alpha(n + q_k)))
+    return lhs, max(abs(window.alpha(n)) for n in range(-2 * q_k + 1, 2 * q_k + 2))
+
+
+def test_check_gordon_equals_the_index_by_index_scan_bit_for_bit():
+    rng = np.random.default_rng(29)
+    values = 0.4 * np.sqrt(rng.uniform(0, 1, 90)) * np.exp(2j * np.pi * rng.uniform(0, 1, 90))
+    window = CoefficientWindow(-41, values, 0.5)
+    assert window.values.dtype == np.complex128 and not window.values.flags.writeable
+    assert type(window.alpha(0)) is complex and window.alpha(-41) == values[0]
+    assert window == CoefficientWindow(-41, list(values), 0.5)
+    assert window != CoefficientWindow(-40, values, 0.5)
+    cert = check_gordon(window, [(1, 2), (2, 8), (3, 20)])
+    for c in cert.checks:
+        assert (c.lhs, c.r_k) == _scanned(window, c.q_k)
+        assert type(c.lhs) is float and type(c.r_k) is float
+
+
+def test_gordon_results_hold_no_instance_dict():
+    seq = make_periodic([0.1, -0.2], 0.5)
+    cert = check_gordon(_periodic_window(seq, 4), [(1, 2), (2, 4)])
+    assert not hasattr(cert, "__dict__") and not hasattr(cert.checks[0], "__dict__")
+    assert list(cert.to_json()) == ["r_declared", "passed", "checks"]
+    assert list(cert.checks[0].to_json()) == ["k", "q_k", "r_k", "lhs", "rhs", "passed"]
+
+
 def test_growth_ratio_free_case_is_one():
     seq = make_periodic([0.0, 0.0], 0.5)
     z = np.exp(1j * 0.9)
@@ -116,8 +147,8 @@ def test_approximant_deterministic_under_seed():
     g1, _ = construct_gordon_approximant(f, 0.05, K=2, seed=5)
     g2, _ = construct_gordon_approximant(f, 0.05, K=2, seed=5)
     g3, _ = construct_gordon_approximant(f, 0.05, K=2, seed=6)
-    assert g1.table == g2.table
-    assert g1.table != g3.table
+    assert np.array_equal(g1.table, g2.table)
+    assert not np.array_equal(g1.table, g3.table)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
@@ -172,5 +203,5 @@ GORDON_PINS = json.loads(
 def test_approximant_is_bit_identical_to_its_pin(pin):
     f = make_sampling(pin["table"], pin["r"])
     g, cert = construct_gordon_approximant(f, pin["eps"], pin["K"], seed=pin["seed"])
-    assert [[repr(v.real), repr(v.imag)] for v in g.table] == pin["final"]
+    assert [[repr(v.real), repr(v.imag)] for v in g.table.tolist()] == pin["final"]
     assert cert.passed == pin["passed"]

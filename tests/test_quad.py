@@ -60,7 +60,7 @@ def test_every_band_integral_hands_its_field_whole_rows_under_one_batch_rule(mon
     # the field's width: 1 for V alone, q for the fields that build Floquet solutions)
     cases = [(lambda: band_structure(seq), 2 * 96, q, 1),
              (lambda: density(seq, {0: 1.0, 1: 0.5j}), 2 * 64 + 2 * 32, q, q),
-             (lambda: lt_integral(equilibrium_density(bs), bs, 1.5), 2 * 64 + 2 * 32, q, q),
+             (lambda: lt_integral(equilibrium_density(bs), bs, 1.5), 2 * 64 + 2 * 32, q, 1),
              (lambda: density_distance(a, b, 1.5), 2 * 48, None, q)]
     for run, row, rows, width in cases:
         calls.clear()

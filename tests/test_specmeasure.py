@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -357,16 +358,36 @@ def test_a_density_computes_its_step_coefficients_once(monkeypatch, seed7_stages
     assert len(calls) == 4
 
 
-def test_a_density_holds_its_samples_not_a_grid_of_pairs(retained_kib):
-    # the 2048 fine-node values of q = 16 take 16 KiB; the (theta, g) grid took 32
+def test_a_density_keeps_o_of_q_bytes_not_its_node_values(retained_kib):
+    # g at the 2048 fine nodes of q = 16 took 16 KiB; a density now keeps its structure,
+    # step coefficients and Laurent form, whatever its node count
     seq = _random_seq(16, 2300)
+    kept = [retained_kib(lambda: density(seq, THREE_SITES, n)) for n in (64, 256)]
+    assert kept[0] <= 6
+    assert kept[1] <= kept[0] + 0.25
+    # grid pairs each node's theta with g there, evaluated on read
     d = density(seq, THREE_SITES)
-    assert retained_kib(lambda: density(seq, THREE_SITES)) <= 20
-    # grid pairs each sample with the theta of its node
     edges, offsets, _ = (x.ravel() for x in graded_pairs(*d.structure._band_ends(), 64, 2))
     assert d.grid.shape == (2048, 2)
     assert np.array_equal(d.grid[:, 0], edges + offsets)
     assert np.array_equal(d.grid[:, 1], d.at(edges, offsets))
+    assert SpectralDensity(seq, THREE_SITES, d.structure).grid.shape == (0, 2)
+
+
+#: SHA-256 of density(_random_seq(q, 2300), THREE_SITES).grid, recorded when density()
+#: still kept g at its nodes and grid read them back
+GRID_SHA256 = {
+    4: "50d68fbf9905326bf801023d922212e7c33c232ddaa6bf8d193d21654004a5bb",
+    16: "50a7341ec729a78ce25a4771723bc61aa0d78d4411cb3e88afabe952fde4d7cb",
+    64: "b5b218911d29d9bfe5067a6a32845fb0905aa9ec533beabee70472f53ffd8688",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GRID_SHA256))
+def test_a_grid_evaluated_on_read_has_the_bits_of_the_kept_samples(q):
+    grid = density(_random_seq(q, 2300), THREE_SITES).grid
+    assert grid.dtype == float and grid.flags.c_contiguous
+    assert hashlib.sha256(grid.tobytes()).hexdigest() == GRID_SHA256[q]
 
 
 def test_densities_compare_by_value():

@@ -130,7 +130,7 @@ def floquet_determinant() -> CriterionResult:
             if rng.uniform() < 0.5:
                 theta += math.pi
             lhs = np.linalg.det(z * np.eye(q) - floquet_matrix(seq, theta))
-            rhs = rp * z ** (q // 2) * (disc.eval_real(phi) - 2.0 * math.cos(theta))
+            rhs = rp * z ** (q // 2) * (disc.eval_monodromy(phi) - 2.0 * math.cos(theta))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             worst = max(worst, abs(lhs - rhs) / scale)
     return CriterionResult("floquet-determinant", worst < 1e-9, worst, 1e-9)
@@ -160,8 +160,8 @@ def band_laws() -> CriterionResult:
         v = equilibrium_density(bs)
         for band in bs.bands:
             edge_defect = max(
-                abs(abs(bs.disc.eval_real(band.theta_lo)) - 2.0),
-                abs(abs(bs.disc.eval_real(band.theta_hi)) - 2.0),
+                abs(abs(bs.disc.eval_monodromy(band.theta_lo)) - 2.0),
+                abs(abs(bs.disc.eval_monodromy(band.theta_hi)) - 2.0),
             )
             arc_excess = band.width - TWO_PI / q
             mass_defect = abs(band.mass - 1.0 / q)

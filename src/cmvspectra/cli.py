@@ -191,7 +191,6 @@ def _ensure_out(args) -> str:
 
 
 def _write_discriminant_csv(out: str, disc: Discriminant, grid: int) -> None:
-    # from the transfer product: the Laurent sum loses its accuracy from q = 64 on
     thetas = np.linspace(0, TWO_PI, grid, endpoint=False)
     rows = ["theta,delta"] + [f"{_fmt(th)},{_fmt(d)}" for th, d in
                               zip(thetas.tolist(), disc.eval_monodromy(thetas).tolist())]

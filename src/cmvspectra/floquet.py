@@ -21,12 +21,11 @@ The discriminant is the trace of the monodromy, the product
 A_{q-1} ... A_3 A_1 of the two-step transfer matrices over one period (Simon,
 OPUC Part 2, ch. 11).  A `Discriminant` is a handle on it that holds the
 period: it evaluates Delta at points from the transfer product
-(`transfer.transfer_products`), which is how `band_structure` checks its open
-gaps, and multiplies the product out into its Laurent polynomial, from the
-coefficients in z (`transfer.step_coeffs`), only when that is first read.  On
-the tables the constructions build, the Laurent coefficients grow
-exponentially in q and their sum loses its accuracy from q = 64 on; the
-product does not.
+(`transfer.transfer_products`), and multiplies the product out into its
+Laurent polynomial, from the coefficients in z (`transfer.step_coeffs`),
+only when that is first read.  On the tables the constructions build, the
+Laurent coefficients grow exponentially in q and their sum loses its
+accuracy; the product does not, so every point value of Delta comes from it.
 
 The equilibrium density V = |dpsi/dtheta| / (q pi), psi = arccos(Delta / 2),
 has one kernel, `_equilibrium_at`, which takes each point as (band edge,
@@ -34,8 +33,7 @@ offset) to stay accurate where V blows up; the band masses and every density
 in `specmeasure` go through it, on `_quad`'s graded nodes.  It reads the
 Laurent coefficients c_0 .. c_{q/2} once per distinct edge, as tail sums, and
 evaluates Delta - Delta(edge) and Delta' at the nodes by Horner's rule, in
-O(nodes) temporaries; the band masses and `specmeasure.lt_integral` of V,
-which read V alone, hand it about ten bands per call.
+O(nodes) temporaries.
 """
 
 from __future__ import annotations
@@ -99,32 +97,18 @@ def floquet_matrix(seq, theta) -> np.ndarray:
     return B
 
 
-# one read-only array per period, shared by its discriminants rather than held by each
-@functools.lru_cache(maxsize=64)
-def _laurent_powers(q: int) -> np.ndarray:
-    k = np.arange(q + 1) - q // 2
-    k.flags.writeable = False
-    return k
-
-
 class Discriminant:
     """Delta(z), the trace of one period's monodromy: a handle that holds the period.
 
     eval_monodromy takes Delta at angles from the 2x2 transfer product, in
-    O(q) per angle.  laurent_coeffs, the Laurent polynomial z^{-q/2} ..
-    z^{q/2} that is real-valued on the unit circle (index j for power
-    j - q/2), is multiplied out in O(q^2) on first read: by eval_real and
-    imag_defect, which sum it (the criteria, psi_of and the benchmark's
-    defect metric), by the equilibrium kernel (band masses and densities)
-    and by `cmvspectra discriminant --json`, which prints it; the CLI's
-    sampled discriminant.csv takes eval_monodromy instead.  The step
-    coefficients are kept only once a density reads them for its Floquet
-    solutions, and then shared with the other two forms.  A band structure's
-    handle holds neither form until something reads it: the band masses read
-    the Laurent form on a handle of their own, since a structure is often
-    kept long after it is built.  Compared by identity: it is derived from a
-    sequence, and the structures holding one compare that sequence's bands
-    instead.
+    O(q) per angle, and is the one point evaluator.  laurent_coeffs, the
+    Laurent polynomial z^{-q/2} .. z^{q/2} that is real-valued on the unit
+    circle (index j for power j - q/2), is multiplied out in O(q^2) on first
+    read and kept: by the equilibrium kernel (band masses and densities), by
+    imag_defect and by `cmvspectra discriminant --json`, which prints it.
+    Both forms start from the period's step coefficients, which the handle
+    does not keep.  Compared by identity: it is derived from a sequence, and
+    the structures holding one compare that sequence's bands instead.
     """
 
     def __init__(self, seq: PeriodicSeq):
@@ -132,19 +116,9 @@ class Discriminant:
         self._values = seq.values
 
     @functools.cached_property
-    def _steps(self) -> np.ndarray:
-        """The period's step coefficients, kept once a density reads them."""
-        return step_coeffs(self._values)
-
-    def _step_coeffs(self) -> np.ndarray:
-        """The kept step coefficients, or a fresh set that is not kept."""
-        kept = self.__dict__.get("_steps")
-        return step_coeffs(self._values) if kept is None else kept
-
-    @functools.cached_property
     def laurent_coeffs(self) -> np.ndarray:
         mono = np.eye(2, dtype=complex)[None]  # Laurent coefficients, lowest power first
-        for c in self._step_coeffs():
+        for c in step_coeffs(self._values):
             m = len(mono)
             nxt = np.zeros((m + 2, 2, 2), dtype=complex)
             nxt[:m] += c[0] @ mono
@@ -153,34 +127,20 @@ class Discriminant:
             mono = nxt
         return mono[:, 0, 0] + mono[:, 1, 1]
 
-    @property
-    def _powers(self) -> np.ndarray:
-        return _laurent_powers(self.q)
-
-    def _at(self, theta):
-        """Delta(e^{i theta}), complex, at an angle or at each angle of an array of them."""
-        # e^{i k theta} directly: z ** k leaves numpy's repeated squaring for |k| >= 100,
-        # which makes it slower than this from q = 256 on
-        return np.exp(1j * np.multiply.outer(theta, self._powers)) @ self.laurent_coeffs
-
-    def eval_real(self, theta):
-        """Re Delta(e^{i theta}) at an angle, or at each angle of an array of them."""
-        return self._at(theta).real
-
     def imag_defect(self, theta: float) -> float:
-        """|Im Delta(e^{i theta})|: zero in exact arithmetic, so a roundoff measure."""
-        return abs(self._at(theta).imag)
+        """|Im Delta(e^{i theta})| by the Laurent sum: zero in exact arithmetic, so roundoff."""
+        k = np.arange(self.q + 1) - self.q // 2
+        return abs((np.exp(1j * np.multiply.outer(theta, k)) @ self.laurent_coeffs).imag)
 
     def eval_monodromy(self, theta):
         """Re Delta(e^{i theta}) as the trace of the transfer product, at an angle or an array.
 
-        Multiplied at each point, it keeps the accuracy of the 2x2 products
-        (about 1e-13 against 50-digit traces up to q = 256), where the
-        Laurent sum loses u times its largest coefficient, which grows like
-        the product of 1 / rho over the period.
+        Multiplied at each point, it keeps the accuracy of the 2x2 products,
+        where the Laurent sum loses u times its largest coefficient, which
+        grows like the product of 1 / rho over the period.
         """
         theta = np.asarray(theta, dtype=float)
-        mono = transfer_products(self._step_coeffs(), np.exp(1j * theta.ravel()))[-1]
+        mono = transfer_products(step_coeffs(self._values), np.exp(1j * theta.ravel()))[-1]
         return (mono[0, 0] + mono[1, 1]).real.reshape(theta.shape)
 
 
@@ -424,7 +384,7 @@ def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
     if compute_masses:
         edges, offsets, weights = graded_pairs(lo[band], hi[band], _MASS_NODES, 2)
         own = Discriminant(seq)
-        # V alone holds O(1) terms per node, so a call takes about ten bands
+        # V alone holds O(1) terms per node: width 1
         masses = row_dots(field_rows(lambda e, o: _equilibrium_at(own, e, o)[1],
                                      edges, offsets, 1), weights)
     return BandStructure._of_arrays(seq.period, np.append(lo, hi[-1]), band.copy(),
@@ -526,9 +486,8 @@ def eigenangles(seq, theta) -> np.ndarray:
     double eigenvalue at z = 1 may read 0.0 where a general eigensolve gives
     2 pi - eps; label_arcs takes either.  Two Hermitian eigensolves (LAPACK
     zheevd) and one inverse cost about as much as one general eigensolve
-    (zgeev) at q = 16 and less above it, or from q = 8 on in a stack of 12;
-    at smaller q their fixed overhead costs up to about 30 us more per call,
-    which is why band_arcs stacks both phases into one call.  w - E is built
+    (zgeev) at moderate q; at small q their fixed overhead dominates, which is
+    why band_arcs stacks both phases into one call.  w - E is built
     in place of E and inverted once, which keeps the transient near that of
     the general eigensolve.
     """

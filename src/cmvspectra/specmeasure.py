@@ -4,12 +4,11 @@ Builds the two Floquet solutions at a spectrum point, the equilibrium density
 V = |dpsi/dtheta| / (q pi), and the absolutely continuous density of the
 spectral measure of a finitely supported vector.  The Floquet solutions are
 the eigenvectors of the 2x2 monodromy for e^{+/- i psi}, propagated over one
-period by the two-step transfer matrices (`transfer.transfer_products`, on the
-step coefficients that the sequence's `Discriminant` keeps once a density
-reads them).  One batched kernel, `_floquet_solutions`,
-builds them for N points at once, and `_amplitude_sum` forms the transform
-amplitudes from them; `floquet_solution` runs both at N = 1, with psi from
-`psi_of`.
+period by the two-step transfer matrices (`transfer.transfer_products`).  One
+batched kernel, `_floquet_solutions`, builds them for N points at once, and
+`_amplitude_sum` forms the transform amplitudes from them; `floquet_solution`
+runs both at N = 1, with psi from `psi_of`, which reads Delta from the
+transfer product.
 
 Every density takes its points as (band edge, offset into the band), with psi
 and V from `floquet._equilibrium_at`, and `SpectralDensity.at` is the one
@@ -21,11 +20,11 @@ field that builds Floquet solutions.  The pointwise call and
 `density_distance` place points with `BandStructure._locate`.
 
 A density reads the sequence's coefficient table (`PeriodicSeq.values`, a
-read-only 1-D complex128 array) only through its discriminant's step
-coefficients.  What it keeps is O(q): the sequence, the band structure, the
-step coefficients and Laurent form its evaluations read, and, from `density`,
-the node count n and the mass, not g at the nodes; `SpectralDensity.grid`
-evaluates g at those nodes again on read.
+read-only 1-D complex128 array) only through step coefficients: its own,
+for the Floquet solutions, and its discriminant's Laurent form.  What it
+keeps is O(q): the sequence, the band structure, those two, and, from
+`density`, the node count n and the mass, not g at the nodes;
+`SpectralDensity.grid` evaluates g at those nodes again on read.
 
 Amplitude convention: the transform of a finite-support vector u is taken as
 sqrt(q/2) * sum_n conj(phi_n) u_n, with phi normalized over one period.  With
@@ -39,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,7 +49,7 @@ from .floquet import (TWO_PI, Band, BandStructure, Discriminant, _equilibrium_at
                       band_structure, discriminant)
 # unused here; perfbench/tests asserts that the span tracer patches this binding
 from .floquet import floquet_matrix  # noqa: F401
-from .transfer import transfer_products
+from .transfer import step_coeffs, transfer_products
 
 AMPLITUDE_FACTOR = "sqrt(q/2)"
 
@@ -60,7 +60,7 @@ class EdgeProximityError(RuntimeError):
 
 def psi_of(z: complex, disc: Discriminant) -> float:
     """Floquet phase arccos(Delta(z)/2) in [0, pi] for z on the spectrum."""
-    val = disc.eval_real(cmath.phase(z))
+    val = float(disc.eval_monodromy(cmath.phase(z)))
     if abs(val) > 2.0 + 1e-9:
         raise ValueError(f"|Delta(z)| = {abs(val)} > 2; z is off the spectrum")
     return math.acos(min(1.0, max(-1.0, 0.5 * val)))
@@ -81,10 +81,8 @@ class FloquetSolution:
 
 def floquet_solution(seq: PeriodicSeq, z: complex) -> FloquetSolution:
     """The two quasiperiodic solutions at z on the spectrum, normalized over one period."""
-    disc = discriminant(seq)
-    steps = disc._steps  # kept before psi_of reads the Laurent form, which then shares them
-    psi = psi_of(z, disc)
-    phi = _floquet_solutions(steps, np.array([z]), np.array([psi]))
+    psi = psi_of(z, discriminant(seq))
+    phi = _floquet_solutions(step_coeffs(seq.values), np.array([z]), np.array([psi]))
     return FloquetSolution(complex(z), psi, phi[:, 0, 0], phi[:, 1, 0])
 
 
@@ -141,6 +139,11 @@ class SpectralDensity:
     def disc(self) -> Discriminant:
         return self.structure.disc
 
+    @cached_property
+    def _floquet_steps(self) -> np.ndarray:
+        """The step coefficients of seq, which at reads for the Floquet solutions."""
+        return step_coeffs(self.seq.values)
+
     @property
     def grid(self) -> np.ndarray:
         """(theta, g) at density()'s fine nodes, one row each, band by band in angular order.
@@ -165,10 +168,8 @@ class SpectralDensity:
         floquet._equilibrium_at, and the amplitudes from the Floquet solutions
         at psi.
         """
-        # kept by the discriminant before its Laurent form is first read, which then shares them
-        steps = self.disc._steps
         psi, v = _equilibrium_at(self.disc, edges, offsets)
-        phi = _floquet_solutions(steps, np.exp(1j * (edges + offsets)), psi)
+        phi = _floquet_solutions(self._floquet_steps, np.exp(1j * (edges + offsets)), psi)
         return _amplitude_sum(phi, psi, self.u) * v
 
     def __call__(self, theta: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cmvspectra.cmv import cmv_entry
+from cmvspectra.coeffs import make_periodic
 
 settings.register_profile(
     "default",
@@ -81,3 +82,16 @@ def _mp_trace(mpmath, steps, theta):
 @pytest.fixture
 def mp_trace():
     return _mp_trace
+
+
+def _near_constant(q):
+    """A seeded near-constant period, as the constructions build: 0.5 + 1e-3 (N + iN') at
+    q = 64, 0.3 + 1e-2 (N + iN') above it, N and N' standard normal."""
+    base, size = (0.5, 1e-3) if q == 64 else (0.3, 1e-2)
+    n = np.random.default_rng([2400, q]).standard_normal((2, q))
+    return make_periodic(list(base + size * (n[0] + 1j * n[1])), 0.99)
+
+
+@pytest.fixture
+def near_constant():
+    return _near_constant

@@ -30,6 +30,7 @@ from cmvspectra.floquet import (
     spectrum_displacement,
 )
 from cmvspectra.odometer import make_sampling, to_periodic
+from cmvspectra.transfer import step_coeffs
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,7 +58,7 @@ def test_free_discriminant_is_two_cos():
     seq = make_periodic([0.0, 0.0], 0.5)
     disc = discriminant(seq)
     for theta in np.linspace(0, TWO_PI, 17):
-        assert disc.eval_real(theta) == pytest.approx(2 * math.cos(theta), abs=1e-12)
+        assert disc.eval_monodromy(theta) == pytest.approx(2 * math.cos(theta), abs=1e-12)
         assert disc.imag_defect(theta) < 1e-12
 
 
@@ -171,7 +172,7 @@ def _reference_equilibrium(disc, edges, offsets):
     """The equilibrium kernel summed term by term: every term of the Laurent sum per node,
     on the full node x power grid, with expm1(i k offset) from two sines."""
     q = disc.q
-    k = disc._powers
+    k = np.arange(q + 1) - q // 2
     kd = np.multiply.outer(offsets, k)
     expm1 = -2.0 * np.sin(0.5 * kd) ** 2 + 1j * np.sin(kd)
     terms = disc.laurent_coeffs * np.exp(1j * np.multiply.outer(edges, k))
@@ -236,7 +237,7 @@ def test_equilibrium_kernel_is_edge_relative_accurate_against_a_50_digit_laurent
     edges, offsets = edges[keep], offsets[keep]
     psi, v = _equilibrium_at(bs.disc, edges, offsets)
     c = [mpmath.mpc(complex(x)) for x in bs.disc.laurent_coeffs]
-    k = bs.disc._powers.tolist()
+    k = list(range(-(q // 2), q // 2 + 1))
 
     def delta(theta):
         """Re Delta and Re Delta' at theta."""
@@ -288,77 +289,82 @@ def test_band_structure_rejects_a_gap_midpoint_inside_the_spectrum(monkeypatch):
         band_structure(make_periodic([0.3, 0.2], 0.6), compute_masses=False)
 
 
-def _near_constant(q):
-    """A seeded near-constant period, as the constructions build: 0.5 + 1e-3 (N + iN') at
-    q = 64, 0.3 + 1e-2 (N + iN') above it, N and N' standard normal."""
-    base, size = (0.5, 1e-3) if q == 64 else (0.3, 1e-2)
-    n = np.random.default_rng([2400, q]).standard_normal((2, q))
-    return make_periodic(list(base + size * (n[0] + 1j * n[1])), 0.99)
-
-
 @pytest.mark.parametrize("q", [64, 128, 256])
-def test_near_constant_periods_open_every_gap(q):
+def test_near_constant_periods_open_every_gap(q, near_constant):
     # their largest Laurent coefficients are 1.3e14, 6e15 and 6.9e32, and the Laurent
     # sum read a gap midpoint at q = 64 and 128 as inside the spectrum
-    assert band_structure(_near_constant(q), compute_masses=False).open_gap_count() == q
+    assert band_structure(near_constant(q), compute_masses=False).open_gap_count() == q
 
 
 @pytest.mark.parametrize("kind, q", [("near", 64), ("near", 128), ("near", 256),
                                      ("disk", 16), ("disk", 64), ("disk", 256)])
-def test_eval_monodromy_is_within_1e12_of_a_50_digit_trace_of_the_same_steps(kind, q, mp_trace):
+def test_eval_monodromy_is_within_1e12_of_a_50_digit_trace_of_the_same_steps(
+        kind, q, mp_trace, near_constant):
     """eval_monodromy at open-gap midpoints against the same step matrices multiplied
     at e^{i theta} to 50 digits: within 1e-12 relative (1.5e-13 measured).  The
     Laurent sum of the same period misses that on the near-constant periods."""
     mpmath = pytest.importorskip("mpmath")
-    seq = (_near_constant(q) if kind == "near"
+    seq = (near_constant(q) if kind == "near"
            else make_periodic(list(_disk(np.random.default_rng([2500, q]), q, 0.5)), 0.6))
     bs = band_structure(seq, compute_masses=False)
     wide = bs._chords() > CLOSED_GAP_CHORD
     mids = (0.5 * (bs._cuts[:-1] + bs._cuts[1:]))[~bs._band][wide][:: max(1, q // 8)]
     disc = discriminant(seq)
     steps = [[[mpmath.mpc(complex(x)) for x in c[:, i, j]] for i, j in np.ndindex(2, 2)]
-             for c in disc._steps]
+             for c in step_coeffs(seq.values)]
     with mpmath.workdps(50):
         exact = np.array([float(mp_trace(mpmath, steps, mpmath.mpf(t))) for t in mids])
     assert np.all(np.abs(disc.eval_monodromy(mids) - exact) <= 1e-12 * np.abs(exact))
     if kind == "near":
-        assert np.any(np.abs(disc.eval_real(mids) - exact) > 1e-12 * np.abs(exact))
+        k = np.arange(q + 1) - q // 2
+        laurent = (np.exp(1j * np.multiply.outer(mids, k)) @ disc.laurent_coeffs).real
+        assert np.any(np.abs(laurent - exact) > 1e-12 * np.abs(exact))
 
 
-def test_a_band_structure_keeps_only_what_it_computed():
+#: what a discriminant holds before its Laurent form is read: the period and its table
+HANDLE = {"q", "_values"}
+
+
+def test_a_band_structure_keeps_only_what_it_computed(near_constant):
     # the masses read the Laurent form on a handle of their own, which they drop
-    bs = band_structure(_near_constant(64))
-    assert "laurent_coeffs" not in vars(bs.disc) and "_steps" not in vars(bs.disc)
+    bs = band_structure(near_constant(64))
+    assert set(vars(bs.disc)) == HANDLE
     # masses not computed are zeros that hold no buffer of their own
-    assert band_structure(_near_constant(64), compute_masses=False)._masses.strides == (0,)
+    assert band_structure(near_constant(64), compute_masses=False)._masses.strides == (0,)
 
 
-def test_a_band_structure_without_masses_leaves_the_laurent_form_unbuilt():
-    bs = band_structure(_near_constant(64), compute_masses=False)
-    assert "laurent_coeffs" not in vars(bs.disc) and "_steps" not in vars(bs.disc)
-    bs.disc.eval_real(0.0)
-    # the step coefficients are kept only for a density's Floquet solutions
-    assert "laurent_coeffs" in vars(bs.disc) and "_steps" not in vars(bs.disc)
+def test_a_band_structure_without_masses_leaves_the_laurent_form_unbuilt(near_constant):
+    bs = band_structure(near_constant(64), compute_masses=False)
+    assert set(vars(bs.disc)) == HANDLE
+    bs.disc.eval_monodromy(np.linspace(0.0, TWO_PI, 5))
+    assert set(vars(bs.disc)) == HANDLE
+    # read, the Laurent form is kept; the step coefficients it was built from are not
+    bs.disc.laurent_coeffs
+    assert set(vars(bs.disc)) == HANDLE | {"laurent_coeffs"}
 
 
 @pytest.mark.parametrize("q", [16, 64, 128])
-def test_eval_real_is_within_its_rounding_bound_of_a_40_digit_sum(q):
-    """eval_real, which psi_of and imag_defect share, against the same Laurent
-    coefficients summed to 40 digits: within 4 u sum_k |c_k| (1 + |k theta|)."""
+def test_imag_defect_is_within_its_rounding_bound_of_a_40_digit_sum(q):
+    """imag_defect, |Im| of the Laurent sum, against the same Laurent coefficients
+    summed to 40 digits: within 4 u sum_k |c_k| (1 + |k theta|), and not zero, so it
+    measures the sum's roundoff."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(1700 + q)
     thetas = rng.uniform(0.0, TWO_PI, 40)
+    k = np.arange(q + 1) - q // 2
+    defects = []
     for _ in range(3):
         vals = 0.3 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
         disc = discriminant(make_periodic(list(vals), 0.3))
-        c, k = disc.laurent_coeffs, disc._powers
-        got = disc.eval_real(thetas)
+        c = disc.laurent_coeffs
         with mpmath.workdps(40):
-            for theta, value in zip(thetas, got):
+            for theta in thetas.tolist():
                 t = mpmath.mpf(theta)
                 exact = mpmath.fsum(mpmath.mpc(a) * mpmath.expj(int(n) * t) for a, n in zip(c, k))
                 bound = 4 * 2.0**-53 * float(np.sum(np.abs(c) * (1 + np.abs(k * theta))))
-                assert abs(float(value) - float(exact.real)) <= bound
+                defects.append(disc.imag_defect(theta))
+                assert abs(defects[-1] - abs(float(exact.imag))) <= bound
+    assert max(defects) > 0
 
 
 def test_edges_thinner_than_the_eigensolve_resolves_are_named_as_the_cause(thin_band_values):
@@ -375,7 +381,7 @@ def test_discriminant_bounded_by_two_inside_bands():
     for b in bs.bands:
         for s in np.linspace(0.05, 0.95, 7):
             theta = b.theta_lo + s * (b.theta_hi - b.theta_lo)
-            assert abs(bs.disc.eval_real(theta)) <= 2.0 + 1e-9
+            assert abs(bs.disc.eval_monodromy(theta)) <= 2.0 + 1e-9
 
 
 def test_discriminant_exceeds_two_inside_open_gaps():
@@ -384,7 +390,7 @@ def test_discriminant_exceeds_two_inside_open_gaps():
     for g in bs.gaps:
         if not g.closed and g.width > 1e-6:
             mid = 0.5 * (g.theta_lo + g.theta_hi)
-            assert abs(bs.disc.eval_real(mid)) > 2.0
+            assert abs(bs.disc.eval_monodromy(mid)) > 2.0
 
 
 @given(st.floats(0.0, TWO_PI))
@@ -394,7 +400,7 @@ def test_eigenangles_solve_the_discriminant_equation(theta):
     angles = eigenangles(seq, theta)
     assert len(angles) == 4
     for a in angles:
-        assert bs.disc.eval_real(a) == pytest.approx(2 * math.cos(theta), abs=1e-6)
+        assert bs.disc.eval_monodromy(a) == pytest.approx(2 * math.cos(theta), abs=1e-6)
 
 
 def test_eigenangles_match_direct_eigensolve():

@@ -27,11 +27,15 @@ from cmvspectra.specmeasure import (
 TWO_PI = 2.0 * math.pi
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 16, 64])
-def test_floquet_solutions_solve_the_restrictions_up_to_band_edges(q):
-    rng = np.random.default_rng(200 + q)
-    vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
-    seq = make_periodic(list(vals), 0.6)
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 64, "near-128"])
+def test_floquet_solutions_solve_the_restrictions_up_to_band_edges(q, near_constant):
+    # near-128 is a period at construction depth, whose Laurent sum misreads Delta
+    if q == "near-128":
+        seq = near_constant(128)
+    else:
+        rng = np.random.default_rng(200 + q)
+        vals = 0.5 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
+        seq = make_periodic(list(vals), 0.6)
     bs = band_structure(seq, compute_masses=False)
     for b in bs.bands:
         for theta in (b.theta_lo + 1e-12, 0.5 * (b.theta_lo + b.theta_hi), b.theta_hi - 1e-12):
@@ -215,7 +219,7 @@ def test_batched_density_matches_the_per_node_reference(q):
         ref = _per_node_density(seq, bs.disc, THREE_SITES, theta)
         # the reference forms 4 - Delta^2 directly, so it carries that
         # subtraction's roundoff, about (q + 1) eps sum|c_k|, relative to it
-        s = 1.0 - (0.5 * bs.disc.eval_real(theta)) ** 2
+        s = 1.0 - (0.5 * float(bs.disc.eval_monodromy(theta))) ** 2
         own_roundoff = (q + 1) * np.finfo(float).eps * c_sum / s
         assert abs(g - ref) <= (1e-12 + own_roundoff) * ref
 
@@ -346,16 +350,22 @@ def test_density_distance_never_builds_a_band_structure(monkeypatch, seed7_stage
 
 
 def test_a_density_computes_its_step_coefficients_once(monkeypatch, seed7_stages):
-    calls = []
-    original = floquet.step_coeffs
-    monkeypatch.setattr(floquet, "step_coeffs", lambda v: calls.append(None) or original(v))
+    calls = {floquet: 0, specmeasure: 0}
+    for module in calls:
+        def counted(values, module=module, original=module.step_coeffs):
+            calls[module] += 1
+            return original(values)
+        monkeypatch.setattr(module, "step_coeffs", counted)
     a, b = _delta_0_densities(seed7_stages[1:])
-    assert len(calls) == 2  # each band structure's gap check, which keeps none
+    assert calls == {floquet: 2, specmeasure: 0}  # each band structure's gap check, kept by none
     first = density_distance(a, b, 1.5)
     assert density_distance(a, b, 1.5) == first
-    # once more per density, kept by its discriminant for the Laurent form and the
-    # Floquet solutions alike, not once per density per call
-    assert len(calls) == 4
+    # once more per density for its discriminant's Laurent form, and once for its own
+    # Floquet solutions, not once per density per call
+    assert calls == {floquet: 4, specmeasure: 2}
+    for d in (a, b):
+        assert "_floquet_steps" in vars(d)
+        assert set(vars(d.disc)) == {"q", "_values", "laurent_coeffs"}
 
 
 def test_a_density_keeps_o_of_q_bytes_not_its_node_values(retained_kib):

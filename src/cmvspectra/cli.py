@@ -66,10 +66,8 @@ def _load_input(path: str):
                          f"not {type(obj).__name__}")
     try:
         if "table" in obj:
-            obj.setdefault("level", (len(obj["table"]) - 1).bit_length())
             return SamplingFn.from_json(obj)
         if "values" in obj:
-            obj.setdefault("period", len(obj["values"]))
             return PeriodicSeq.from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"invalid sequence data: {exc}")

@@ -136,7 +136,7 @@ class PeriodicSeq:
     @classmethod
     def from_json(cls, obj: dict) -> "PeriodicSeq":
         values = [complex_from_json(v) for v in obj["values"]]
-        if len(values) != obj["period"]:
+        if "period" in obj and len(values) != obj["period"]:
             raise ValueError("period field disagrees with number of values")
         return make_periodic(values, obj["r"])
 

@@ -30,19 +30,21 @@ which names the deepest stage within reach.
 A stage handles its candidates as one complex (N, q) array of coset tables
 from start to finish: one draw (odometer.perturbed_tables), a stacked gap
 screen (floquet.band_arcs, one eigensolve of both phases, then
-floquet.gap_chords) per rung of the radius ladder, and the drift and movement
-gates as row-wise array operations (cmv.diff_norm_bound_seq takes the
-stack).  A base that is a lifted period, as every base from stage 1 on is,
-has every new gap closed exactly, so it is not screened as a candidate; it
-is screened only for the report of a stage that fails.  The rungs are
+floquet.gap_chords, with floquet.gap_is_closed deciding which gaps are
+closed) per rung of the radius ladder, and the drift and movement gates as
+row-wise array operations (cmv.diff_norm_bound_seq takes the stack).  A base
+that is a lifted period, as every base from stage 1 on is, has every new gap
+closed exactly, so it is not screened as a candidate; it is screened only
+for the report of a stage that fails.  The rungs are
 screened lazily, largest radius first, and the stage takes the widest
 minimal gap within the first rung that has a passing row; a later rung is
 screened only if no row of the earlier ones passed (or, in ac mode, none of
 them met the density-drift cap).  Sampling functions and periodic sequences
 are built only for the stage winner, for the candidates the density-drift cap
 actually tries, and for the least-closed candidate a GapOpeningError carries.
-A candidate's band structure is built from the arcs its screen already
-labelled, so no candidate is solved twice.
+A candidate's band structure is built from the (cuts, band, rising) arcs
+its screen already labelled, so no candidate is solved twice, and a failure
+lists its closed gaps (floquet.arc_gaps) from the same arrays.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ import numpy as np
 
 from .cmv import diff_norm_bound_seq
 from .coeffs import magnitudes
-from .floquet import (CLOSED_GAP_CHORD, Gap, _structure_of_arcs, arc_chord, band_arcs, gap_chords,
+from .floquet import (_structure_of_arcs, arc_gaps, band_arcs, gap_chords, gap_is_closed,
                       min_gap)
 # unused here; perfbench/tests asserts that the span tracer patches this binding
 from .floquet import band_structure  # noqa: F401
 from .odometer import RADIUS_FLOOR, SamplingFn, lift, perturbed_tables, to_periodic
-from .specmeasure import SpectralDensity, _source_vector, density_distance
+from .specmeasure import SpectralDensity, _check_exponent, _source_vector, density_distance
 
 #: candidates per stage search; the radius halves every _HALVING_PERIOD attempts, and
 #: each such rung of the ladder is screened in turn
@@ -157,59 +159,53 @@ def _search_candidates(
     """
     ladder = (radius_cap * 0.5 ** (attempt // _HALVING_PERIOD) for attempt in range(_MAX_ATTEMPTS))
     radii = [radius for radius in ladder if radius >= RADIUS_FLOOR]
-    screened, labelled, closed = [], [], []
+    # one record per screen: (values, cuts, band, rising, closed gaps per row)
+    screens = []
 
-    def screen(values: np.ndarray) -> list[tuple[int, tuple]]:
-        """The passing rows of values and what the gate measured, widest minimal gap first;
-        the rows' arcs are labelled[-1]."""
+    def screen(values: np.ndarray) -> tuple[tuple, list[tuple[int, tuple]]]:
+        """The arcs of values, and its passing rows with what the gate measured, widest
+        minimal gap first."""
         arcs = band_arcs(values)
-        chords = gap_chords(*arcs[:3])
-        n_closed = np.count_nonzero(chords <= CLOSED_GAP_CHORD, axis=-1)
+        chords = gap_chords(*arcs[:2])
+        n_closed = np.count_nonzero(gap_is_closed(chords), axis=-1)
         passed, measured = n_closed == 0, ()
         if passed.any():
             accepted, measured = gate(values)
             passed &= accepted
-        screened.append(values)
-        labelled.append(arcs)
-        closed.append(n_closed)
+        screens.append((values, *arcs, n_closed))
         min_gaps = chords.min(axis=-1)
         order = np.flatnonzero(passed)[np.argsort(-min_gaps[passed], kind="stable")]
-        return [(i, tuple(float(m[i]) for m in measured)) for i in order]
+        return arcs, [(i, tuple(float(m[i]) for m in measured)) for i in order]
 
     half = len(f.table) // 2
     lifted = np.array_equal(f.table[:half], f.table[half:])
     # f alone first, so that a passing f draws nothing
     if not lifted:
-        passing = screen(f.table[None])
+        arcs, passing = screen(f.table[None])
         if passing:
-            yield f, tuple(a[0] for a in labelled[-1]), passing[0][1]
+            yield f, tuple(a[0] for a in arcs), passing[0][1]
             return
     drawn = perturbed_tables(f, radii, rng) if radii else None
     passed_any = False
     # the floor drops whole rungs, so every rung is a slice of the draws
     for start in range(0, len(radii), _HALVING_PERIOD):
         rung = drawn[start:start + _HALVING_PERIOD]
-        for i, measured in screen(rung):
+        arcs, passing = screen(rung)
+        for i, measured in passing:
             passed_any = True
-            # a row's arcs are taken only when it is yielded: the consumer usually
-            # stops at the first row
-            arcs = tuple(a[i] for a in labelled[-1])
-            # the sampling function copies its row, so it does not hold the rung
-            yield SamplingFn(rung[i], f.r), arcs, measured
+            # a row's arcs are taken only when it is yielded: the consumer usually stops at
+            # the first row; the sampling function copies its row, so it does not hold the rung
+            yield SamplingFn(rung[i], f.r), tuple(a[i] for a in arcs), measured
     if passed_any:
         return
     if lifted:
         # its closed gaps keep it from passing; its row goes first, as when it is screened first
         screen(f.table[None])
-        for rows in (screened, labelled, closed):
-            rows.insert(0, rows.pop())
-    values, closed = np.concatenate(screened), np.concatenate(closed)
+        screens.insert(0, screens.pop())
+    values, cuts, band, _, closed = map(np.concatenate, zip(*screens))
     best = int(np.argmin(closed))
     # the least-closed row's gaps, from its screened arcs: no discriminant is needed to list them
-    lo, hi, band, _ = (np.concatenate(a)[best] for a in zip(*labelled))
-    lo, hi = lo[~band], hi[~band]
-    closed_gaps = [g for g in map(Gap, lo.tolist(), hi.tolist(), arc_chord(lo, hi).tolist())
-                   if g.closed]
+    closed_gaps = [g for g in arc_gaps(cuts[best], band[best]) if g.closed]
     if closed_gaps:
         why = (f"opened every gap within budget in {len(radii)} attempts "
                f"({len(closed_gaps)} still closed)")
@@ -362,8 +358,7 @@ def ac_iterate(
     vanishes with the perturbation size; if none on the whole ladder meets it,
     DensityConstraintError carries the completed stages.
     """
-    if not (1.0 < t < 2.0):
-        raise ValueError("t must lie strictly in (1, 2)")
+    _check_exponent(t)
     u = _source_vector(u)
     rng = np.random.default_rng(seed)
     return _run_stages(f, eps, K, rng, density=(u, t))

@@ -11,9 +11,12 @@ as returned: a Newton step on the discriminant would divide its roundoff by
 |Delta'|, which vanishes at exactly those narrow gaps.  `band_arcs` solves
 both phases in one stacked eigensolve and labels the angles into bands and
 gaps, for one period or a stack, and is the only place band edges are
-derived; a `BandStructure` holds its arcs as arrays.  Its
-`_locate` is the one place an angle is placed among them: a binary search of
-the cuts finds the angle's arc, bands taken closed, and its nearer edge.  The
+derived.  Its arcs have one layout, (cuts, band, rising), which a
+`BandStructure` holds as it is and the construction's screen and failure
+report read too; `arc_gaps` is the one builder of `Gap` objects, and
+`gap_is_closed` the one rule that calls a gap closed.  `BandStructure._locate`
+is the one place an angle is placed among the arcs: a binary search of the
+cuts finds the angle's arc, bands taken closed, and its nearer edge.  The
 pointwise density, `density_distance`, `spectrum_displacement` and the
 theta-union criterion all go through it.
 
@@ -46,13 +49,18 @@ import numpy as np
 
 from ._quad import field_rows, graded_pairs, row_dots
 from .cmv import band_columns, band_rows
-from .coeffs import PeriodicSeq
+from .coeffs import PeriodicSeq, magnitudes
 from .transfer import step_coeffs, transfer_products
 
 TWO_PI = 2.0 * math.pi
 
-#: gaps narrower than this chord distance count as closed
+#: gaps no wider than this chord distance count as closed, as gap_is_closed decides
 CLOSED_GAP_CHORD = 1e-9
+
+
+def gap_is_closed(chord):
+    """Whether a gap of this chord counts as closed, elementwise: the one closed-gap rule."""
+    return chord <= CLOSED_GAP_CHORD
 
 
 class BandDiagnosticError(RuntimeError):
@@ -164,14 +172,11 @@ class Band:
 
 
 def arc_chord(theta_lo: np.ndarray, theta_hi: np.ndarray) -> np.ndarray:
-    """|e^{i theta_hi} - e^{i theta_lo}|, elementwise.
+    """|e^{i theta_hi} - e^{i theta_lo}|, elementwise, by coeffs.magnitudes.
 
-    Taken with hypot: np.abs of a complex array may take a SIMD path that
-    differs from the scalar abs in the last bit, while hypot matches it, so a
-    chord is the same number alone and across a stack.
+    So a chord is the scalar abs to the last bit, alone and across a stack.
     """
-    d = np.exp(1j * theta_hi) - np.exp(1j * theta_lo)
-    return np.hypot(d.real, d.imag)
+    return magnitudes(np.exp(1j * theta_hi) - np.exp(1j * theta_lo))
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,19 +191,23 @@ class Gap:
 
     @property
     def closed(self) -> bool:
-        return self.chord <= CLOSED_GAP_CHORD
+        return gap_is_closed(self.chord)
+
+
+def arc_gaps(cuts: np.ndarray, band: np.ndarray) -> tuple[Gap, ...]:
+    """The gaps of one row of band_arcs (cuts, band), in angular order."""
+    lo, hi = cuts[:-1][~band], cuts[1:][~band]
+    return tuple(map(Gap, lo.tolist(), hi.tolist(), arc_chord(lo, hi).tolist()))
 
 
 class BandStructure:
     """Bands and gaps of one period, held as arrays.
 
-    The 2q arcs run from _cuts[i] to _cuts[i + 1] in angular order, the last
-    one past 2 pi, so each cut is stored once, shared by the band and the gap
-    that meet there.  _band marks the arcs that are bands, _rising the bands
-    that start at a phase-pi angle, and _masses holds the band masses in
-    angular order (read-only zeros unless computed).  bands and gaps are built
-    from these once, on first read.  BandStructure(q, bands, gaps, disc) builds one
-    from Band and Gap objects that tile the circle.
+    _cuts, _band and _rising are one row of band_arcs, in its layout, and
+    _masses holds the band masses in angular order (read-only zeros unless
+    computed).  bands and gaps are built from these once, on first read.
+    BandStructure(q, bands, gaps, disc) builds one from Band and Gap objects
+    that tile the circle.
     """
 
     def __init__(self, q: int, bands, gaps, disc: Discriminant):
@@ -217,17 +226,13 @@ class BandStructure:
         bs._cuts, bs._band, bs._rising, bs._masses = cuts, band, rising, masses
         return bs
 
-    def _ends(self, mask: np.ndarray) -> tuple[list[float], list[float]]:
-        """The two ends of the arcs under mask, as lists of floats in angular order."""
-        return self._cuts[:-1][mask].tolist(), self._cuts[1:][mask].tolist()
-
-    def _band_ends(self) -> tuple[list[float], list[float]]:
-        """theta_lo and theta_hi of the bands, without building them."""
-        return self._ends(self._band)
+    def _band_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """theta_lo and theta_hi of the bands in angular order, without building them."""
+        return self._cuts[:-1][self._band], self._cuts[1:][self._band]
 
     def _chords(self) -> np.ndarray:
         """arc_chord of each gap's two ends, in angular order."""
-        return arc_chord(self._cuts[:-1][~self._band], self._cuts[1:][~self._band])
+        return gap_chords(self._cuts, self._band)
 
     def _locate(self, theta, anchors=None, signed=0.0):
         """The arc that holds each angle theta, and anchors + signed as a step from its end.
@@ -262,12 +267,13 @@ class BandStructure:
 
     @functools.cached_property
     def bands(self) -> tuple[Band, ...]:
-        rising = self._rising[self._band].tolist()
-        return tuple(map(Band, *self._band_ends(), rising, self._masses.tolist()))
+        lo, hi = self._band_ends()
+        return tuple(map(Band, lo.tolist(), hi.tolist(), self._rising[self._band].tolist(),
+                         self._masses.tolist()))
 
     @functools.cached_property
     def gaps(self) -> tuple[Gap, ...]:
-        return tuple(map(Gap, *self._ends(~self._band), self._chords().tolist()))
+        return arc_gaps(self._cuts, self._band)
 
     @property
     def band_masses(self) -> tuple[float, ...]:
@@ -278,7 +284,7 @@ class BandStructure:
         return sum((self._cuts[1:] - self._cuts[:-1])[self._band].tolist())
 
     def open_gap_count(self) -> int:
-        return int(np.count_nonzero(self._chords() > CLOSED_GAP_CHORD))
+        return int(np.count_nonzero(~gap_is_closed(self._chords())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BandStructure):
@@ -293,38 +299,38 @@ class BandStructure:
         return f"BandStructure(q={self.q}, bands={self.bands!r}, gaps={self.gaps!r})"
 
 
-def label_arcs(
-    plus: np.ndarray, minus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def label_arcs(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut the circle at the phase-0 angles plus and phase-pi angles minus, each (..., q).
 
-    Returns (lo, hi, band, rising), each (..., 2q) and in angular order: arc i
-    runs from lo[i] to hi[i], the last one past 2 pi.  An arc between a
+    Returns (cuts, band, rising) in angular order.  cuts is (..., 2q + 1): the
+    sorted angles, then the first a turn up, so arc i runs from cuts[i] to
+    cuts[i + 1], the last one past 2 pi, and each cut is shared by the two
+    arcs that meet there.  band and rising are (..., 2q).  An arc between a
     phase-0 and a phase-pi angle is a band, one between two angles of the same
-    phase is a gap; rising marks the arcs that start at a phase-pi angle,
-    across which a band's discriminant rises from -2 to 2.  Equal angles keep
+    phase is a gap; rising marks the bands that start at a phase-pi angle,
+    across which the discriminant rises from -2 to 2.  Equal angles keep
     phase 0 first.
     """
     q = plus.shape[-1]
     angles = np.concatenate((plus, minus), axis=-1)
     lo = np.sort(angles, axis=-1)
-    hi = np.concatenate((lo[..., 1:], lo[..., :1] + TWO_PI), axis=-1)
-    rising = np.argsort(angles, axis=-1, kind="stable") >= q
-    band = rising != np.concatenate((rising[..., 1:], rising[..., :1]), axis=-1)
+    cuts = np.concatenate((lo, lo[..., :1] + TWO_PI), axis=-1)
+    starts_pi = np.argsort(angles, axis=-1, kind="stable") >= q
+    band = starts_pi != np.concatenate((starts_pi[..., 1:], starts_pi[..., :1]), axis=-1)
     counts = np.count_nonzero(band, axis=-1)
     bad = counts != q
     if np.any(bad):
         n = int(counts[bad].flat[0])
-        thin = np.count_nonzero((hi - lo)[bad][0] < CLOSED_GAP_CHORD)
+        thin = np.count_nonzero(gap_is_closed(np.diff(cuts[bad][0])))
         raise BandDiagnosticError(
             f"band/gap count mismatch: {n} bands, {2 * q - n} gaps for period {q}: the phase-0 "
             f"and phase-pi edges do not interlace, as {thin} of {2 * q} sorted edge spacings "
             f"are below {CLOSED_GAP_CHORD:g}; the bands are thinner than the eigensolve resolves"
         )
-    return lo, hi, band, rising
+    return cuts, band, band & starts_pi
 
 
-def band_arcs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def band_arcs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """label_arcs of the phase-0 and phase-pi eigenangles of one period (q,) or a stack (N, q).
 
     Both phases are one stacked eigensolve, with theta = [0, pi] on a new
@@ -341,13 +347,14 @@ def band_arcs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return label_arcs(*eigenangles(values, phases))
 
 
-def gap_chords(lo: np.ndarray, hi: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """Chords of the q gaps of each row of band_arcs of an (N, q) stack, in angular order: (N, q).
+def gap_chords(cuts: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Chords of the q gaps of band_arcs (cuts, band), one period or a stack, in angular order.
 
     These are band_structure's gaps without the discriminant, so without its
     midpoint check: the cheap screen for many candidate periods at once.
     """
-    return arc_chord(lo[~band], hi[~band]).reshape(len(lo), -1)
+    gap = ~band
+    return arc_chord(cuts[..., :-1][gap], cuts[..., 1:][gap]).reshape(band.shape[:-1] + (-1,))
 
 
 def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructure:
@@ -362,18 +369,19 @@ def band_structure(seq: PeriodicSeq, compute_masses: bool = True) -> BandStructu
 
 def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
                        compute_masses: bool) -> BandStructure:
-    """The band structure of seq from its band_arcs (lo, hi, band, rising), each (2q,).
+    """The band structure of seq from one row of its band_arcs (cuts, band, rising).
 
     The arcs may be one row of a stack labelled at once, which equals a single
     solve bit for bit; the structure copies what it keeps, so it does not hold
     the stack.
     """
-    lo, hi, band, rising = arcs
+    cuts, band, rising = arcs
+    lo, hi = cuts[:-1], cuts[1:]
     disc = discriminant(seq)
     gap = ~band
     # sanity: open gap interiors must lie outside the spectrum, checked on the
     # transfer product, which stays accurate where the Laurent sum does not
-    wide = (arc_chord(lo[gap], hi[gap]) > CLOSED_GAP_CHORD) & ((hi - lo)[gap] > 1e-7)
+    wide = ~gap_is_closed(gap_chords(cuts, band)) & ((hi - lo)[gap] > 1e-7)
     mids = 0.5 * (lo[gap][wide] + hi[gap][wide])
     if np.any(np.abs(disc.eval_monodromy(mids)) < 2.0 - 1e-7):
         raise BandDiagnosticError("gap midpoint classified inside the spectrum")
@@ -387,8 +395,8 @@ def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
         # V alone holds O(1) terms per node: width 1
         masses = row_dots(field_rows(lambda e, o: _equilibrium_at(own, e, o)[1],
                                      edges, offsets, 1), weights)
-    return BandStructure._of_arrays(seq.period, np.append(lo, hi[-1]), band.copy(),
-                                    band & rising, masses, disc)
+    return BandStructure._of_arrays(seq.period, cuts.copy(), band.copy(), rising.copy(), masses,
+                                    disc)
 
 
 #: quadrature nodes per half-band for the band masses
@@ -508,7 +516,7 @@ def eigenangles(seq, theta) -> np.ndarray:
 def min_gap(bs: BandStructure) -> float:
     """Smallest chord width over the open gaps; error if every gap is closed."""
     chords = bs._chords()
-    open_gaps = chords[chords > CLOSED_GAP_CHORD]
+    open_gaps = chords[~gap_is_closed(chords)]
     if not len(open_gaps):
         raise AllGapsClosedError("all gaps are closed; no minimal open gap exists")
     return float(open_gaps.min())

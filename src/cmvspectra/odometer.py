@@ -67,7 +67,7 @@ class SamplingFn:
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingFn":
         table = [complex_from_json(v) for v in obj["table"]]
-        if len(table) != 1 << obj["level"]:
+        if "level" in obj and len(table) != 1 << obj["level"]:
             raise ValueError("level field disagrees with table size")
         return cls(table, obj["r"])
 

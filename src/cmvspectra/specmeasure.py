@@ -103,6 +103,12 @@ def equilibrium_density(bs: BandStructure) -> EdgeField:
     return v
 
 
+def _check_exponent(t: float) -> None:
+    """Raise ValueError unless the L^t exponent t lies strictly in (1, 2)."""
+    if not (1.0 < t < 2.0):
+        raise ValueError("t must lie strictly in (1, 2)")
+
+
 def _source_vector(u: Mapping[int, complex]) -> dict[int, complex]:
     """u as {site: value}; raises ValueError if it is empty or a value is not finite."""
     u = {int(n): complex(v) for n, v in u.items()}
@@ -156,7 +162,7 @@ class SpectralDensity:
         """
         if not self.n:
             return np.empty((0, 2))
-        lo, hi = map(np.array, self.structure._band_ends())
+        lo, hi = self.structure._band_ends()
         edges, offsets, _ = graded_pairs(lo[hi > lo], hi[hi > lo], self.n, 2)
         g = field_rows(self.at, edges, offsets, self.disc.q)
         return np.column_stack([(edges + offsets).ravel(), g.ravel()])
@@ -212,8 +218,7 @@ def lt_integral(field: EdgeField, bs: BandStructure, t: float) -> tuple[float, f
     declares 1; a field that declares none, such as SpectralDensity.at, is
     taken at q, the width of a field that builds Floquet solutions.
     """
-    if not (1.0 < t < 2.0):
-        raise ValueError("t must lie strictly in (1, 2)")
+    _check_exponent(t)
     m = grading_exponent(t)
     width = getattr(field, "width", bs.q)
     return refined_integral(field, *bs._band_ends(), _LT_NODES, m, t, width)
@@ -284,11 +289,10 @@ def density_distance(a: SpectralDensity, b: SpectralDensity, t: float) -> float:
     band edge, so no node rounds onto an edge.  Returns the raw integral; take
     the 1/t power for the metric form.
     """
-    if not (1.0 < t < 2.0):
-        raise ValueError("t must lie strictly in (1, 2)")
+    _check_exponent(t)
     densities = (a, b)
-    cuts = np.array(sorted({e % TWO_PI for d in densities
-                            for ends in d.structure._band_ends() for e in ends}))
+    cuts = np.unique(np.concatenate([e for d in densities for e in d.structure._band_ends()])
+                     % TWO_PI)
     lo, hi = cuts, np.append(cuts[1:], cuts[0] + TWO_PI)
     keep = hi - lo >= 1e-13
     lo, hi = lo[keep], hi[keep]

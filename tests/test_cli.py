@@ -327,6 +327,29 @@ def test_gordon_check_rejects_a_nan_value(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_a_table_that_is_not_a_power_of_two_exits_2_naming_its_length(tmp_path, capsys):
+    # no level field is written, so none is reported as disagreeing
+    p = tmp_path / "samp3.json"
+    p.write_text(json.dumps({"table": [0.3, 0.2, 0.1], "r": 0.6}))
+    rc = main(["construct", "--input", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "power of two" in err and "level" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["construct", "--stages", "-1"], "--stages"),
+    (["gamma", "--k", "0"], "--k"),
+    (["gamma", "--r", "1.5"], "--r"),
+], ids=["construct-stages", "gamma-k", "gamma-r"])
+def test_out_of_range_counts_and_radii_exit_2(tmp_path, samp_file, argv, flag, capsys):
+    if argv[0] == "construct":
+        argv = argv + ["--input", samp_file, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("input error: " + flag)
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
 def test_construct_eps_that_is_not_finite_and_positive_exits_2(tmp_path, samp_file, eps,
                                                                capsys):

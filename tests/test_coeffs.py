@@ -71,6 +71,11 @@ def test_json_rejects_inconsistent_period():
         PeriodicSeq.from_json(obj)
 
 
+def test_json_period_is_optional():
+    obj = {"values": [[0.1, 0.2], -0.3], "r": 0.6}
+    assert PeriodicSeq.from_json(obj) == make_periodic([0.1 + 0.2j, -0.3], 0.6)
+
+
 def test_constant_seq_default_radius():
     seq = constant_seq(0.5)
     assert seq.period == 2

@@ -288,7 +288,7 @@ def test_a_gate_that_rejects_the_first_rung_takes_the_second_rungs_widest_row(mo
     ladder = [0.1 * 0.5 ** (i // construct._HALVING_PERIOD) for i in range(construct._MAX_ATTEMPTS)]
     second = perturbed_tables(f, ladder, np.random.default_rng(1))[12:24]
     second_arcs = floquet.band_arcs(second)
-    widest = np.argmax(floquet.gap_chords(*second_arcs[:3]).min(axis=-1))
+    widest = np.argmax(floquet.gap_chords(*second_arcs[:2]).min(axis=-1))
     assert np.array_equal(g.table, second[widest])
     # the candidate carries its own row of the rung's arcs
     assert all(np.array_equal(a, b[widest]) for a, b in zip(arcs, second_arcs))
@@ -473,6 +473,22 @@ def test_gap_opening_failure_reports_the_least_closed_candidate():
     flat = [x for v in got["table"] for x in v]
     want = [x for v in GAP_FAILURE["best"]["table"] for x in v]
     assert flat == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_the_stage_screen_and_the_structure_read_one_closed_gap_rule(monkeypatch):
+    # the seed-7 run above fails at stage 4 with 16 gaps below 1e-9; at a threshold of
+    # 1e-12 the screen, Gap.closed, open_gap_count and min_gap all take them as open
+    monkeypatch.setattr(floquet, "CLOSED_GAP_CHORD", 1e-12)
+    reports, final = cantor_iterate(make_sampling([0.3, 0.3], 0.6), 0.9, 4, seed=7)
+    assert [r.open_gap_count for r in reports] == [2, 4, 8, 16, 32]
+    assert 1e-12 < reports[-1].min_gap_after < 1e-9
+    bs = band_structure(to_periodic(final), compute_masses=False)
+    assert bs.open_gap_count() == 32 and not any(g.closed for g in bs.gaps)
+    assert floquet.min_gap(bs) == reports[-1].min_gap_after
+    monkeypatch.undo()
+    thin = [g.chord <= 1e-9 for g in bs.gaps]
+    assert [g.closed for g in bs.gaps] == thin and 0 < sum(thin) < 32
+    assert bs.open_gap_count() == 32 - sum(thin) and floquet.min_gap(bs) > 1e-9
 
 
 #: exact stage ledgers and final tables, each float as its repr, of cantor_iterate (K = 3)

@@ -140,6 +140,15 @@ def test_sampling_json_roundtrip():
     assert SamplingFn.from_json(f.to_json()) == f
 
 
+def test_sampling_json_checks_a_level_only_when_it_is_given():
+    obj = {"table": [[0.1, 0.05], -0.2], "r": 0.6}
+    assert SamplingFn.from_json(obj) == make_sampling((0.1 + 0.05j, -0.2), 0.6)
+    with pytest.raises(ValueError, match="level field"):
+        SamplingFn.from_json({**obj, "level": 2})
+    with pytest.raises(ValueError, match="power of two"):
+        SamplingFn.from_json({**obj, "table": [0.1, 0.2, 0.3]})
+
+
 def test_a_sampling_table_is_read_only_and_shared_by_the_sequence_it_induces():
     f = make_sampling((0.1, -0.2, 0.3j, 0.05), 0.5)
     assert f.table.dtype == np.complex128 and not f.table.flags.writeable

@@ -164,6 +164,14 @@ def test_lt_integral_converges_on_the_lt_finiteness_input():
     assert err <= 1e-5
 
 
+@pytest.mark.parametrize("t", [1.0, 2.0, math.nan])
+def test_lt_integral_and_density_distance_reject_t_outside_1_2(t):
+    d = density(constant_seq(0.5), {0: 1.0})
+    with pytest.raises(ValueError, match=r"t must lie strictly in \(1, 2\)"):
+        lt_integral(d.at, d.structure, t)
+    with pytest.raises(ValueError, match=r"t must lie strictly in \(1, 2\)"):
+        density_distance(d, d, t)
+
 def test_density_distance_identical_is_zero():
     c = density(constant_seq(0.5), {0: 1.0})
     assert density_distance(c, c, 1.5) == pytest.approx(0.0, abs=1e-12)

@@ -8,9 +8,11 @@ positive, but for large m the first one (about 1e-17 at m = 5, n = 48) lies
 below one ulp of theta, so edge + s^m rounds onto the edge itself.  So
 `graded_pairs` returns each node as (edge, offset), one row per interval, and
 `field_rows` hands a band field whole rows, at most BATCH_SIZE node x width
-terms per call unless one row holds more, where width is what the field holds
-per node: q for the fields that build Floquet solutions, 1 for the equilibrium
-density alone; every band integral goes this way.
+terms per call unless one row holds more, where width is the field's traced
+transient per node, counted in what one site of the period adds to a field
+that builds Floquet solutions: q for those fields, 4 for the equilibrium
+density alone, whose transient is a few sites' worth; every band integral
+goes this way.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import math
 
 import numpy as np
 
-#: node x width terms per call of a band field; bounds its O(nodes x width) temporaries
-BATCH_SIZE = 1 << 11
+#: node x width terms per call of a band field; bounds its transient, O(nodes x width),
+#: while a call is large enough that its fixed cost is small against its per-node work
+BATCH_SIZE = 1 << 13
 
 
 # np.polynomial is imported on first use, so look it up at the first call, not at import

@@ -392,9 +392,9 @@ def _structure_of_arcs(seq: PeriodicSeq, arcs: tuple[np.ndarray, ...],
     if compute_masses:
         edges, offsets, weights = graded_pairs(lo[band], hi[band], _MASS_NODES, 2)
         own = Discriminant(seq)
-        # V alone holds O(1) terms per node: width 1
+        # V alone holds O(1) terms per node, a few sites' worth: width 4, as equilibrium_density
         masses = row_dots(field_rows(lambda e, o: _equilibrium_at(own, e, o)[1],
-                                     edges, offsets, 1), weights)
+                                     edges, offsets, 4), weights)
     return BandStructure._of_arrays(seq.period, cuts.copy(), band.copy(), rising.copy(), masses,
                                     disc)
 

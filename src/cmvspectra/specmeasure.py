@@ -5,18 +5,19 @@ V = |dpsi/dtheta| / (q pi), and the absolutely continuous density of the
 spectral measure of a finitely supported vector.  The Floquet solutions are
 the eigenvectors of the 2x2 monodromy for e^{+/- i psi}, propagated over one
 period by the two-step transfer matrices (`transfer.transfer_products`).  One
-batched kernel, `_floquet_solutions`, builds them for N points at once, and
-`_amplitude_sum` forms the transform amplitudes from them; `floquet_solution`
-runs both at N = 1, with psi from `psi_of`, which reads Delta from the
-transfer product.
+batched kernel, `_floquet_solutions`, builds them unnormalized for N points
+at once, with each one's norm over the period; `_sites` normalizes the sites
+a caller reads, so `_amplitude_sum` divides only the sites of u, and
+`floquet_solution` all q of them at N = 1, with psi from `psi_of`, which
+reads Delta from the transfer product.
 
 Every density takes its points as (band edge, offset into the band), with psi
 and V from `floquet._equilibrium_at`, and `SpectralDensity.at` is the one
 density evaluator.  Its band integrals, `density`, `lt_integral` and
 `density_distance`, take edge-graded nodes, since V blows up like
 dist^{-1/2} at band edges, by `_quad`'s one path and batching rule, which
-bounds a call by the terms a field holds per node: 1 for V alone, q for a
-field that builds Floquet solutions.  The pointwise call and
+bounds a call by the field's traced transient per node, its width: q for a
+field that builds Floquet solutions, 4 for V alone.  The pointwise call and
 `density_distance` place points with `BandStructure._locate`.
 
 A density reads the sequence's coefficient table (`PeriodicSeq.values`, a
@@ -81,25 +82,27 @@ class FloquetSolution:
 
 def floquet_solution(seq: PeriodicSeq, z: complex) -> FloquetSolution:
     """The two quasiperiodic solutions at z on the spectrum, normalized over one period."""
-    psi = psi_of(z, discriminant(seq))
-    phi = _floquet_solutions(step_coeffs(seq.values), np.array([z]), np.array([psi]))
-    return FloquetSolution(complex(z), psi, phi[:, 0, 0], phi[:, 1, 0])
+    psi = np.array([psi_of(z, discriminant(seq))])
+    rows, norm = _floquet_solutions(step_coeffs(seq.values), np.array([z]), psi)
+    phi = _sites(rows, norm, psi, np.arange(seq.period))
+    return FloquetSolution(complex(z), float(psi[0]), phi[:, 0, 0], phi[:, 1, 0])
 
 
 #: a density on the bands, evaluated at theta = edge + offset for arrays of band edges and
-#: offsets; it may declare its width, the terms it holds per node, as a width attribute
+#: offsets; it may declare its width, its transient per node (see _quad), as a width attribute
 EdgeField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def equilibrium_density(bs: BandStructure) -> EdgeField:
     """The equilibrium density V = |dpsi/dtheta| / (q pi), as a function of (edges, offsets).
 
-    It declares width 1: V alone holds O(1) terms per node.
+    It declares width 4: V alone holds O(1) terms per node, a few sites' worth of the
+    transient of a field that builds Floquet solutions.
     """
     def v(edges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         return _equilibrium_at(bs.disc, edges, offsets)[1]
 
-    v.width = 1
+    v.width = 4
     return v
 
 
@@ -175,8 +178,8 @@ class SpectralDensity:
         at psi.
         """
         psi, v = _equilibrium_at(self.disc, edges, offsets)
-        phi = _floquet_solutions(self._floquet_steps, np.exp(1j * (edges + offsets)), psi)
-        return _amplitude_sum(phi, psi, self.u) * v
+        rows, norm = _floquet_solutions(self._floquet_steps, np.exp(1j * (edges + offsets)), psi)
+        return _amplitude_sum(rows, norm, psi, self.u) * v
 
     def __call__(self, theta: float) -> float:
         """g at one point, anchored at the nearer edge of its band; 0 off the bands."""
@@ -215,7 +218,7 @@ def lt_integral(field: EdgeField, bs: BandStructure, t: float) -> tuple[float, f
     The integrand grows like dist^{-t/2} at band edges, integrable only below
     t = 2; near it, edge + offset rounds onto the edge, so field takes both.
     field's calls are batched by the width it declares, as equilibrium_density
-    declares 1; a field that declares none, such as SpectralDensity.at, is
+    declares 4; a field that declares none, such as SpectralDensity.at, is
     taken at q, the width of a field that builds Floquet solutions.
     """
     _check_exponent(t)
@@ -228,13 +231,21 @@ def lt_integral(field: EdgeField, bs: BandStructure, t: float) -> tuple[float, f
 _DISTANCE_NODES = 48
 
 
-def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The two Floquet solutions at each of N points z, shape (q, 2, N).
+def _eigenvalues(psi: np.ndarray) -> np.ndarray:
+    """The monodromy eigenvalues lam = e^{+/- i psi} of each point, shape (2, N)."""
+    return np.exp(1j * np.multiply.outer([1.0, -1.0], psi))
+
+
+def _floquet_solutions(steps: np.ndarray, z: np.ndarray,
+                       psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two Floquet solutions at each of N points z, unnormalized, and their period norms.
 
     steps are the step_coeffs of one sequence and psi the Floquet phase at
     each z.  (u_1, u_2) is the eigenvector of the monodromy A_{q-1} ... A_1
     for lam = e^{+/- i psi} (axis 1); the partial products give u_1 .. u_q,
-    and u_0 = u_q / lam.  Each solution is normalized over one period.  Of
+    returned as rows, shape (q, 2, N), with u_q = lam u_0 last.  norm, shape
+    (2, N), is each solution's norm over one period, its squares summed in
+    site order 0 .. q - 1; _sites divides the sites a caller reads by it.  Of
     the eigenvector candidates (b, lam - a) and (lam - d, c), which both solve
     (T - lam) v = 0, the longer one is kept; both vanish only when the
     monodromy equals lam I, where the Floquet solutions are not determined.
@@ -244,7 +255,7 @@ def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.
     partial, mono = products[:-1], products[-1]
 
     # monodromy eigenvectors (x, y) for lam = e^{+/- i psi}, shape (2, N)
-    lam = np.exp(1j * np.multiply.outer([1.0, -1.0], psi))
+    lam = _eigenvalues(psi)
     (a, b), (c, d) = mono
     first = np.abs(b) ** 2 + np.abs(lam - a) ** 2
     second = np.abs(lam - d) ** 2 + np.abs(c) ** 2
@@ -257,24 +268,40 @@ def _floquet_solutions(steps: np.ndarray, z: np.ndarray, psi: np.ndarray) -> np.
     y = np.where(use_second, c, lam - a)
 
     rows = (partial[:, :, :1] * x + partial[:, :, 1:] * y).reshape(2 * len(steps), 2, -1)
-    phi = np.empty_like(rows)
-    phi[1:] = rows[:-1]
-    phi[0] = rows[-1] / lam
-    phi /= np.sqrt((phi.real**2 + phi.imag**2).sum(axis=0))
+    # |u_j|^2 in site order, u_0 first, in one reduction
+    head = rows[-1] / lam
+    squares = np.empty(rows.shape)
+    squares[0] = head.real**2 + head.imag**2
+    np.square(rows[:-1].real, out=squares[1:])
+    squares[1:] += np.square(rows[:-1].imag)
+    return rows, np.sqrt(squares.sum(axis=0))
+
+
+def _sites(rows: np.ndarray, norm: np.ndarray, psi: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The normalized Floquet solutions at sites j in [0, q), shape (len(j), 2, N).
+
+    rows and norm are _floquet_solutions' at the phases psi; site j is
+    rows[j - 1], and site 0, rows[-1] = lam u_0, is divided by lam.
+    """
+    phi = rows[j - 1]
+    phi[j == 0] /= _eigenvalues(psi)
+    phi /= norm
     return phi
 
 
-def _amplitude_sum(phi: np.ndarray, psi: np.ndarray, u: Mapping[int, complex]) -> np.ndarray:
-    """|U u|^2 summed over the two solutions phi of _floquet_solutions, per point.
+def _amplitude_sum(rows: np.ndarray, norm: np.ndarray, psi: np.ndarray,
+                   u: Mapping[int, complex]) -> np.ndarray:
+    """|U u|^2 summed over the two Floquet solutions of _floquet_solutions, per point.
 
     The transform is sqrt(q/2) sum_n conj(phi_n) u_n, with
-    phi_{j + l q} = e^{+/- i l psi} phi_j.
+    phi_{j + l q} = e^{+/- i l psi} phi_j; only the sites of u are normalized.
     """
-    q = len(phi)
+    q = len(rows)
     sites = np.array(list(u), dtype=int)
     l, j = np.divmod(sites, q)
     values = np.array(list(u.values()), dtype=complex)
-    ext = phi[j] * np.exp(1j * np.multiply.outer(l, [1.0, -1.0])[:, :, None] * psi)
+    phase = np.exp(1j * np.multiply.outer(l, [1.0, -1.0])[:, :, None] * psi)
+    ext = _sites(rows, norm, psi, j) * phase
     amp = np.einsum("skn,s->kn", ext.conj(), values)
     return 0.5 * q * (np.abs(amp) ** 2).sum(axis=0)
 

@@ -59,7 +59,8 @@ def step_coeffs(values: np.ndarray) -> np.ndarray:
     complex128 array).  Entry [k] is step_laurent of the triple
     (alpha_{2k+1}, alpha_{2k+2}, alpha_{2k+3}).
     """
-    c = step_laurent(values[1::2], np.roll(values, -1)[1::2], np.roll(values, -2)[1::2])
+    c = step_laurent(values[1::2], np.concatenate([values[2::2], values[:1]]),
+                     np.concatenate([values[3::2], values[1:2]]))
     return np.ascontiguousarray(c.transpose(3, 0, 1, 2))
 
 

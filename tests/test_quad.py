@@ -57,10 +57,10 @@ def test_every_band_integral_hands_its_field_whole_rows_under_one_batch_rule(mon
     a, b = density(seq, {0: 1.0}), density(other, {0: 1.0})
     bs = a.structure
     # (integral, nodes per row: an interval's fine and coarse nodes together, rows if known,
-    # the field's width: 1 for V alone, q for the fields that build Floquet solutions)
-    cases = [(lambda: band_structure(seq), 2 * 96, q, 1),
+    # the field's width: 4 for V alone, q for the fields that build Floquet solutions)
+    cases = [(lambda: band_structure(seq), 2 * 96, q, 4),
              (lambda: density(seq, {0: 1.0, 1: 0.5j}), 2 * 64 + 2 * 32, q, q),
-             (lambda: lt_integral(equilibrium_density(bs), bs, 1.5), 2 * 64 + 2 * 32, q, 1),
+             (lambda: lt_integral(equilibrium_density(bs), bs, 1.5), 2 * 64 + 2 * 32, q, 4),
              (lambda: density_distance(a, b, 1.5), 2 * 48, None, q)]
     for run, row, rows, width in cases:
         calls.clear()
@@ -70,3 +70,7 @@ def test_every_band_integral_hands_its_field_whole_rows_under_one_batch_rule(mon
             per_call = max(1, BATCH_SIZE // (width * row))
             assert sum(calls) == rows * row
             assert len(calls) == -(-rows // per_call)
+    # the union of two band sets has at most 4q pieces, within the rows of one call up to
+    # q = 4, so there density_distance hands each density all its rows in one call
+    if 4 * q <= BATCH_SIZE // (q * 2 * 48):
+        assert len(calls) == 2

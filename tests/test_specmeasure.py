@@ -15,7 +15,6 @@ from cmvspectra.odometer import make_sampling, to_periodic
 from cmvspectra.specmeasure import (
     EdgeProximityError,
     SpectralDensity,
-    _amplitude_sum,
     density,
     density_distance,
     equilibrium_density,
@@ -23,6 +22,7 @@ from cmvspectra.specmeasure import (
     lt_integral,
     psi_of,
 )
+from cmvspectra.transfer import step_coeffs
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,10 +205,14 @@ def _interior_v(disc, theta):
 
 
 def _per_node_density(seq, disc, u, theta):
-    """g at theta from psi_of, the per-node floquet_solution and _interior_v."""
+    """g at theta from psi_of, the per-node floquet_solution's full phi and _interior_v."""
     sol = floquet_solution(seq, np.exp(1j * theta))
-    phi = np.stack([sol.phi_plus, sol.phi_minus], axis=1)[:, :, None]
-    return float(_amplitude_sum(phi, np.array([sol.psi]), u)[0]) * _interior_v(disc, theta)
+    q = len(sol.phi_plus)
+    total = 0.0
+    for phi, psi in ((sol.phi_plus, sol.psi), (sol.phi_minus, -sol.psi)):
+        amp = sum(np.conj(phi[n % q] * np.exp(1j * (n // q) * psi)) * v for n, v in u.items())
+        total += abs(amp) ** 2
+    return 0.5 * q * total * _interior_v(disc, theta)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
@@ -230,6 +234,71 @@ def test_batched_density_matches_the_per_node_reference(q):
         s = 1.0 - (0.5 * float(bs.disc.eval_monodromy(theta))) ** 2
         own_roundoff = (q + 1) * np.finfo(float).eps * c_sum / s
         assert abs(g - ref) <= (1e-12 + own_roundoff) * ref
+
+
+def _full_path_phi(rows, psi):
+    """Both Floquet solutions at all q sites, each divided by its period norm.
+
+    The path before only the sites of u were normalized: site j is
+    rows[j - 1], site 0 is rows[-1] / lam, and the squares are summed over the
+    period in site order.
+    """
+    phi = np.empty_like(rows)
+    phi[1:] = rows[:-1]
+    phi[0] = rows[-1] / np.exp(1j * np.multiply.outer([1.0, -1.0], psi))
+    phi /= np.sqrt((phi.real**2 + phi.imag**2).sum(axis=0))
+    return phi
+
+
+def _full_path_density(d, edges, offsets):
+    """g at edge + offset with every site normalized first, then the amplitude of u formed."""
+    psi, v = floquet._equilibrium_at(d.disc, edges, offsets)
+    rows, _ = specmeasure._floquet_solutions(d._floquet_steps, np.exp(1j * (edges + offsets)), psi)
+    phi = _full_path_phi(rows, psi)
+    q = len(phi)
+    sites = np.array(list(d.u), dtype=int)
+    l, j = np.divmod(sites, q)
+    values = np.array(list(d.u.values()), dtype=complex)
+    ext = phi[j] * np.exp(1j * np.multiply.outer(l, [1.0, -1.0])[:, :, None] * psi)
+    amp = np.einsum("skn,s->kn", ext.conj(), values)
+    return 0.5 * q * (np.abs(amp) ** 2).sum(axis=0) * v
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 64])
+def test_at_normalizes_only_the_sites_of_u_with_the_bits_of_the_full_path(q):
+    seq = _random_seq(q, 2800 + q)
+    bs = band_structure(seq, compute_masses=False)
+    edges, offsets, _ = (x.ravel() for x in graded_pairs(*bs._band_ends(), 16, 5))
+    # site 0 (j = 0, read as rows[-1] / lam), j = q - 1, sites in other periods (l != 0,
+    # site q is j = 0 again) and negative sites; the second u has no site with j = 0
+    for u in ({0: 1.0, q - 1: 0.5 - 0.25j, q: 0.4j, 2 * q + 1: -0.3, -3: 0.2 + 0.1j},
+              {1: 1.0, -1: 0.3 - 0.2j}):
+        d = SpectralDensity(seq, u, bs)
+        assert np.array_equal(d.at(edges, offsets), _full_path_density(d, edges, offsets))
+
+
+#: SHA-256 of psi, phi_plus and phi_minus of floquet_solution(_random_seq(q, 2900 + q), z)
+#: at the midpoint of the first band, recorded when the batched kernel normalized every site
+FLOQUET_SOLUTION_SHA256 = {
+    2: "129636367b12637a53c448502dcd431e230d7cd37bd727aede747622faa455e6",
+    16: "493a7d3efb0dbd3060442adf41fce5187b4bc66494c7865a9c41daff59d3f54e",
+    64: "7f58f8c3dca10821d88168621569507bc374864745b150fe61e7c083f33abc3e",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FLOQUET_SOLUTION_SHA256))
+def test_floquet_solution_keeps_the_bits_of_the_full_normalization(q):
+    seq = _random_seq(q, 2900 + q)
+    b = band_structure(seq, compute_masses=False).bands[0]
+    z = np.exp(1j * 0.5 * (b.theta_lo + b.theta_hi))
+    sol = floquet_solution(seq, z)
+    psi = np.array([sol.psi])
+    rows, _ = specmeasure._floquet_solutions(step_coeffs(seq.values), np.array([z]), psi)
+    phi = _full_path_phi(rows, psi)
+    assert np.array_equal(sol.phi_plus, phi[:, 0, 0])
+    assert np.array_equal(sol.phi_minus, phi[:, 1, 0])
+    digest = hashlib.sha256(psi.tobytes() + sol.phi_plus.tobytes() + sol.phi_minus.tobytes())
+    assert digest.hexdigest() == FLOQUET_SOLUTION_SHA256[q]
 
 
 #: sites in four different periods at q = 2, and in two at q = 16

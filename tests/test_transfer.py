@@ -14,6 +14,7 @@ from cmvspectra.transfer import (
     four_block,
     gamma,
     step_coeffs,
+    step_laurent,
     transfer_at,
 )
 
@@ -40,13 +41,16 @@ def test_rejects_non_unimodular_spectral_parameter():
         build_A(0.1, 0.2, 0.3, 1.1)
 
 
-@pytest.mark.parametrize("q", [2, 4, 16])
+@pytest.mark.parametrize("q", [2, 4, 16, 64])
 def test_step_coeffs_match_build_A(q):
     rng = np.random.default_rng(q)
     vals = 0.9 * np.sqrt(rng.uniform(0, 1, q)) * np.exp(2j * np.pi * rng.uniform(0, 1, q))
     seq = make_periodic(list(vals), 0.95)
     steps = step_coeffs(seq.values)
     assert steps.shape == (q // 2, 3, 2, 2)
+    # the last triple wraps to (alpha_{q-1}, alpha_0, alpha_1); at q = 2 both neighbours do
+    v = seq.values
+    assert np.array_equal(steps[-1], step_laurent(v[q - 1:], v[:1], v[1:2])[..., 0])
     for t in (0.0, 0.7, np.pi, 4.0):
         z = np.exp(1j * t)
         for k, c in enumerate(steps):
